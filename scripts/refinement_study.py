@@ -41,16 +41,13 @@ def main() -> int:
     t0 = time.monotonic()
     report = gw_pipeline(second_difference(), args.bump, j_list, family())
     dt = time.monotonic() - t0
-    with open(args.out + ".json", "w") as fh:
-        fh.write(report.to_json())
-    with open(args.out + ".csv", "w") as fh:
-        fh.write(report.to_csv())
+    jpath, cpath = report.write(args.out)
     print(f"{'j':>4s} {'sup_error':>12s} {'support_r':>10s} {'repr_resid':>12s}")
     for row in report.rows:
         print(f"{row.j:4d} {row.sup_error:12.5e} "
               f"{row.support_radius:10.6f} "
               f"{row.representation_residual:12.5e}")
-    print(f"total {dt:.1f}s -> {args.out}.json / {args.out}.csv")
+    print(f"total {dt:.1f}s -> {jpath} / {cpath}")
     return 0
 
 

@@ -6,8 +6,9 @@ Vertices are fractions.Fraction tuples in lexicographic order.  Halfspaces
 are pairs (m, c) meaning m . x <= c with m a primitive integer vector; a
 flat body carries equality constraints as opposite halfspace pairs.
 
-All predicates and constructions in this module are exact.  The only
-floating point method is hausdorff_distance.
+All predicates and constructions in this module are exact.  Floating
+point enters only through the float_* views, relative_volume_float, and
+the metric routines nearest_points, distances_to and hausdorff_distance.
 """
 
 from __future__ import annotations
@@ -56,13 +57,7 @@ def _affine_rank(points: Sequence[Vec]) -> int:
 
 def _affine_basis(points: Sequence[Vec]) -> list[Vec]:
     """Greedy basis of the direction space of the affine hull."""
-    base = points[0]
-    basis: list[Vec] = []
-    for p in points[1:]:
-        cand = basis + [sub(p, base)]
-        if mat_rank(cand) == len(cand):
-            basis.append(sub(p, base))
-    return basis
+    return linalg.independent_subset(sub(p, points[0]) for p in points[1:])
 
 
 def _hull_1d(points: list[Vec]) -> list[Vec]:
@@ -291,7 +286,7 @@ class Polytope:
             )
             hs.append(_canon_halfspace(n, c + dot(n, base)))
         # equality constraints pin the affine hull
-        comp = _orthogonal_complement(basis, ambient_dim)
+        comp = linalg.orthogonal_complement(basis, ambient_dim)
         for w in comp:
             hs.append(_canon_halfspace(w, dot(w, base)))
             hs.append(_canon_halfspace([-x for x in w], -dot(w, base)))
@@ -378,13 +373,6 @@ class Polytope:
             raise GeometryError("support of empty body")
         y = tuple(Fraction(v) for v in direction)
         return max(dot(y, v) for v in self.vertices)
-
-    def support_argmax(self, direction: Sequence) -> "Polytope":
-        """The face where the support in the given direction is attained."""
-        y = tuple(Fraction(v) for v in direction)
-        h = self.support(y)
-        pts = [v for v in self.vertices if dot(y, v) == h]
-        return Polytope.construct(pts, self.ambient_dim)
 
     @cached_property
     def centroid(self) -> Vec:
@@ -572,22 +560,6 @@ class Polytope:
         return total / d
 
     @cached_property
-    def relative_volume(self) -> Fraction:
-        """Lebesgue measure of the body inside its own affine hull, exact
-        except that flat bodies in space are measured after an isometric
-        change of coordinates, which keeps rationality for axis aligned
-        hulls only; general flat bodies get the squared-metric free value
-        via the Gram determinant, so the result can be irrational and is
-        then returned as a Fraction approximation is NOT attempted: use
-        relative_volume_float."""
-        k = self.intrinsic_dim
-        if k <= 0:
-            return Fraction(0) if self.is_empty else Fraction(1)
-        if k == self.ambient_dim:
-            return self.volume
-        raise GeometryError("exact relative volume only for full dimensional bodies")
-
-    @cached_property
     def relative_volume_float(self) -> float:
         """Hausdorff measure of the body in its affine hull dimension."""
         k = self.intrinsic_dim
@@ -624,46 +596,7 @@ class Polytope:
 
     def distances_to(self, points: np.ndarray) -> np.ndarray:
         """Euclidean distance from each row of points to the body, float."""
-        if self.is_empty:
-            raise GeometryError("distance to empty body")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        best = np.min(
-            np.linalg.norm(pts[:, None, :] - self.float_vertices[None, :, :], axis=2),
-            axis=1,
-        )
-        verts = self.float_vertices
-        for i, j in self.edge_list:
-            a, b = verts[i], verts[j]
-            ab = b - a
-            denom = float(ab @ ab)
-            t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
-        if self.intrinsic_dim == self.ambient_dim >= 2:
-            A, b = self.float_halfspaces
-            norms = np.linalg.norm(A, axis=1)
-            for r in range(A.shape[0]):
-                n = A[r] / norms[r]
-                off = b[r] / norms[r]
-                dist = pts @ n - off
-                proj = pts - dist[:, None] * n
-                ok = np.all(proj @ A.T <= b + 1e-9 * np.maximum(1.0, np.abs(b)), axis=1)
-                cand = np.where(ok, np.abs(dist), np.inf)
-                best = np.minimum(best, cand)
-            inside = np.all(pts @ A.T <= b + 1e-12 * np.maximum(1.0, np.abs(b)), axis=1)
-            best = np.where(inside, 0.0, best)
-        elif self.intrinsic_dim == 2 and self.ambient_dim == 3:
-            m, c = self.equality_planes[0]
-            n = np.array([float(x) for x in m])
-            nn = np.linalg.norm(n)
-            n = n / nn
-            off = float(c) / nn
-            dist = pts @ n - off
-            proj = pts - dist[:, None] * n
-            A, b = self.float_halfspaces
-            ok = np.all(proj @ A.T <= b + 1e-9 * np.maximum(1.0, np.abs(b)), axis=1)
-            best = np.minimum(best, np.where(ok, np.abs(dist), np.inf))
-        return best
+        return nearest_points(self, points)[0]
 
     def hausdorff_distance(self, other: "Polytope") -> float:
         if self.is_empty or other.is_empty:
@@ -689,25 +622,63 @@ class Polytope:
         return Polytope.construct(pts, d)
 
 
-def _orthogonal_complement(basis: Sequence[Vec], ambient_dim: int) -> list[Vec]:
-    """Rational basis of the orthogonal complement of span(basis)."""
-    ortho: list[Vec] = []
-    for u in basis:
-        v = list(u)
-        for w in ortho:
-            coef = dot(v, w) / linalg.norm_sq(w)
-            v = [a - coef * b for a, b in zip(v, w)]
-        ortho.append(tuple(v))
-    out = []
-    for k in range(ambient_dim):
-        e = [Fraction(int(k == j)) for j in range(ambient_dim)]
-        for w in ortho:
-            coef = dot(e, w) / linalg.norm_sq(w)
-            e = [a - coef * b for a, b in zip(e, w)]
-        if not linalg.is_zero(e):
-            out.append(tuple(e))
-            ortho.append(tuple(e))
-    return out
+# a facet-plane projection counts as lying on the facet within FACET_TOL,
+# and a point is inside the body within INSIDE_TOL, both relative to
+# max(1, |offset|) of each halfspace row
+FACET_TOL = 1e-9
+INSIDE_TOL = 1e-12
+
+
+def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and metric projections onto the body, vectorized, float.
+
+    Candidates are the vertices, the edges, and the facet planes (or the
+    affine hull of a flat polygon in space); a point inside the body is
+    its own projection."""
+    if P.is_empty:
+        raise GeometryError("projection onto empty body")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    verts = P.float_vertices
+    dv = np.linalg.norm(pts[:, None, :] - verts[None, :, :], axis=2)
+    arg = np.argmin(dv, axis=1)
+    best = dv[np.arange(len(pts)), arg]
+    proj = verts[arg].copy()
+
+    def consider(cand_pts, cand_dist):
+        nonlocal best, proj
+        better = cand_dist < best
+        best = np.where(better, cand_dist, best)
+        proj[better] = cand_pts[better]
+
+    for i, j in P.edge_list:
+        a, b = verts[i], verts[j]
+        ab = b - a
+        tt = np.clip(((pts - a) @ ab) / float(ab @ ab), 0.0, 1.0)
+        cand = a + tt[:, None] * ab
+        consider(cand, np.linalg.norm(pts - cand, axis=1))
+    A, bvec = P.float_halfspaces
+    slack = np.maximum(1.0, np.abs(bvec))
+    full = P.intrinsic_dim == P.ambient_dim >= 2
+    if full:
+        norms = np.linalg.norm(A, axis=1)
+        planes = [(A[r] / norms[r], bvec[r] / norms[r]) for r in range(A.shape[0])]
+    elif P.intrinsic_dim == 2 and P.ambient_dim == 3:
+        m, c = P.equality_planes[0]
+        n = np.array([float(x) for x in m])
+        nn = np.linalg.norm(n)
+        planes = [(n / nn, float(c) / nn)]
+    else:
+        planes = []
+    for n, off in planes:
+        dist = pts @ n - off
+        cand = pts - dist[:, None] * n
+        ok = np.all(cand @ A.T <= bvec + FACET_TOL * slack, axis=1)
+        consider(np.where(ok[:, None], cand, np.inf), np.where(ok, np.abs(dist), np.inf))
+    if full:
+        inside = np.all(pts @ A.T <= bvec + INSIDE_TOL * slack, axis=1)
+        best = np.where(inside, 0.0, best)
+        proj[inside] = pts[inside]
+    return best, proj
 
 
 def _independent_projection_columns(verts: Sequence[Vec], k: int) -> tuple[int, ...]:
@@ -719,20 +690,6 @@ def _independent_projection_columns(verts: Sequence[Vec], k: int) -> tuple[int, 
         if mat_rank(sub_rows) == k:
             return cols
     raise GeometryError("no independent projection found")
-
-
-def _volume_in_dim(body: Polytope, k: int) -> Fraction:
-    """Exact k volume of the body's projection onto a fixed independent
-    coordinate set; comparable across bodies sharing the affine hull."""
-    if body.is_empty or body.intrinsic_dim < k:
-        return Fraction(0)
-    if k == 0:
-        return Fraction(1)
-    if k == body.ambient_dim:
-        return body.volume
-    cols = _independent_projection_columns(list(body.vertices), k)
-    proj = [tuple(v[c] for c in cols) for v in body.vertices]
-    return Polytope.construct(proj, k).volume
 
 
 def _volume_in_dim_of(bodies: Sequence[Polytope], k: int, cols: tuple[int, ...]) -> list[Fraction]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bodies import GeometryError, Polytope
 from .cases import CaseGenerator
-from .dual import DualAtomMeasure, gw_pipeline
+from .dual import DualAtomMeasure, gw_pipeline, mollifier_kernel
 from .functions import PLConvexFunction
 from .measures import (
     SphereMeasure,
@@ -29,7 +29,7 @@ from .measures import (
     parallel_volume,
 )
 from .minkowski import minkowski_solve
-from .report import SuiteReport, dumps_canonical
+from .report import Report, SuiteReport, dumps_canonical
 from .valuations import (
     ValuationSpec,
     eval_gradient_valuation,
@@ -245,6 +245,14 @@ def _write_text(path: str, text: str) -> None:
         raise CliUsageError(f"cannot write {path}: {exc}")
 
 
+def _write_report(report: Report, base: str) -> None:
+    try:
+        jpath, cpath = report.write(base)
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {base}: {exc}")
+    print(f"wrote {jpath} and {cpath}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -272,8 +280,7 @@ def _cmd_verify(args) -> int:
           f"pass={report.passed} fail={report.failed} "
           f"worst_residual={report.worst_residual:.17g}")
     if cfg.out:
-        jpath, cpath = report.write(cfg.out)
-        print(f"wrote {jpath} and {cpath}")
+        _write_report(report, cfg.out)
     return 0 if report.all_passed else 1
 
 
@@ -296,6 +303,10 @@ def _cmd_decompose(args) -> int:
         raise CliUsageError(f"bad registry {infile}: {exc}")
     if not registry:
         raise CliUsageError(f"registry {infile} is empty")
+    wrong_n = sorted(k for k, spec in registry.items() if spec.n != n)
+    if wrong_n:
+        raise CliUsageError(
+            f"registry {infile}: {', '.join(wrong_n)} not defined for n={n}")
     targets: list[tuple[str, object]] = sorted(registry.items())
     if len(registry) > 1:
         members = tuple(registry[k] for k in sorted(registry))
@@ -328,8 +339,7 @@ def _cmd_decompose(args) -> int:
           f"pass={report.passed} fail={report.failed} "
           f"worst_residual={report.worst_residual:.17g}")
     if out:
-        jpath, cpath = report.write(out)
-        print(f"wrote {jpath} and {cpath}")
+        _write_report(report, out)
     return 0 if report.all_passed else 1
 
 
@@ -353,20 +363,16 @@ def _cmd_gw(args) -> int:
         mu = DualAtomMeasure.from_dict(payload["measure"])
         family = _parse_family(payload["family"])
         bump = payload.get("bump", "smooth")
+        mollifier_kernel(bump, mu.n)  # rejects an unknown bump here
     except (KeyError, TypeError) as exc:
         raise CliUsageError(f"{infile}: expected measure/family keys: {exc}")
     except ValueError as exc:
         raise CliUsageError(f"{infile}: {exc}")
     report = gw_pipeline(mu, bump, j_list, family)
-    for ext in (".json", ".csv"):
-        if out.endswith(ext):
-            out = out[: -len(ext)]
-    _write_text(out + ".json", report.to_json())
-    _write_text(out + ".csv", report.to_csv())
     for row in report.rows:
         print(f"j={row.j} sup_error={row.sup_error:.17g} "
               f"representation_residual={row.representation_residual:.17g}")
-    print(f"wrote {out}.json and {out}.csv")
+    _write_report(report, out)
     return 0
 
 
@@ -381,6 +387,8 @@ def _cmd_minkowski(args) -> int:
         mu = SphereMeasure.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliUsageError(f"{infile}: bad measure: {exc}")
+    if (mu.dim if dim is None else dim) not in (2, 3):
+        raise CliUsageError("minkowski reconstructs bodies in dimension 2 or 3")
     body = minkowski_solve(mu, dim)
     _write_text(out, dumps_canonical(body.to_dict()))
     print(f"solved dim={body.ambient_dim} vertices={len(body.vertices)}; "

@@ -18,9 +18,8 @@ in the tests pins it down numerically as well.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -32,6 +31,7 @@ from .bodies import GeometryError, Polytope
 from .functions import PLConvexFunction
 from .measures import SphereMeasure
 from .minkowski import minkowski_solve
+from .report import Report, csv_text, dumps_canonical
 from .valuations import SphereDensity
 
 
@@ -178,18 +178,6 @@ class GridDensity:
                 return 0.0
             idx.append(k)
         return float(self.values[tuple(idx)])
-
-    def value_at_batch(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.zeros(len(Y))
-        lo = np.array([float(v) for v in self.lo])
-        k = np.floor((Y - lo) / float(self.h)).astype(int)
-        ok = np.ones(len(Y), dtype=bool)
-        for a in range(self.n):
-            ok &= (k[:, a] >= 0) & (k[:, a] < self.values.shape[a])
-        if ok.any():
-            out[ok] = self.values[tuple(k[ok].T)]
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -602,35 +590,17 @@ class GwRow:
 
 
 @dataclass(frozen=True)
-class GwReport:
+class GwReport(Report):
     rows: tuple[GwRow, ...]
     bodies: dict
 
     def to_csv(self) -> str:
-        cols = ("j", "sup_error", "moment_zero", "moment_first",
-                "support_radius", "representation_residual")
-        lines = [",".join(cols)]
-        for r in self.rows:
-            lines.append(",".join([str(r.j)] + [
-                format(getattr(r, c), ".17g") for c in cols[1:]]))
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(GwRow)],
+                        [asdict(r) for r in self.rows])
 
     def to_json(self) -> str:
-        data = {
-            "rows": [
-                {
-                    "j": r.j,
-                    "sup_error": r.sup_error,
-                    "moment_zero": r.moment_zero,
-                    "moment_first": r.moment_first,
-                    "support_radius": r.support_radius,
-                    "representation_residual": r.representation_residual,
-                }
-                for r in self.rows
-            ],
-            "bodies": self.bodies,
-        }
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return dumps_canonical(
+            {"rows": [asdict(r) for r in self.rows], "bodies": self.bodies})
 
 
 def _polygon_edges(P: Polytope):
@@ -689,15 +659,11 @@ def gw_pipeline(mu: DualAtomMeasure, bump: str, j_list: Sequence[int],
         phi = mollify(mu, bump, j)
         f = plane_to_sphere_density(phi)
         sup = _sup_norm(f)
-
+        mu_j = balance_and_discretize(f, m)
         nodes = _circle_nodes(m)
-        q = 2.0 * math.pi / m
-        w_main = _project_closed(nodes, q * (1.0 + sup) + _arc_masses(phi, m))
-        w_ball = _project_closed(nodes, np.full(m, q * (1.0 + sup)))
-        if np.any(w_main <= 0) or np.any(w_ball <= 0):
+        w_ball = _project_closed(nodes, np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
+        if np.any(w_ball <= 0):
             raise GeometryError("balanced weights lost positivity")
-        mu_j = SphereMeasure(
-            2, tuple((nodes[i], float(w_main[i])) for i in range(m)), False)
         ball_j = SphereMeasure(
             2, tuple((nodes[i], float(w_ball[i])) for i in range(m)), False)
         L = minkowski_solve(mu_j)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .bodies import GeometryError, Polytope
+from .bodies import INSIDE_TOL, GeometryError, Polytope
 from .linalg import Vec, dot, smul, sub
 
 Piece = tuple[Vec, Fraction]
@@ -39,30 +39,10 @@ def _project_piece(piece: Piece, domain: Polytope) -> Piece:
     """Kill the gradient component orthogonal to the domain's affine hull,
     keeping the values on the domain; canonical for flat domains."""
     g, b = piece
-    verts = list(domain.vertices)
-    base = verts[0]
-    basis = []
-    for p in verts[1:]:
-        cand = basis + [sub(p, base)]
-        if linalg.mat_rank(cand) == len(cand):
-            basis.append(sub(p, base))
-    if len(basis) == domain.ambient_dim:
-        return piece
-    # orthogonalize the basis, project g onto its span
-    ortho: list[Vec] = []
-    for u in basis:
-        v = list(u)
-        for w in ortho:
-            coef = dot(v, w) / linalg.norm_sq(w)
-            v = [a - coef * x for a, x in zip(v, w)]
-        ortho.append(tuple(v))
-    gp = [Fraction(0)] * domain.ambient_dim
-    for w in ortho:
-        coef = dot(g, w) / linalg.norm_sq(w)
-        gp = [a + coef * x for a, x in zip(gp, w)]
-    gp = tuple(gp)
-    resid = sub(g, gp)
-    return gp, b + dot(resid, base)
+    base = domain.vertices[0]
+    basis = linalg.independent_subset(sub(p, base) for p in domain.vertices[1:])
+    resid = linalg.reject(g, linalg.orthogonalize(basis))
+    return sub(g, resid), b + dot(resid, base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +214,7 @@ class PLConvexFunction:
         G, B = self._float_pieces
         vals = np.max(pts @ G.T + B, axis=1)
         A, b = self.domain.float_halfspaces
-        inside = np.all(pts @ A.T <= b + 1e-12 * np.maximum(1.0, np.abs(b)), axis=1)
+        inside = np.all(pts @ A.T <= b + INSIDE_TOL * np.maximum(1.0, np.abs(b)), axis=1)
         return np.where(inside, vals, np.inf)
 
     def sublevel_set(self, s) -> Polytope:
@@ -398,9 +378,6 @@ class MaxAffine:
         G = np.array([[float(x) for x in g] for g, _ in self.pieces])
         B = np.array([float(b) for _, b in self.pieces])
         return np.max(pts @ G.T + B, axis=1)
-
-    def restrict(self, domain: Polytope) -> PLConvexFunction:
-        return PLConvexFunction.from_pieces(domain, self.pieces)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MaxAffine):

@@ -14,10 +14,6 @@ from typing import Iterable, Sequence
 Vec = tuple[Fraction, ...]
 
 
-def vec(*xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
-
-
 def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -142,3 +138,50 @@ def det(a_rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def norm_sq(a: Sequence[Fraction]) -> Fraction:
     return dot(a, a)
+
+
+def independent_subset(vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
+    """Greedy maximal linearly independent subset, in input order.
+
+    Stops reading once the subset spans the whole space, so a long input
+    costs one rank test per vector only until full rank is reached."""
+    basis: list[Vec] = []
+    for v in vectors:
+        if basis and len(basis) == len(basis[0]):
+            break
+        cand = basis + [tuple(v)]
+        if mat_rank(cand) == len(cand):
+            basis = cand
+    return basis
+
+
+def reject(v: Sequence[Fraction], ortho: Sequence[Sequence[Fraction]]) -> Vec:
+    """Component of v orthogonal to the span of the pairwise orthogonal
+    vectors in ortho, exact."""
+    out = tuple(v)
+    for w in ortho:
+        coef = dot(out, w) / norm_sq(w)
+        out = tuple(a - coef * b for a, b in zip(out, w))
+    return out
+
+
+def orthogonalize(basis: Iterable[Sequence[Fraction]]) -> list[Vec]:
+    """Gram-Schmidt without normalization: pairwise orthogonal vectors
+    spanning the same nested subspaces as the independent input."""
+    ortho: list[Vec] = []
+    for u in basis:
+        ortho.append(reject(u, ortho))
+    return ortho
+
+
+def orthogonal_complement(basis: Iterable[Sequence[Fraction]], d: int) -> list[Vec]:
+    """Rational basis of the orthogonal complement of span(basis) in R^d,
+    obtained by rejecting the standard unit vectors in turn."""
+    ortho = orthogonalize(basis)
+    out: list[Vec] = []
+    for k in range(d):
+        e = reject([Fraction(int(k == j)) for j in range(d)], ortho)
+        if not is_zero(e):
+            out.append(e)
+            ortho.append(e)
+    return out

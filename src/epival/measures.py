@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import GeometryError, Polytope
+from .bodies import GeometryError, Polytope, nearest_points
 from .functions import PLConvexFunction
 from .linalg import Vec, dot, primitive, norm_sq, sub
 from .spherical import SphericalPatch, clip_cone, _flat_tri_quad, _gl
@@ -271,56 +271,7 @@ def integrate_over_face(face: Polytope, g: Callable[[np.ndarray], float],
 
 
 # ---------------------------------------------------------------------------
-# nearest points and the parallel-volume Monte Carlo oracle
-
-
-def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and metric projections onto the body, vectorized, float."""
-    if P.is_empty:
-        raise GeometryError("projection onto empty body")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    verts = P.float_vertices
-    dv = np.linalg.norm(pts[:, None, :] - verts[None, :, :], axis=2)
-    arg = np.argmin(dv, axis=1)
-    best = dv[np.arange(len(pts)), arg]
-    proj = verts[arg].copy()
-
-    def consider(cand_pts, cand_dist):
-        nonlocal best, proj
-        better = cand_dist < best
-        best = np.where(better, cand_dist, best)
-        proj[better] = cand_pts[better]
-
-    for i, j in P.edge_list:
-        a, b = verts[i], verts[j]
-        ab = b - a
-        tt = np.clip(((pts - a) @ ab) / float(ab @ ab), 0.0, 1.0)
-        cand = a + tt[:, None] * ab
-        consider(cand, np.linalg.norm(pts - cand, axis=1))
-    A, bvec = P.float_halfspaces
-    if P.intrinsic_dim == P.ambient_dim >= 2:
-        norms = np.linalg.norm(A, axis=1)
-        for r in range(A.shape[0]):
-            n = A[r] / norms[r]
-            off = bvec[r] / norms[r]
-            dist = pts @ n - off
-            cand = pts - dist[:, None] * n
-            ok = np.all(cand @ A.T <= bvec + 1e-9 * np.maximum(1.0, np.abs(bvec)), axis=1)
-            consider(np.where(ok[:, None], cand, np.inf), np.where(ok, np.abs(dist), np.inf))
-        inside = np.all(pts @ A.T <= bvec + 1e-12 * np.maximum(1.0, np.abs(bvec)), axis=1)
-        best = np.where(inside, 0.0, best)
-        proj[inside] = pts[inside]
-    elif P.intrinsic_dim == 2 and P.ambient_dim == 3:
-        m, c = P.equality_planes[0]
-        n = np.array([float(x) for x in m])
-        nn = np.linalg.norm(n)
-        n /= nn
-        off = float(c) / nn
-        dist = pts @ n - off
-        cand = pts - dist[:, None] * n
-        ok = np.all(cand @ A.T <= bvec + 1e-9 * np.maximum(1.0, np.abs(bvec)), axis=1)
-        consider(np.where(ok[:, None], cand, np.inf), np.where(ok, np.abs(dist), np.inf))
-    return best, proj
+# the parallel-volume Monte Carlo oracle
 
 
 def local_parallel_volume_mc(

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 
 def format_float(x: float) -> str:
@@ -79,8 +80,35 @@ def _cell(v) -> str:
     return s
 
 
+def csv_text(cols: Sequence[str], rows: Sequence[dict]) -> str:
+    """A header line of the columns, then one line per row; a column a
+    row lacks is an empty cell."""
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(_cell(row.get(c, "")) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+class Report:
+    """Base of the report types, which render themselves through to_json
+    and to_csv."""
+
+    def write(self, base_path: str) -> tuple[str, str]:
+        """Write base.json and base.csv; a trailing .json or .csv on the
+        base is stripped first."""
+        for ext in (".json", ".csv"):
+            if base_path.endswith(ext):
+                base_path = base_path[: -len(ext)]
+        jpath, cpath = base_path + ".json", base_path + ".csv"
+        with open(jpath, "w") as fh:
+            fh.write(self.to_json())
+        with open(cpath, "w") as fh:
+            fh.write(self.to_csv())
+        return jpath, cpath
+
+
 @dataclass
-class SuiteReport:
+class SuiteReport(Report):
     """Per-case results of one suite run, with stable row order."""
 
     suite: str
@@ -123,20 +151,4 @@ class SuiteReport:
             for key in row:
                 if key not in cols:
                     cols.append(key)
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(_cell(row.get(c, "")) for c in cols))
-        return "\n".join(lines) + "\n"
-
-    def write(self, base_path: str) -> tuple[str, str]:
-        """Write base.json and base.csv; a trailing .json or .csv on the
-        base is stripped first."""
-        for ext in (".json", ".csv"):
-            if base_path.endswith(ext):
-                base_path = base_path[: -len(ext)]
-        jpath, cpath = base_path + ".json", base_path + ".csv"
-        with open(jpath, "w") as fh:
-            fh.write(self.to_json())
-        with open(cpath, "w") as fh:
-            fh.write(self.to_csv())
-        return jpath, cpath
+        return csv_text(cols, self.rows)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .bodies import GeometryError, _hull_2d, _orthogonal_complement
+from .bodies import GeometryError, _hull_2d
 from .linalg import Vec, dot, mat_rank, primitive, solve
 
 _GL_NODES = {}
@@ -102,10 +102,11 @@ def _extreme_pair(pointed: list[Vec]) -> tuple[Vec, Vec]:
     raise GeometryError("no extreme pair found; cone not pointed of rank 2?")
 
 
-def _perp_within(m_from: Vec, toward: Vec) -> Vec:
-    """Component of toward orthogonal to m_from, exact (nonzero for rank 2)."""
-    coef = dot(toward, m_from) / linalg.norm_sq(m_from)
-    return tuple(t - coef * f for t, f in zip(toward, m_from))
+def _wedge_facets(ea: Vec, eb: Vec) -> list[Vec]:
+    """Bounding normals of the wedge between two independent extreme rays,
+    exact: minus the component of each ray orthogonal to the other."""
+    return [tuple(-x for x in linalg.reject(eb, [ea])),
+            tuple(-x for x in linalg.reject(ea, [eb]))]
 
 
 def _interior_direction(pointed: list[Vec]) -> Vec:
@@ -150,7 +151,7 @@ def _extreme_cycle_3d(pointed: list[Vec]) -> list[Vec]:
     for g in pointed:
         t = dot(w, g)
         section.append(tuple(x / t for x in g))
-    basis = _orthogonal_complement([w], 3)
+    basis = linalg.orthogonal_complement([w], 3)
     coords = [(dot(basis[0], q), dot(basis[1], q)) for q in section]
     cyc = _hull_2d(coords)
     lookup = {c: pointed[i] for i, c in enumerate(coords)}
@@ -174,28 +175,12 @@ class SphericalPatch:
         rays_f = [tuple(Fraction(x) for x in r) for r in rays]
         # lineality space: spanned by the rays whose negation stays inside
         lin_rays = [r for r in rays_f if in_cone([-x for x in r], rays_f)]
-        lin_basis: list[Vec] = []
-        for r in lin_rays:
-            cand = lin_basis + [r]
-            if mat_rank(cand) == len(cand):
-                lin_basis.append(r)
+        lin_basis = linalg.independent_subset(lin_rays)
         l = len(lin_basis)
         # pointed part: project the remaining rays off the lineality space
-        ortho: list[Vec] = []
-        for u in lin_basis:
-            v = list(u)
-            for w in ortho:
-                coef = dot(v, w) / linalg.norm_sq(w)
-                v = [a - coef * b for a, b in zip(v, w)]
-            ortho.append(tuple(v))
-        pointed: list[Vec] = []
-        for r in rays_f:
-            v = list(r)
-            for w in ortho:
-                coef = dot(v, w) / linalg.norm_sq(w)
-                v = [a - coef * b for a, b in zip(v, w)]
-            if any(x != 0 for x in v):
-                pointed.append(tuple(v))
+        ortho = linalg.orthogonalize(lin_basis)
+        pointed = [v for v in (linalg.reject(r, ortho) for r in rays_f)
+                   if not linalg.is_zero(v)]
         pointed = [tuple(Fraction(x) for x in p) for p in _dedupe_rays(pointed)]
         p = mat_rank(pointed) if pointed else 0
         s = l + p
@@ -210,7 +195,7 @@ class SphericalPatch:
         span_basis = list(lin_basis) + list(pointed)
         bounding = [primitive(m) for m in span_facets]
         if span_basis and mat_rank(span_basis) < d:
-            for m in _orthogonal_complement(span_basis, d):
+            for m in linalg.orthogonal_complement(span_basis, d):
                 pm = primitive(m)
                 bounding.append(pm)
                 bounding.append(tuple(-x for x in pm))
@@ -241,9 +226,7 @@ class SphericalPatch:
         ang = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
         sgn = 1.0 if (ua[0] * ub[1] - ua[1] * ub[0]) > 0 else -1.0
         e2 = np.array([-ua[1] * sgn, ua[0] * sgn])
-        facets = [tuple(-x for x in _perp_within(ea, eb)),
-                  tuple(-x for x in _perp_within(eb, ea))]
-        return "arc", ang, (ua, e2, 0.0, ang), facets
+        return "arc", ang, (ua, e2, 0.0, ang), _wedge_facets(ea, eb)
 
     @staticmethod
     def _build_3d(l, p, s, pointed, lin_basis):
@@ -278,9 +261,7 @@ class SphericalPatch:
             ang = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
             e2 = ub - float(ub @ ua) * ua
             e2 /= np.linalg.norm(e2)
-            facets = [tuple(-x for x in _perp_within(ea, eb)),
-                      tuple(-x for x in _perp_within(eb, ea))]
-            return "arc", ang, (ua, e2, 0.0, ang), facets
+            return "arc", ang, (ua, e2, 0.0, ang), _wedge_facets(ea, eb)
         if l == 1:
             # lune between the meridian planes through the wedge edges
             ea, eb = _extreme_pair(pointed)
@@ -289,9 +270,7 @@ class SphericalPatch:
             theta = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
             e2 = ub - float(ub @ ua) * ua
             e2 /= np.linalg.norm(e2)
-            facets = [tuple(-x for x in _perp_within(ea, eb)),
-                      tuple(-x for x in _perp_within(eb, ea))]
-            return "lune", 2 * theta, (axis, ua, e2, theta), facets
+            return "lune", 2 * theta, (axis, ua, e2, theta), _wedge_facets(ea, eb)
         # pointed full dimensional cone: spherical polygon
         cyc = _extreme_cycle_3d(pointed)
         w = _interior_direction(pointed)

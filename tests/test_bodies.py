@@ -11,6 +11,7 @@ from epival.bodies import (
     _hull_3d_brute,
     _hull_3d_incremental,
 )
+from epival.measures import nearest_points
 
 
 def square(a=0, b=1):
@@ -240,6 +241,10 @@ class TestMetrics:
         T = Polytope.construct([(0, 0, 0), (2, 0, 0), (0, 2, 0)], 3)
         d = T.distances_to(np.array([[0.5, 0.5, 1.0], [3.0, 0.0, 0.0], [-1.0, -1.0, 0.0]]))
         assert d == pytest.approx([1.0, 1.0, 2 ** 0.5])
+        # the same floats as the metric projection, flat and full dimensional
+        X = np.random.default_rng(3).uniform(-2.0, 3.0, size=(300, 3))
+        for P in (T, cube()):
+            assert np.array_equal(P.distances_to(X), nearest_points(P, X)[0])
 
 
 class TestTransforms:

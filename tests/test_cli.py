@@ -32,7 +32,7 @@ def square_measure_file(tmp_path, weights=(1.0, 1.0, 1.0, 1.0)):
     return str(path)
 
 
-def gw_input_file(tmp_path, atoms=None):
+def gw_input_file(tmp_path, atoms=None, bump="smooth"):
     seg = Polytope.construct([(F(-1),), (F(1),)], 1)
     if atoms is None:
         atoms = [{"x": ["-1"], "w": "1"}, {"x": ["0"], "w": "-2"},
@@ -40,7 +40,7 @@ def gw_input_file(tmp_path, atoms=None):
     payload = {
         "measure": {"n": 1, "atoms": atoms},
         "family": [PLConvexFunction.constant(seg, 0).to_dict()],
-        "bump": "smooth",
+        "bump": bump,
     }
     path = tmp_path / "gw.json"
     path.write_text(json.dumps(payload))
@@ -122,6 +122,12 @@ class TestMinkowski:
         assert run("minkowski", "--in", str(path),
                    "--out", str(tmp_path / "x.json")) == 2
 
+    def test_unsupported_dim(self, tmp_path, capsys):
+        assert run("minkowski", "--in", square_measure_file(tmp_path),
+                   "--dim", "4", "--out", str(tmp_path / "x.json")) == 2
+        assert "dimension 2 or 3" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestGw:
     def test_small_run(self, tmp_path):
@@ -150,6 +156,13 @@ class TestGw:
         assert run("gw", "--in", gw_input_file(tmp_path),
                    "--j-list", "a,b", "--out", "x") == 2
 
+    def test_unknown_bump(self, tmp_path, capsys):
+        out = tmp_path / "gwrep"
+        assert run("gw", "--in", gw_input_file(tmp_path, bump="nope"),
+                   "--j-list", "2", "--out", str(out)) == 2
+        assert "unknown mollifier 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "gwrep.json").exists()
+
     def test_missing_family_key(self, tmp_path):
         path = tmp_path / "nofam.json"
         path.write_text(json.dumps({"measure": {"n": 1, "atoms": []}}))
@@ -175,6 +188,15 @@ class TestDecompose:
         payload = json.loads((tmp_path / "dec.json").read_text())
         names = {row["valuation"] for row in payload["per_case"]}
         assert names == {"g", "d", "combined"}
+
+    def test_registry_of_another_n(self, tmp_path, capsys):
+        from epival.valuations import ValuationSpec, save_registry
+        path = tmp_path / "reg.json"
+        save_registry({"d": ValuationSpec("dual_density", 1,
+                                          dual_atoms=(((0.5,), 1.0),))},
+                      str(path))
+        assert run("decompose", "--in", str(path), "--n", "2") == 2
+        assert "not defined for n=2" in capsys.readouterr().err
 
     def test_empty_registry(self, tmp_path):
         path = tmp_path / "reg.json"

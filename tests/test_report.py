@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from epival.dual import GwReport, GwRow
 from epival.report import SuiteReport, dumps_canonical, format_float
 
 
@@ -88,8 +89,48 @@ class TestSuiteReport:
         assert jpath == str(tmp_path / "out.json")
         assert cpath == str(tmp_path / "out.csv")
         assert json.loads(open(jpath).read())["cases"] == 3
+        # every report type shares the writer
+        report = gw_report()
+        assert report.write(str(tmp_path / "gw.csv")) == (
+            str(tmp_path / "gw.json"), str(tmp_path / "gw.csv"))
+        assert (tmp_path / "gw.json").read_text() == report.to_json()
+        assert (tmp_path / "gw.csv").read_text() == report.to_csv()
 
     def test_empty_report(self):
         r = SuiteReport("demo", {}, [])
         assert r.all_passed
         assert r.worst_residual == 0.0
+
+
+def gw_report(sup_error=0.1):
+    rows = (GwRow(2, sup_error, 1e-17, 0.0, 1.09375, 3e-9),
+            GwRow(4, 0.05, 0.0, 2.5e-18, 1.0, 1 / 3))
+    bodies = {"2": {"ball_radius": 6.3746070718706243, "main_edges": 12,
+                    "grid": {"h": "1/64", "shape": [2], "values": [0.0, 0.5]}}}
+    return GwReport(rows, bodies)
+
+
+class TestGwReport:
+    COLS = ("j", "sup_error", "moment_zero", "moment_first",
+            "support_radius", "representation_residual")
+
+    def test_json_parses_like_the_stdlib_encoding(self):
+        rep = gw_report()
+        plain = json.dumps({"rows": [{c: getattr(r, c) for c in self.COLS}
+                                     for r in rep.rows],
+                            "bodies": rep.bodies}, sort_keys=True, indent=2)
+        assert json.loads(rep.to_json()) == json.loads(plain)
+        assert rep.to_json() == dumps_canonical(json.loads(plain))
+
+    def test_csv_cells(self):
+        lines = gw_report().to_csv().splitlines()
+        assert lines[0] == ",".join(self.COLS)
+        for line, r in zip(lines[1:], gw_report().rows):
+            assert line == ",".join([str(r.j)] + [
+                format(getattr(r, c), ".17g") for c in self.COLS[1:]])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            gw_report(math.nan).to_json()
+        with pytest.raises(ValueError):
+            gw_report(math.nan).to_csv()
