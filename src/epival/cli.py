@@ -348,7 +348,7 @@ def _parse_family(payload) -> list[PLConvexFunction]:
         raise CliUsageError("family must be a JSON array of functions")
     try:
         return [PLConvexFunction.from_dict(d) for d in payload]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise CliUsageError(f"bad family entry: {exc}")
 
 
@@ -361,6 +361,9 @@ def _cmd_gw(args) -> int:
     payload = _load_json(infile)
     try:
         mu = DualAtomMeasure.from_dict(payload["measure"])
+        if mu.n != 1:
+            raise CliUsageError(
+                f"{infile}: gw takes a measure in one variable, got n={mu.n}")
         family = _parse_family(payload["family"])
         bump = payload.get("bump", "smooth")
         mollifier_kernel(bump, mu.n)  # rejects an unknown bump here

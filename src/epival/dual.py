@@ -30,7 +30,7 @@ from scipy.integrate import quad
 from .bodies import GeometryError, Polytope
 from .functions import PLConvexFunction
 from .measures import SphereMeasure
-from .minkowski import minkowski_solve
+from .minkowski import minkowski_solve, project_closed
 from .report import Report, csv_text, dumps_canonical
 from .valuations import SphereDensity
 
@@ -481,12 +481,6 @@ def _sup_norm(f: SphereDensity) -> float:
     return worst
 
 
-def _project_closed(normals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    V = normals.T
-    correction = V.T @ np.linalg.solve(V @ V.T, V @ weights)
-    return weights - correction
-
-
 def _circle_nodes(m: int) -> np.ndarray:
     t = 2.0 * math.pi * np.arange(m) / m
     return np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -543,7 +537,7 @@ def balance_and_discretize(f: SphereDensity, m: int) -> SphereMeasure:
     if d == 2 and isinstance(f.kernel, GridTransferKernel):
         N = _circle_nodes(m)
         w = 2.0 * math.pi / m * (1.0 + sup) + _arc_masses(f.kernel.grid, m)
-        w = _project_closed(N, w)
+        w = project_closed(N, w)
         if np.any(w <= 0):
             raise ValueError("atom count too small to balance the density")
         return SphereMeasure(
@@ -568,7 +562,7 @@ def balance_and_discretize(f: SphereDensity, m: int) -> SphereMeasure:
         raise ValueError("sphere discretization handles d in {2, 3}")
     dens = np.array([1.0 + sup + f(row) for row in N])
     w = q * dens
-    w = _project_closed(N, w)
+    w = project_closed(N, w)
     if np.any(w <= 0):
         raise ValueError("atom count too small to balance the density")
     return SphereMeasure(d, tuple((N[i], float(w[i])) for i in range(len(w))),
@@ -661,7 +655,7 @@ def gw_pipeline(mu: DualAtomMeasure, bump: str, j_list: Sequence[int],
         sup = _sup_norm(f)
         mu_j = balance_and_discretize(f, m)
         nodes = _circle_nodes(m)
-        w_ball = _project_closed(nodes, np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
+        w_ball = project_closed(nodes, np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
         if np.any(w_ball <= 0):
             raise GeometryError("balanced weights lost positivity")
         ball_j = SphereMeasure(

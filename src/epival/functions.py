@@ -315,16 +315,17 @@ class PLConvexFunction:
         The epigraph union splits at any common ceiling T >= both maxima:
         above T it is (dom union) x [T, oo), below T it is the union of
         the two truncated epigraph bodies, and segments crossing level T
-        stay inside whenever both halves are convex.  Both halves are
-        tested exactly; comparing the convex envelope against each input
-        separately would wrongly reject overlapping domains, where an
-        input may sit strictly above the (still convex) minimum."""
+        stay inside whenever both halves are convex.  One exact test
+        covers both halves: the domains are the projections of the
+        truncated bodies, so a convex union of the bodies projects to a
+        convex union of the domains.  Comparing the convex envelope
+        against each input separately would wrongly reject overlapping
+        domains, where an input may sit strictly above the (still convex)
+        minimum."""
         if self.is_empty:
             return other
         if other.is_empty:
             return self
-        if not self.domain.is_union_convex(other.domain):
-            raise EpiMinNotConvex("domain union is not convex")
         # strictly above both maxima so the truncated bodies are full-dim
         level = max(self.max_value, other.max_value) + 1
         if not self._ceiling_body(level).is_union_convex(
@@ -333,13 +334,6 @@ class PLConvexFunction:
         cand_pts = [v + (self.evaluate(v),) for v in self.complex_vertices]
         cand_pts += [v + (other.evaluate(v),) for v in other.complex_vertices]
         return PLConvexFunction.lower_envelope(cand_pts)
-
-    def min_exists_with(self, other: "PLConvexFunction") -> bool:
-        try:
-            self.pointwise_min(other)
-            return True
-        except EpiMinNotConvex:
-            return False
 
     # ---- serialization ------------------------------------------------
 

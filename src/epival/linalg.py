@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers over the rationals.
 
 Everything here works on tuples of fractions.Fraction and never touches
-floating point.  Sizes are tiny (dimension at most 4) so Gaussian
-elimination with full pivoting is plenty.
+floating point.  Sizes are tiny (dimension at most 4) so one exact
+Gauss-Jordan reduction serves both rank and solve.
 """
 
 from __future__ import annotations
@@ -59,32 +59,38 @@ def primitive(a: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def mat_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+def _reduce(m: list[list[Fraction]], ncols: int) -> int:
+    """Gauss-Jordan elimination in place on the first ncols columns of m.
+
+    Each column pivots on its first nonzero entry at or below the current
+    rank; row operations span whole rows, so extra columns (a right hand
+    side) are carried along.  Returns the rank of the first ncols columns."""
     rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
+    for col in range(ncols):
+        if rank == len(m):
+            break
         piv = None
         for r in range(rank, len(m)):
             if m[r][col] != 0:
                 piv = r
                 break
         if piv is None:
-            col += 1
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[rank][c]
+        prow = m[rank]
+        pv = prow[col]
+        for r, row in enumerate(m):
+            if r != rank and row[col] != 0:
+                f = row[col] / pv
+                for c in range(col, len(row)):
+                    row[c] -= f * prow[c]
         rank += 1
-        col += 1
     return rank
+
+
+def mat_rank(rows: Iterable[Sequence[Fraction]]) -> int:
+    m = [list(map(Fraction, r)) for r in rows]
+    return _reduce(m, len(m[0])) if m else 0
 
 
 def solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
@@ -92,48 +98,9 @@ def solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | 
     singular (regardless of consistency; callers only need the unique case)."""
     n = len(a_rows)
     m = [list(map(Fraction, a_rows[i])) + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
-
-
-def det(a_rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(a_rows)
-    m = [list(map(Fraction, r)) for r in a_rows]
-    sign = 1
-    acc = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pv = m[col][col]
-        acc *= pv
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return sign * acc
+    if _reduce(m, n) < n:
+        return None
+    return tuple(row[n] / row[i] for i, row in enumerate(m))
 
 
 def norm_sq(a: Sequence[Fraction]) -> Fraction:

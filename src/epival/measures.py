@@ -24,7 +24,7 @@ import numpy as np
 from .bodies import GeometryError, Polytope, nearest_points
 from .functions import PLConvexFunction
 from .linalg import Vec, dot, primitive, norm_sq, sub
-from .spherical import SphericalPatch, clip_cone, _flat_tri_quad, _gl
+from .spherical import SphericalPatch, clip_cone, _adaptive_1d, _adaptive_tri
 
 
 def density_constant(d: int, i: int) -> Fraction:
@@ -66,6 +66,8 @@ class SphereMeasure:
         atoms = tuple(
             (np.asarray(a["n"], dtype=float), float(a["w"])) for a in data["atoms"]
         )
+        if not all(np.all(np.isfinite(n)) and math.isfinite(w) for n, w in atoms):
+            raise ValueError("atom normals and weights must be finite")
         return SphereMeasure(int(data["dim"]), atoms, bool(data.get("signed", False)))
 
 
@@ -210,43 +212,6 @@ def parallel_volume(P: Polytope, t: float) -> float:
 # quadrature over faces
 
 
-def _tri_adaptive(v0, v1, v2, g, tol: float, depth: int = 0) -> float:
-    coarse = _flat_tri_quad(v0, v1, v2, g, 6)
-    m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
-    fine = (
-        _flat_tri_quad(v0, m01, m20, g, 6)
-        + _flat_tri_quad(m01, v1, m12, g, 6)
-        + _flat_tri_quad(m20, m12, v2, g, 6)
-        + _flat_tri_quad(m01, m12, m20, g, 6)
-    )
-    if abs(fine - coarse) < tol * (1.0 + abs(fine)) or depth > 7:
-        return fine
-    return (
-        _tri_adaptive(v0, m01, m20, g, tol / 4, depth + 1)
-        + _tri_adaptive(m01, v1, m12, g, tol / 4, depth + 1)
-        + _tri_adaptive(m20, m12, v2, g, tol / 4, depth + 1)
-        + _tri_adaptive(m01, m12, m20, g, tol / 4, depth + 1)
-    )
-
-
-def _segment_adaptive(a, b, g, tol: float, depth: int = 0) -> float:
-    xs, ws = _gl(10)
-    length = np.linalg.norm(b - a)
-
-    def quad(lo, hi):
-        return (hi - lo) * length * float(
-            sum(w * g(a + (lo + (hi - lo) * x) * (b - a)) for x, w in zip(xs, ws))
-        )
-
-    whole = quad(0.0, 1.0)
-    halves = quad(0.0, 0.5) + quad(0.5, 1.0)
-    if abs(whole - halves) < tol * (1.0 + abs(halves)) or depth > 14:
-        return halves
-    mid = 0.5 * (a + b)
-    return _segment_adaptive(a, mid, g, tol / 2, depth + 1) + \
-        _segment_adaptive(mid, b, g, tol / 2, depth + 1)
-
-
 def integrate_over_face(face: Polytope, g: Callable[[np.ndarray], float],
                         tol: float = 1e-9) -> float:
     """Integral of g against Hausdorff measure on a face of dimension <= 2."""
@@ -257,15 +222,16 @@ def integrate_over_face(face: Polytope, g: Callable[[np.ndarray], float],
         return g(face.float_vertices[0])
     if k == 1:
         a, b = face.float_vertices[0], face.float_vertices[-1]
-        return _segment_adaptive(a, b, g, tol)
+        length = np.linalg.norm(b - a)
+        return _adaptive_1d(lambda s: length * g(a + s * (b - a)), 0.0, 1.0, tol)
     if k == 2:
         cyc = face.boundary_cycle
         verts = face.float_vertices
         total = 0.0
         for j in range(1, len(cyc) - 1):
-            total += _tri_adaptive(
+            total += _adaptive_tri(
                 verts[cyc[0]], verts[cyc[j]], verts[cyc[j + 1]], g,
-                tol / max(1, len(cyc) - 2))
+                tol / max(1, len(cyc) - 2), 6)
         return total
     raise GeometryError("face integration supports dimension <= 2")
 
@@ -365,15 +331,7 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
     n = u.n
     mid = face.centroid
     points = [g for g, _, region in u.cells if region.contains(mid)]
-    rays: list[Vec] = []
-    for m, c in u.domain.proper_halfspaces:
-        mm = tuple(Fraction(x) for x in m)
-        if all(dot(mm, v) == c for v in face.vertices):
-            rays.append(mm)
-    for m, c in u.domain.equality_planes:
-        mm = tuple(Fraction(x) for x in m)
-        rays.append(mm)
-        rays.append(tuple(-x for x in mm))
+    rays = _cone_generators(u.domain, face.vertices)
     if not points:
         raise GeometryError("face lies in no cell of the complex")
     hs: list[tuple[tuple[int, ...], Fraction]] = []

@@ -71,18 +71,26 @@ def _merged_atoms(mu: SphereMeasure, direction_tol: float = 1e-9):
     return [normals[k] for k in keep], [weights[k] for k in keep]
 
 
+def project_closed(normals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Least squares projection of the weights onto the closedness
+    constraint sum_k weights[k] * normals[k] = 0."""
+    V = normals.T
+    correction = V.T @ np.linalg.solve(V @ V.T, V @ weights)
+    return weights - correction
+
+
 def _balance(normals, weights, balance_tol: float):
-    """Project the weights onto the closedness constraint, least squares."""
-    V = np.array(normals).T
+    """Reject weights whose closedness residual exceeds balance_tol of the
+    total mass, then project them onto the closedness constraint."""
+    N = np.array(normals)
     w = np.array(weights, dtype=float)
-    r = V @ w
+    r = N.T @ w
     total = float(np.sum(np.abs(w))) or 1.0
     if np.linalg.norm(r) > balance_tol * total:
         raise UnbalancedInput(
             f"closedness residual {np.linalg.norm(r):.3e} exceeds "
             f"{balance_tol:.1e} of total mass")
-    delta = -V.T @ np.linalg.solve(V @ V.T, r)
-    return w + delta
+    return project_closed(N, w)
 
 
 def minkowski_solve(mu: SphereMeasure, dim: int | None = None,
@@ -166,7 +174,6 @@ def _facet_geometry(normals: np.ndarray, h: np.ndarray):
     Each facet polygon is built by clipping its own plane with all other
     halfspaces, so edge lengths come out tagged by the neighbor that cut
     them and the Jacobian assembles directly."""
-    m = len(normals)
     L = 100.0 * (1.0 + float(np.max(np.abs(h))))
     for _ in range(3):
         out = _facet_geometry_at(normals, h, L)

@@ -31,6 +31,11 @@ from .linalg import Vec, dot, mat_rank, primitive, solve
 
 _GL_NODES = {}
 
+# Adaptive quadrature stops subdividing past these depths and returns its
+# finest estimate.
+DEPTH_CAP_1D = 18
+DEPTH_CAP_TRI = 7
+
 
 def _gl(n: int):
     if n not in _GL_NODES:
@@ -351,6 +356,7 @@ def _orthonormal_complement_f(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _adaptive_1d(g, a: float, b: float, tol: float, depth: int = 0) -> float:
+    """Integral of g over [a, b] by Gauss-Legendre 12 on recursive halving."""
     xs, ws = _gl(12)
 
     def quad(lo, hi):
@@ -359,7 +365,7 @@ def _adaptive_1d(g, a: float, b: float, tol: float, depth: int = 0) -> float:
     mid = 0.5 * (a + b)
     whole = quad(a, b)
     halves = quad(a, mid) + quad(mid, b)
-    if abs(whole - halves) < tol * (1.0 + abs(halves)) or depth > 18:
+    if abs(whole - halves) < tol * (1.0 + abs(halves)) or depth > DEPTH_CAP_1D:
         return halves
     return _adaptive_1d(g, a, mid, tol / 2, depth + 1) + \
         _adaptive_1d(g, mid, b, tol / 2, depth + 1)
@@ -390,7 +396,20 @@ def _flat_tri_quad(v0, v1, v2, g, n: int) -> float:
     return area2 * total
 
 
-def _spherical_tri_integral(v0, v1, v2, f, tol: float, depth: int = 0) -> float:
+def _adaptive_tri(v0, v1, v2, g, tol: float, order: int, depth: int = 0) -> float:
+    """Integral of g over the flat triangle v0 v1 v2 by the collapsed
+    Gauss-Legendre rule of the given order on recursive 4-way midpoint
+    subdivision."""
+    coarse = _flat_tri_quad(v0, v1, v2, g, order)
+    m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
+    subs = ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20))
+    fine = sum(_flat_tri_quad(*t, g, order) for t in subs)
+    if abs(fine - coarse) < tol * (1.0 + abs(fine)) or depth > DEPTH_CAP_TRI:
+        return fine
+    return sum(_adaptive_tri(*t, g, tol / 4, order, depth + 1) for t in subs)
+
+
+def _spherical_tri_integral(v0, v1, v2, f, tol: float) -> float:
     """Integral of f over the spherical triangle via radial projection of
     the flat triangle with the same vertices."""
     nu = np.cross(v1 - v0, v2 - v0)
@@ -405,21 +424,4 @@ def _spherical_tri_integral(v0, v1, v2, f, tol: float, depth: int = 0) -> float:
         r = np.linalg.norm(pt)
         return f(pt / r) * float(pt @ nu) / r ** 3
 
-    coarse = _flat_tri_quad(v0, v1, v2, g, 8)
-    m01 = 0.5 * (v0 + v1)
-    m12 = 0.5 * (v1 + v2)
-    m20 = 0.5 * (v2 + v0)
-    fine = (
-        _flat_tri_quad(v0, m01, m20, g, 8)
-        + _flat_tri_quad(m01, v1, m12, g, 8)
-        + _flat_tri_quad(m20, m12, v2, g, 8)
-        + _flat_tri_quad(m01, m12, m20, g, 8)
-    )
-    if abs(fine - coarse) < tol * (1.0 + abs(fine)) or depth > 7:
-        return fine
-    return (
-        _spherical_tri_integral(v0, m01, m20, f, tol / 4, depth + 1)
-        + _spherical_tri_integral(m01, v1, m12, f, tol / 4, depth + 1)
-        + _spherical_tri_integral(m20, m12, v2, f, tol / 4, depth + 1)
-        + _spherical_tri_integral(m01, m12, m20, f, tol / 4, depth + 1)
-    )
+    return _adaptive_tri(v0, v1, v2, g, tol, 8)

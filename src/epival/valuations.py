@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bodies import GeometryError, Polytope
-from .functions import PLConvexFunction
+from .functions import EpiMinNotConvex, PLConvexFunction
 from .linalg import solve as exact_solve
 from .measures import SphereMeasure, surface_area_measure
 
@@ -384,9 +384,10 @@ def valuation_residual(Z: Callable[[PLConvexFunction], float],
                        v: PLConvexFunction):
     """Z(min) + Z(max) - Z(u) - Z(v) when the pointwise minimum is convex,
     otherwise the Skip sentinel."""
-    if not u.min_exists_with(v):
+    try:
+        lo = u.pointwise_min(v)
+    except EpiMinNotConvex:
         return SKIP
-    lo = u.pointwise_min(v)
     hi = u.pointwise_max(v)
     return Z(lo) + Z(hi) - Z(u) - Z(v)
 

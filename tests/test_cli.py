@@ -32,13 +32,13 @@ def square_measure_file(tmp_path, weights=(1.0, 1.0, 1.0, 1.0)):
     return str(path)
 
 
-def gw_input_file(tmp_path, atoms=None, bump="smooth"):
+def gw_input_file(tmp_path, atoms=None, bump="smooth", n=1):
     seg = Polytope.construct([(F(-1),), (F(1),)], 1)
     if atoms is None:
         atoms = [{"x": ["-1"], "w": "1"}, {"x": ["0"], "w": "-2"},
                  {"x": ["1"], "w": "1"}]
     payload = {
-        "measure": {"n": 1, "atoms": atoms},
+        "measure": {"n": n, "atoms": atoms},
         "family": [PLConvexFunction.constant(seg, 0).to_dict()],
         "bump": bump,
     }
@@ -122,6 +122,20 @@ class TestMinkowski:
         assert run("minkowski", "--in", str(path),
                    "--out", str(tmp_path / "x.json")) == 2
 
+    def test_non_finite_atom(self, tmp_path, capsys):
+        for weights in ((float("nan"), 1.0, 1.0, 1.0),
+                        (1.0, float("inf"), 1.0, 1.0)):
+            path = square_measure_file(tmp_path, weights=weights)
+            assert run("minkowski", "--in", path,
+                       "--out", str(tmp_path / "x.json")) == 2
+            assert "must be finite" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "measure.json").read_text())
+        payload["atoms"][0]["n"] = [float("nan"), 0.0]
+        (tmp_path / "measure.json").write_text(json.dumps(payload))
+        assert run("minkowski", "--in", str(tmp_path / "measure.json"),
+                   "--out", str(tmp_path / "x.json")) == 2
+        assert not (tmp_path / "x.json").exists()
+
     def test_unsupported_dim(self, tmp_path, capsys):
         assert run("minkowski", "--in", square_measure_file(tmp_path),
                    "--dim", "4", "--out", str(tmp_path / "x.json")) == 2
@@ -161,6 +175,26 @@ class TestGw:
         assert run("gw", "--in", gw_input_file(tmp_path, bump="nope"),
                    "--j-list", "2", "--out", str(out)) == 2
         assert "unknown mollifier 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "gwrep.json").exists()
+
+    def test_two_variable_measure(self, tmp_path, capsys):
+        atoms = [{"x": ["-1", "0"], "w": "1"}, {"x": ["0", "0"], "w": "-2"},
+                 {"x": ["1", "0"], "w": "1"}]
+        path = gw_input_file(tmp_path, atoms=atoms, n=2)
+        assert run("gw", "--in", path, "--j-list", "2",
+                   "--out", str(tmp_path / "gwrep")) == 2
+        assert "one variable, got n=2" in capsys.readouterr().err
+        assert not (tmp_path / "gwrep.json").exists()
+
+    def test_family_entry_without_pieces(self, tmp_path, capsys):
+        path = tmp_path / "gw.json"
+        gw_input_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["family"][0]["pieces"] = []
+        path.write_text(json.dumps(payload))
+        assert run("gw", "--in", str(path), "--j-list", "2",
+                   "--out", str(tmp_path / "gwrep")) == 2
+        assert "bad family entry" in capsys.readouterr().err
         assert not (tmp_path / "gwrep.json").exists()
 
     def test_missing_family_key(self, tmp_path):

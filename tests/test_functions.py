@@ -230,7 +230,6 @@ class TestLattice:
         v = PLConvexFunction.affine(dom, (-1,), 1)
         with pytest.raises(EpiMinNotConvex):
             u.pointwise_min(v)
-        assert not u.min_exists_with(v)
 
     def test_min_overlapping_domains_above_minimum(self):
         # one input sits strictly above the other on a shared domain;

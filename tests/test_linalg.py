@@ -1,4 +1,4 @@
-"""Exact basis, rejection and complement helpers."""
+"""Exact rank, solve, basis, rejection and complement helpers."""
 
 from fractions import Fraction as F
 
@@ -11,14 +11,17 @@ from epival.linalg import (
     orthogonal_complement,
     orthogonalize,
     reject,
+    solve,
 )
+
+
+small = st.integers(-3, 3).map(F)
 
 
 @st.composite
 def vector_lists(draw):
     d = draw(st.integers(1, 4))
-    entry = st.integers(-3, 3).map(F)
-    vecs = draw(st.lists(st.tuples(*[entry] * d), max_size=7))
+    vecs = draw(st.lists(st.tuples(*[small] * d), max_size=7))
     return d, vecs
 
 
@@ -51,3 +54,25 @@ def test_basis_and_complement(data):
         # what was removed lies in the span of the basis
         removed = tuple(a - b for a, b in zip(v, r))
         assert mat_rank(basis + [removed]) == len(basis)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    b = draw(st.lists(small, min_size=n, max_size=n))
+    return rows, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+def test_solve_agrees_with_rank(data):
+    rows, b = data
+    n = len(rows)
+    x = solve(rows, b)
+    if mat_rank(rows) < n:
+        assert x is None
+    else:
+        assert x is not None
+        assert all(dot(row, x) == bi for row, bi in zip(rows, b))
