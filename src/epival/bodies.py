@@ -48,16 +48,13 @@ def _canon_halfspace(normal: Sequence[Fraction], offset: Fraction) -> Halfspace:
     return m, Fraction(offset) / scale
 
 
-def _affine_rank(points: Sequence[Vec]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return mat_rank([sub(p, base) for p in points[1:]])
-
-
 def _affine_basis(points: Sequence[Vec]) -> list[Vec]:
     """Greedy basis of the direction space of the affine hull."""
     return linalg.independent_subset(sub(p, points[0]) for p in points[1:])
+
+
+def _affine_rank(points: Sequence[Vec]) -> int:
+    return len(_affine_basis(points))
 
 
 def _hull_1d(points: list[Vec]) -> list[Vec]:
@@ -497,11 +494,14 @@ class Polytope:
     def intersect(self, other: "Polytope") -> "Polytope":
         if self.ambient_dim != other.ambient_dim:
             raise GeometryError("ambient dimensions differ")
-        if self.is_empty or other.is_empty:
+        if other.is_empty:
             return Polytope.empty(self.ambient_dim)
-        return Polytope.from_halfspaces(
-            list(self.halfspaces) + list(other.halfspaces), self.ambient_dim
-        )
+        out = self
+        for m, c in other.halfspaces:
+            if out.is_empty:
+                break
+            out = out.clip(m, c)
+        return out
 
     def convex_union(self, other: "Polytope") -> "Polytope":
         if self.is_empty:

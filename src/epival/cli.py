@@ -295,6 +295,8 @@ def _cmd_decompose(args) -> int:
     out = _effective(args, "out", str, None)
     if n not in (1, 2) or cases <= 0:
         raise CliUsageError("need n in {1,2} and positive cases")
+    if tol <= 0:
+        raise CliUsageError("tolerances must be positive")
     try:
         registry = load_registry(infile)
     except OSError as exc:
@@ -384,15 +386,14 @@ def _cmd_minkowski(args) -> int:
     out = _effective(args, "out", str, None)
     if infile is None or out is None:
         raise CliUsageError("minkowski needs --in MEASURE.json and --out BODY.json")
-    dim = _effective(args, "dim", int, None)
     payload = _load_json(infile)
     try:
         mu = SphereMeasure.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliUsageError(f"{infile}: bad measure: {exc}")
-    if (mu.dim if dim is None else dim) not in (2, 3):
+    if mu.dim not in (2, 3):
         raise CliUsageError("minkowski reconstructs bodies in dimension 2 or 3")
-    body = minkowski_solve(mu, dim)
+    body = minkowski_solve(mu)
     _write_text(out, dumps_canonical(body.to_dict()))
     print(f"solved dim={body.ambient_dim} vertices={len(body.vertices)}; "
           f"wrote {out}")
@@ -403,31 +404,32 @@ def _cmd_minkowski(args) -> int:
 # entry point
 
 
+# the flags each subcommand reads besides --config, and their arguments
+_FLAGS = {"suite": {"choices": SUITES}, "n": {"type": int},
+          "cases": {"type": int}, "seed": {"type": int},
+          "tol-geom": {"type": float}, "tol-quad": {"type": float},
+          "sigma": {"type": float}, "out": {}, "in": {}, "j-list": {}}
+_SUBCOMMANDS = (
+    ("verify", _cmd_verify, ("suite", "n", "cases", "seed", "tol-geom",
+                             "tol-quad", "sigma", "out")),
+    ("decompose", _cmd_decompose, ("in", "n", "cases", "seed", "tol-quad",
+                                   "out")),
+    ("gw", _cmd_gw, ("in", "out", "j-list")),
+    ("minkowski", _cmd_minkowski, ("in", "out")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epival",
         description="identity suites, valuation decomposition, the "
                     "atomic-measure pipeline, and body reconstruction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value defaults file")
-        p.add_argument("--suite", choices=SUITES)
-        p.add_argument("--n", type=int)
-        p.add_argument("--cases", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol-geom", type=float, dest="tol_geom")
-        p.add_argument("--tol-quad", type=float, dest="tol_quad")
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--out")
-        p.add_argument("--in", dest="in_")
-        p.add_argument("--j-list", dest="j_list")
-        p.add_argument("--dim", type=int)
-
-    for name, fn in (("verify", _cmd_verify), ("decompose", _cmd_decompose),
-                     ("gw", _cmd_gw), ("minkowski", _cmd_minkowski)):
+    for name, fn, flags in _SUBCOMMANDS:
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("--config", help="flat key=value defaults file")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 
@@ -446,11 +448,6 @@ def main(argv=None) -> int:
             return 2
     else:
         args._config_values = {}
-    # argparse dest fixups so _effective sees flag spellings
-    args.__dict__["in"] = args.in_
-    args.__dict__["tol-geom"] = args.tol_geom
-    args.__dict__["tol-quad"] = args.tol_quad
-    args.__dict__["j-list"] = args.j_list
     try:
         return args.func(args)
     except CliUsageError as exc:

@@ -18,10 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import linalg
-from .bodies import INSIDE_TOL, GeometryError, Polytope
+from .bodies import GeometryError, Polytope
 from .linalg import Vec, dot, smul, sub
 
 Piece = tuple[Vec, Fraction]
@@ -200,23 +198,6 @@ class PLConvexFunction:
             return None
         return max(dot(g, p) + b for g, b in self.pieces)
 
-    @cached_property
-    def _float_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        G = np.array([[float(x) for x in g] for g, _ in self.pieces], dtype=float)
-        B = np.array([float(b) for _, b in self.pieces], dtype=float)
-        return G, B
-
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Float values on rows of points; +inf outside the domain."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.is_empty:
-            return np.full(len(pts), np.inf)
-        G, B = self._float_pieces
-        vals = np.max(pts @ G.T + B, axis=1)
-        A, b = self.domain.float_halfspaces
-        inside = np.all(pts @ A.T <= b + INSIDE_TOL * np.maximum(1.0, np.abs(b)), axis=1)
-        return np.where(inside, vals, np.inf)
-
     def sublevel_set(self, s) -> Polytope:
         if self.is_empty:
             return Polytope.empty(self.n)
@@ -366,12 +347,6 @@ class MaxAffine:
     def evaluate(self, y: Sequence) -> Fraction:
         p = tuple(Fraction(v) for v in y)
         return max(dot(g, p) + b for g, b in self.pieces)
-
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        G = np.array([[float(x) for x in g] for g, _ in self.pieces])
-        B = np.array([float(b) for _, b in self.pieces])
-        return np.max(pts @ G.T + B, axis=1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MaxAffine):

@@ -63,12 +63,15 @@ class SphereMeasure:
 
     @staticmethod
     def from_dict(data: dict) -> "SphereMeasure":
+        dim = int(data["dim"])
         atoms = tuple(
             (np.asarray(a["n"], dtype=float), float(a["w"])) for a in data["atoms"]
         )
+        if any(n.shape != (dim,) for n, _ in atoms):
+            raise ValueError(f"atom normals must have dim = {dim} coordinates")
         if not all(np.all(np.isfinite(n)) and math.isfinite(w) for n, w in atoms):
             raise ValueError("atom normals and weights must be finite")
-        return SphereMeasure(int(data["dim"]), atoms, bool(data.get("signed", False)))
+        return SphereMeasure(dim, atoms, bool(data.get("signed", False)))
 
 
 def surface_area_measure(P: Polytope) -> SphereMeasure:

@@ -93,28 +93,25 @@ def _balance(normals, weights, balance_tol: float):
     return project_closed(N, w)
 
 
-def minkowski_solve(mu: SphereMeasure, dim: int | None = None,
-                    balance_tol: float = 1e-6,
+def minkowski_solve(mu: SphereMeasure, balance_tol: float = 1e-6,
                     area_tol: float = 1e-9,
                     max_iter: int = 200) -> Polytope:
     """The polytope whose surface area measure is mu, up to translation."""
-    if dim is None:
-        dim = mu.dim
-    if dim == 2:
-        return _solve_2d(mu, balance_tol)
-    if dim == 3:
-        return _solve_3d(mu, balance_tol, area_tol, max_iter)
-    raise GeometryError(f"dimension {dim} not supported")
+    if mu.dim not in (2, 3):
+        raise GeometryError(f"dimension {mu.dim} not supported")
+    normals, weights = _merged_atoms(mu)
+    if any(w <= 0 for w in weights):
+        raise DegenerateNormals("surface area measure must be positive")
+    if mu.dim == 2:
+        return _solve_2d(normals, weights, balance_tol)
+    return _solve_3d(normals, weights, balance_tol, area_tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
 # dimension 2: the edge walk
 
 
-def _solve_2d(mu: SphereMeasure, balance_tol: float) -> Polytope:
-    normals, weights = _merged_atoms(mu)
-    if any(w <= 0 for w in weights):
-        raise DegenerateNormals("surface area measure must be positive")
+def _solve_2d(normals, weights, balance_tol: float) -> Polytope:
     if len(normals) < 3:
         raise DegenerateNormals("need at least three distinct edge normals")
     w = _balance(normals, weights, balance_tol)
@@ -168,27 +165,30 @@ def _clip_chain(edges, a, b, c, tag):
     return out
 
 
-def _facet_geometry(normals: np.ndarray, h: np.ndarray):
-    """Areas, adjacency Jacobian, and float vertices at support vector h.
+def _facet_polygons(normals: np.ndarray, h: np.ndarray):
+    """The nonempty facet polygons at support vector h and the half-width
+    L of the seed box they were clipped from; (None, L) when the body is
+    empty.
 
     Each facet polygon is built by clipping its own plane with all other
-    halfspaces, so edge lengths come out tagged by the neighbor that cut
-    them and the Jacobian assembles directly."""
+    halfspaces, so its edges come out tagged by the neighbor that cut
+    them.  A polygon is (i, p0, e1, e2, edges, sins): the facet index,
+    the plane's origin and in-plane basis, the tagged edge chain, and
+    the sine of the angle to each neighbor."""
     L = 100.0 * (1.0 + float(np.max(np.abs(h))))
     for _ in range(3):
-        out = _facet_geometry_at(normals, h, L)
-        if out != "box":
-            return out
+        polys = _facet_polygons_at(normals, h, L)
+        if polys is not None:
+            return polys or None, L
         L *= 100.0
-    return None
+    return None, L
 
 
-def _facet_geometry_at(normals: np.ndarray, h: np.ndarray, L: float):
+def _facet_polygons_at(normals: np.ndarray, h: np.ndarray, L: float):
+    """The facet polygons clipped from a seed box of half-width L, or
+    None when the box is too small for this support vector."""
     m = len(normals)
-    areas = np.zeros(m)
-    J = np.zeros((m, m))
-    verts3: list[np.ndarray] = []
-    any_nonempty = False
+    polys = []
     for i in range(m):
         ni = normals[i]
         e1 = np.cross(ni, [1.0, 0.0, 0.0])
@@ -216,40 +216,56 @@ def _facet_geometry_at(normals: np.ndarray, h: np.ndarray, L: float):
         if edges is None:
             continue
         if any(et is None for _, et in edges):
-            return "box"  # seed box too small for this support vector
-        any_nonempty = True
+            return None  # seed box too small for this support vector
+        polys.append((i, p0, e1, e2, edges, sins))
+    return polys
+
+
+def _areas_and_jacobian(normals: np.ndarray, polys):
+    """Facet areas and the symmetric adjacency Jacobian of the polygons."""
+    m = len(normals)
+    areas = np.zeros(m)
+    J = np.zeros((m, m))
+    for i, _, _, _, edges, sins in polys:
         area2 = 0.0
         for (P, Q), et in edges:
             area2 += P[0] * Q[1] - P[1] * Q[0]
-            verts3.append(p0 + P[0] * e1 + P[1] * e2)
             ell = math.hypot(Q[0] - P[0], Q[1] - P[1])
             if ell < 1e-12:
                 continue
-            cos = float(ni @ normals[et])
+            cos = float(normals[i] @ normals[et])
             J[i, et] += ell / sins[et]
             J[i, i] -= ell * cos / sins[et]
         areas[i] = 0.5 * abs(area2)
-    if not any_nonempty:
-        return None
-    J = 0.5 * (J + J.T)
+    return areas, 0.5 * (J + J.T)
+
+
+def _facet_geometry(normals: np.ndarray, h: np.ndarray):
+    """Areas and adjacency Jacobian at support vector h, or None when the
+    body is empty."""
+    polys, _ = _facet_polygons(normals, h)
+    return None if polys is None else _areas_and_jacobian(normals, polys)
+
+
+def _vertices(polys, L: float) -> np.ndarray:
+    """Float vertices of the body: the polygon corners in space, merged
+    when they lie within a tolerance scaled by the seed box."""
     tol = 1e-9 * max(1.0, L / 100.0)
     clusters: list[list[np.ndarray]] = []
-    for v in verts3:
-        for cl in clusters:
-            if np.linalg.norm(v - cl[0]) < tol:
-                cl.append(v)
-                break
-        else:
-            clusters.append([v])
-    V = np.array([np.mean(cl, axis=0) for cl in clusters])
-    return areas, J, V
+    for _, p0, e1, e2, edges, _ in polys:
+        for (P, _), _ in edges:
+            v = p0 + P[0] * e1 + P[1] * e2
+            for cl in clusters:
+                if np.linalg.norm(v - cl[0]) < tol:
+                    cl.append(v)
+                    break
+            else:
+                clusters.append([v])
+    return np.array([np.mean(cl, axis=0) for cl in clusters])
 
 
-def _solve_3d(mu: SphereMeasure, balance_tol: float, area_tol: float,
+def _solve_3d(normals, weights, balance_tol: float, area_tol: float,
               max_iter: int) -> Polytope:
-    normals, weights = _merged_atoms(mu)
-    if any(w <= 0 for w in weights):
-        raise DegenerateNormals("surface area measure must be positive")
     N = np.array(normals)
     if len(normals) < 4 or np.linalg.matrix_rank(N, tol=1e-9) < 3:
         raise DegenerateNormals("normals do not span space")
@@ -265,7 +281,7 @@ def _solve_3d(mu: SphereMeasure, balance_tol: float, area_tol: float,
     geo = _facet_geometry(N, h)
     if geo is None:
         raise DegenerateNormals("unit support polytope is empty")
-    areas, J, V = geo
+    areas, J = geo
     tt = float(target @ target)
     alpha = 1.0
     for _ in range(400):
@@ -279,9 +295,9 @@ def _solve_3d(mu: SphereMeasure, balance_tol: float, area_tol: float,
             trial = h + alpha * g
             t_geo = _facet_geometry(N, trial)
             if t_geo is not None:
-                t_areas, t_J, t_V = t_geo
+                t_areas, t_J = t_geo
                 if float(trial @ t_areas) / 3.0 > vol:
-                    h, areas, J, V = trial, t_areas, t_J, t_V
+                    h, areas, J = trial, t_areas, t_J
                     alpha *= 2.0
                     moved = True
                     break
@@ -311,10 +327,10 @@ def _solve_3d(mu: SphereMeasure, balance_tol: float, area_tol: float,
             t_lam = lam + frac * step[m]
             t_geo = _facet_geometry(N, trial)
             if t_geo is not None:
-                t_areas, t_J, t_V = t_geo
+                t_areas, t_J = t_geo
                 err = float(np.max(np.abs(t_areas - t_lam * target)))
                 if err < best:
-                    h, areas, J, V, lam, best = trial, t_areas, t_J, t_V, t_lam, err
+                    h, areas, J, lam, best = trial, t_areas, t_J, t_lam, err
                     improved = True
                     break
             frac *= 0.5
@@ -324,13 +340,13 @@ def _solve_3d(mu: SphereMeasure, balance_tol: float, area_tol: float,
     if lam <= 0:
         raise GeometryError("area iteration collapsed")
     h /= math.sqrt(lam)
-    geo = _facet_geometry(N, h)
-    if geo is None:
+    polys, L = _facet_polygons(N, h)
+    if polys is None:
         raise GeometryError("area iteration collapsed")
-    areas, J, V = geo
+    areas, _ = _areas_and_jacobian(N, polys)
     final = float(np.max(np.abs(areas - target)))
     if final > 1e-7 * max(1.0, scale):
         raise GeometryError(f"area iteration stalled at residual {final:.3e}")
 
     return Polytope.construct(
-        [tuple(Fraction(float(x)) for x in v) for v in V], 3)
+        [tuple(Fraction(float(x)) for x in v) for v in _vertices(polys, L)], 3)

@@ -306,5 +306,25 @@ def test_intersection_commutes(pts_a, pts_b):
     B = Polytope.construct(pts_b, 2)
     assert A.intersect(B) == B.intersect(A)
     I = A.intersect(B)
+    assert_intersection_is_reference(A, B, I)
     if not I.is_empty:
         assert I.volume <= min(A.volume, B.volume)
+
+
+def assert_intersection_is_reference(A, B, I):
+    """I equals the vertex enumeration of both bodies' halfspaces, in its
+    vertices and in its halfspace set."""
+    ref = Polytope.from_halfspaces(A.halfspaces + B.halfspaces, A.ambient_dim)
+    assert I.vertices == ref.vertices
+    assert set(I.halfspaces) == set(ref.halfspaces)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=6),
+       st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=6))
+def test_intersection_commutes_3d(pts_a, pts_b):
+    A = Polytope.construct(pts_a, 3)
+    B = Polytope.construct(pts_b, 3)
+    I = A.intersect(B)
+    assert I == B.intersect(A)
+    assert_intersection_is_reference(A, B, I)

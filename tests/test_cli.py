@@ -137,9 +137,25 @@ class TestMinkowski:
         assert not (tmp_path / "x.json").exists()
 
     def test_unsupported_dim(self, tmp_path, capsys):
-        assert run("minkowski", "--in", square_measure_file(tmp_path),
-                   "--dim", "4", "--out", str(tmp_path / "x.json")) == 2
+        path = tmp_path / "measure4.json"
+        atoms = [{"n": [float(s * (k == j)) for j in range(4)], "w": 1.0}
+                 for k in range(4) for s in (1, -1)]
+        path.write_text(json.dumps({"dim": 4, "atoms": atoms}))
+        assert run("minkowski", "--in", str(path),
+                   "--out", str(tmp_path / "x.json")) == 2
         assert "dimension 2 or 3" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_normals_of_wrong_length(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for dim, normals in ((2, [[1, 0, 0], [-1, 0, 0], [0, 1, 0]]),
+                             (3, [[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                             (2, [[1, 0], [-1, 0, 0], [0, 1]])):
+            path.write_text(json.dumps({
+                "dim": dim, "atoms": [{"n": n, "w": 1.0} for n in normals]}))
+            assert run("minkowski", "--in", str(path),
+                       "--out", str(tmp_path / "x.json")) == 2
+            assert f"dim = {dim} coordinates" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
 
@@ -236,3 +252,23 @@ class TestDecompose:
         path = tmp_path / "reg.json"
         path.write_text("{}")
         assert run("decompose", "--in", str(path)) == 2
+
+    def test_non_positive_tolerance(self, tmp_path, capsys):
+        from epival.valuations import ValuationSpec, save_registry
+        path = tmp_path / "reg.json"
+        save_registry({"d": ValuationSpec("dual_density", 1,
+                                          dual_atoms=(((0.5,), 1.0),))},
+                      str(path))
+        out = tmp_path / "dec"
+        assert run("decompose", "--in", str(path), "--tol-quad", "-1",
+                   "--out", str(out)) == 2
+        assert "tolerances must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "dec.json").exists()
+
+
+def test_each_subcommand_rejects_flags_it_does_not_read(capsys):
+    unread = {"verify": ("--in", "x.json"), "decompose": ("--sigma", "3"),
+              "gw": ("--n", "1"), "minkowski": ("--dim", "2")}
+    for command, flag in unread.items():
+        assert run(command, *flag) == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
