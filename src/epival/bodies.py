@@ -14,6 +14,7 @@ the metric routines nearest_points, distances_to and hausdorff_distance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -63,25 +64,43 @@ def _hull_1d(points: list[Vec]) -> list[Vec]:
     return [lo] if lo == hi else [lo, hi]
 
 
-def _hull_2d(points: list[Vec]) -> list[Vec]:
-    """Monotone chain.  Input must have affine rank 2.  Returns the strict
-    hull vertices in counterclockwise order."""
-    pts = sorted(set(points))
+def _integer_image(points: Iterable[Vec]) -> tuple[int, dict]:
+    """The common denominator q of the points' coordinates, and a map from
+    each integer point q * p back to p.  Scaling by q > 0 keeps the
+    lexicographic order and the sign of every turn, so the images decide
+    both exactly, in integer instead of Fraction arithmetic."""
+    points = list(points)
+    q = math.lcm(*(x.denominator for p in points for x in p))
+    return q, {tuple(x.numerator * (q // x.denominator) for x in p): p
+               for p in points}
+
+
+def _chain(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Monotone chain over distinct integer points in lexicographic order,
+    of affine rank 2: the strict hull vertices, counterclockwise from the
+    first point."""
 
     def turn(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[Vec] = []
+    lower: list = []
     for p in pts:
         while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[Vec] = []
+    upper: list = []
     for p in reversed(pts):
         while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
+
+
+def _hull_2d(points: Iterable[Vec]) -> list[Vec]:
+    """Strict hull vertices of rational points of affine rank 2, in
+    counterclockwise order from the lexicographically smallest."""
+    _, image = _integer_image(points)
+    return [image[p] for p in _chain(sorted(image))]
 
 
 def _hull_3d_incremental(points: list[Vec]) -> tuple[list[Halfspace], list[Vec]]:
@@ -222,7 +241,9 @@ class Polytope:
             return Polytope.empty(ambient_dim)
         if any(len(p) != ambient_dim for p in pts):
             raise GeometryError("mixed point dimensions")
-        pts = sorted(set(pts))
+        q, image = _integer_image(pts)
+        keys = sorted(image)
+        pts = [image[k] for k in keys]
         rank = _affine_rank(pts)
         if rank < ambient_dim:
             return Polytope._construct_flat(pts, ambient_dim, rank)
@@ -234,14 +255,16 @@ class Polytope:
             ]
             return Polytope(1, tuple(verts), tuple(sorted(hs)))
         if ambient_dim == 2:
-            cycle = _hull_2d(pts)
+            # edges of the integer image: primitive normal m, offset m . a / q
+            cycle = _chain(keys)
             hs = []
-            for i in range(len(cycle)):
-                a = cycle[i]
-                b = cycle[(i + 1) % len(cycle)]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 n = (b[1] - a[1], a[0] - b[0])
-                hs.append(_canon_halfspace(n, dot(n, a)))
-            return Polytope(2, tuple(sorted(cycle)), tuple(sorted(set(hs))))
+                g = math.gcd(*n)
+                m = (n[0] // g, n[1] // g)
+                hs.append((m, Fraction(m[0] * a[0] + m[1] * a[1], q)))
+            return Polytope(2, tuple(image[k] for k in sorted(cycle)),
+                            tuple(sorted(hs)))
         try:
             hs, verts = _hull_3d_incremental(pts)
         except GeometryError:
@@ -383,12 +406,13 @@ class Polytope:
         """Vertex indices of a 2 dimensional body in cyclic order."""
         if self.intrinsic_dim != 2:
             raise GeometryError("boundary cycle needs a 2 dimensional body")
-        verts = list(self.vertices)
-        cols = _independent_projection_columns(verts, 2)
-        proj = [tuple(v[c] for c in cols) for v in verts]
-        cycle = _hull_2d(proj)
-        lookup = {p: i for i, p in enumerate(proj)}
-        return tuple(lookup[p] for p in cycle)
+        cols = _independent_projection_columns(self.vertices, 2)
+        _, image = _integer_image(tuple(v[c] for c in cols)
+                                  for v in self.vertices)
+        # the projection is one to one on the vertices, so their images
+        # are distinct and keep the vertex order
+        index = {k: i for i, k in enumerate(image)}
+        return tuple(index[k] for k in _chain(sorted(image)))
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:

@@ -28,7 +28,7 @@ from .measures import (
     p_t_volume_mc,
     parallel_volume,
 )
-from .minkowski import minkowski_solve
+from .minkowski import NonPositiveMeasure, minkowski_solve
 from .report import Report, SuiteReport, dumps_canonical
 from .valuations import (
     ValuationSpec,
@@ -393,7 +393,10 @@ def _cmd_minkowski(args) -> int:
         raise CliUsageError(f"{infile}: bad measure: {exc}")
     if mu.dim not in (2, 3):
         raise CliUsageError("minkowski reconstructs bodies in dimension 2 or 3")
-    body = minkowski_solve(mu)
+    try:
+        body = minkowski_solve(mu)
+    except NonPositiveMeasure as exc:
+        raise CliUsageError(f"{infile}: bad measure: {exc}")
     _write_text(out, dumps_canonical(body.to_dict()))
     print(f"solved dim={body.ambient_dim} vertices={len(body.vertices)}; "
           f"wrote {out}")

@@ -599,13 +599,9 @@ class GwReport(Report):
 
 def _polygon_edges(P: Polytope):
     """Outward unit normals, lengths, and start vertices of the edges of
-    a polygon, plus the full vertex array, all in walk order."""
-    cyc = list(P.boundary_cycle)
-    V = P.float_vertices[cyc]
-    area2 = float(np.sum(V[:, 0] * np.roll(V[:, 1], -1)
-                         - V[:, 1] * np.roll(V[:, 0], -1)))
-    if area2 < 0:
-        V = V[::-1]
+    a polygon, plus the full vertex array, all in boundary_cycle order,
+    which is counterclockwise."""
+    V = P.float_vertices[list(P.boundary_cycle)]
     E = np.roll(V, -1, axis=0) - V
     lens = np.linalg.norm(E, axis=1)
     keep = lens > 0
@@ -660,10 +656,8 @@ def gw_pipeline(mu: DualAtomMeasure, bump: str, j_list: Sequence[int],
             raise GeometryError("balanced weights lost positivity")
         ball_j = SphereMeasure(
             2, tuple((nodes[i], float(w_ball[i])) for i in range(m)), False)
-        L = minkowski_solve(mu_j)
-        W = minkowski_solve(ball_j)
-        LN, Llen, _, _ = _polygon_edges(L)
-        WN, Wlen, Wstart, WV = _polygon_edges(W)
+        LN, Llen, _, _ = _polygon_edges(minkowski_solve(mu_j))
+        WN, Wlen, Wstart, WV = _polygon_edges(minkowski_solve(ball_j))
 
         sup_err = 0.0
         rep_err = 0.0

@@ -38,6 +38,10 @@ class DegenerateNormals(ValueError):
     """Nonpositive weights, or directions that do not span the space."""
 
 
+class NonPositiveMeasure(DegenerateNormals):
+    """An atom weight is at or below 0 once atoms of one normal are merged."""
+
+
 def _merged_atoms(mu: SphereMeasure, direction_tol: float = 1e-9):
     units: list[np.ndarray] = []
     raw: list[float] = []
@@ -101,9 +105,10 @@ def minkowski_solve(mu: SphereMeasure, balance_tol: float = 1e-6,
         raise GeometryError(f"dimension {mu.dim} not supported")
     normals, weights = _merged_atoms(mu)
     if any(w <= 0 for w in weights):
-        raise DegenerateNormals("surface area measure must be positive")
+        raise NonPositiveMeasure("surface area measure must be positive")
     if mu.dim == 2:
-        return _solve_2d(normals, weights, balance_tol)
+        return Polytope.construct(
+            _edge_walk(normals, weights, balance_tol).tolist(), 2)
     return _solve_3d(normals, weights, balance_tol, area_tol, max_iter)
 
 
@@ -111,7 +116,9 @@ def minkowski_solve(mu: SphereMeasure, balance_tol: float = 1e-6,
 # dimension 2: the edge walk
 
 
-def _solve_2d(normals, weights, balance_tol: float) -> Polytope:
+def _edge_walk(normals, weights, balance_tol: float) -> np.ndarray:
+    """Edges in angular order laid end to end, the closing gap spread
+    evenly over the vertices."""
     if len(normals) < 3:
         raise DegenerateNormals("need at least three distinct edge normals")
     w = _balance(normals, weights, balance_tol)
@@ -123,9 +130,7 @@ def _solve_2d(normals, weights, balance_tol: float) -> Polytope:
         pts.append(pts[-1] + edge)
     gap = pts[-1]
     m = len(pts) - 1
-    verts = [p - (i / m) * gap for i, p in enumerate(pts[:-1])]
-    return Polytope.construct(
-        [tuple(Fraction(float(x)) for x in v) for v in verts], 2)
+    return np.array([p - (i / m) * gap for i, p in enumerate(pts[:-1])])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from epival.bodies import (
     Polytope,
     _affine_rank,
+    _canon_halfspace,
     _hull_3d_brute,
     _hull_3d_incremental,
 )
@@ -133,6 +134,73 @@ class TestHullAgainstBruteForce:
             P = Polytope.construct(pts)
             H = ConvexHull(np.array([[float(x) for x in p] for p in pts]))
             assert abs(float(P.volume) - H.volume) < 1e-9
+
+
+def fraction_polygon(points):
+    """The plane hull in Fraction arithmetic: the strict hull vertices
+    counterclockwise from the lexicographically smallest (monotone chain),
+    and the sorted edge halfspaces."""
+    pts = sorted({tuple(map(F, p)) for p in points})
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for chain, seq in ((lower, pts), (upper, pts[::-1])):
+        for p in seq:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    cycle = lower[:-1] + upper[:-1]
+    hs = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        n = (b[1] - a[1], a[0] - b[0])
+        hs.append(_canon_halfspace(n, n[0] * a[0] + n[1] * a[1]))
+    return cycle, sorted(hs)
+
+
+class TestPlaneHull:
+    """construct and boundary_cycle decide the plane hull on integer images
+    of the points; the result is the hull in Fraction arithmetic, with the
+    same vertices, halfspaces, start and orientation."""
+
+    def check(self, points):
+        cycle, hs = fraction_polygon(points)
+        P = Polytope.construct(points, 2)
+        assert [P.vertices[i] for i in P.boundary_cycle] == cycle
+        assert P.vertices == tuple(sorted(cycle))
+        assert list(P.halfspaces) == hs
+        # the same polygon on the plane x = 1/3 in space: boundary_cycle
+        # projects it onto the last two coordinates
+        Q = Polytope.construct([(F(1, 3),) + tuple(p) for p in points], 3)
+        assert [Q.vertices[i][1:] for i in Q.boundary_cycle] == cycle
+        return P
+
+    def test_drops_duplicate_and_collinear_points(self):
+        # (1.6, 0.4) twice; (1, 1) and (1.6, 0.7) lie exactly on edges;
+        # (1, 0.3) lies on the segment from (0.4, 0.2) to (1.6, 0.4) only
+        # as a decimal: as floats it is a hair below it, a vertex, though
+        # the turn evaluated in floats rounds to 0 and would drop it
+        pts = [(1.6, 0.4), (0.4, 0.2), (1.0, 0.3), (1.6, 0.4), (1.6, 1.0),
+               (1.0, 1.0), (0.4, 1.0), (1.6, 0.7), (1e-300, 0.6), (0.8, 0.6)]
+        P = self.check(pts)
+        assert P.float_vertices[list(P.boundary_cycle)].tolist() == [
+            [1e-300, 0.6], [0.4, 0.2], [1.0, 0.3], [1.6, 0.4], [1.6, 1.0],
+            [0.4, 1.0]]
+
+    # tenths are decimals on many common lines, which rounding breaks by a
+    # few units in the last place; small fractions have denominators that
+    # are not powers of two
+    xy = st.one_of(st.floats(-1e3, 1e3),
+                   st.integers(-30, 30).map(lambda k: k / 10),
+                   st.fractions(-10, 10, max_denominator=12))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(xy, xy), min_size=3, max_size=12))
+    def test_matches_fraction_hull(self, pts):
+        # two points off the first one make the hull two dimensional
+        x, y = pts[0]
+        self.check(pts + [(x + 1, y), (x, y + 1)])
 
 
 class TestClipIntersect:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from epival.cli import SuiteConfig, main, run_suite
 from epival.dual import DualAtomMeasure
 from epival.functions import PLConvexFunction
 from epival.report import dumps_canonical
+
+SQUARE_MEASURE = Path(__file__).resolve().parent.parent / "data" / "square_measure.json"
 
 
 def run(*argv):
@@ -135,6 +138,32 @@ class TestMinkowski:
         assert run("minkowski", "--in", str(tmp_path / "measure.json"),
                    "--out", str(tmp_path / "x.json")) == 2
         assert not (tmp_path / "x.json").exists()
+
+    def test_non_positive_weight(self, tmp_path, capsys):
+        payload = json.loads(SQUARE_MEASURE.read_text())
+        payload["atoms"][0]["w"] = payload["atoms"][2]["w"] = -1
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert run("minkowski", "--in", str(path), "--out", str(out)) == 2
+        assert "surface area measure must be positive" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weights_merge_before_the_positivity_check(self, tmp_path):
+        # a zero weight, and -1 beside +1 on the normal e1, leave the
+        # square's own measure once atoms of one normal are merged
+        payload = json.loads(SQUARE_MEASURE.read_text())
+        payload["atoms"] += [{"n": [1, 1], "w": 0}, {"n": [1, 0], "w": -1},
+                             {"n": [1, 0], "w": 1}]
+        path = tmp_path / "merged.json"
+        path.write_text(json.dumps(payload))
+        assert run("minkowski", "--in", str(path),
+                   "--out", str(tmp_path / "merged_body.json")) == 0
+        assert run("minkowski", "--in", str(SQUARE_MEASURE),
+                   "--out", str(tmp_path / "square_body.json")) == 0
+        assert (tmp_path / "merged_body.json").read_text() == \
+            (tmp_path / "square_body.json").read_text()
 
     def test_unsupported_dim(self, tmp_path, capsys):
         path = tmp_path / "measure4.json"

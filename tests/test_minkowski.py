@@ -12,12 +12,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epival.bodies import Polytope
+from epival.linalg import primitive
 from epival.measures import SphereMeasure, surface_area_measure
 from epival.minkowski import (
     DegenerateNormals,
     UnbalancedInput,
+    _edge_walk,
+    _merged_atoms,
     minkowski_solve,
 )
 
@@ -85,6 +89,46 @@ class TestDim2:
         with pytest.raises(DegenerateNormals):
             minkowski_solve(atoms_measure(
                 2, [((1, 0), -1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]))
+
+
+# an atom: angle, log10 of its weight, and whether it has a twin 1e-7 rad on
+atom = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-6.0, 3.0),
+                 st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(atom, min_size=2, max_size=12))
+def test_polygon_is_the_strict_hull_of_the_walk(draw):
+    """The body is exactly the strict hull of the edge walk: boundary_cycle
+    starts at the lexicographically smallest walk point and turns strictly
+    left at every vertex, every vertex is a walk point, every walk point is
+    in the body, and each halfspace is a primitive edge line."""
+    pairs = []
+    for angle, exponent, twin in draw:
+        for a in (angle, angle + 1e-7)[:1 + twin]:
+            pairs.append(((math.cos(a), math.sin(a)), 10.0 ** exponent))
+    # close the measure with one atom against the resultant
+    r = sum(w * np.array(n) for n, w in pairs)
+    if np.linalg.norm(r) == 0:
+        return
+    pairs.append((tuple(-r / np.linalg.norm(r)), float(np.linalg.norm(r))))
+    mu = atoms_measure(2, pairs)
+    try:
+        P = minkowski_solve(mu)
+    except DegenerateNormals:
+        return
+    walk = [tuple(map(F, p))
+            for p in _edge_walk(*_merged_atoms(mu), 1e-6).tolist()]
+    cycle = [P.vertices[i] for i in P.boundary_cycle]
+    assert cycle[0] == min(walk)
+    assert set(cycle) <= set(walk)
+    for o, a, b in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
+        assert (a[0] - o[0]) * (b[1] - o[1]) > (a[1] - o[1]) * (b[0] - o[0])
+    assert all(P.contains(p) for p in walk)
+    assert len(set(P.halfspaces)) == len(cycle)
+    for m, c in P.halfspaces:
+        assert primitive(m) == m
+        assert sum(m[0] * v[0] + m[1] * v[1] == c for v in cycle) == 2
 
 
 class TestDim3:
