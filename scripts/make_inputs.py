@@ -71,7 +71,6 @@ n=1
 cases=100
 seed=7
 tol-geom=1e-9
-tol-quad=1e-6
 """
 
 

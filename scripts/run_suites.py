@@ -29,7 +29,7 @@ def main() -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     ok = True
     for suite, n, cases in PLAN:
-        cfg = SuiteConfig(suite, n, cases, args.seed, 1e-9, 1e-6, 3.0, None)
+        cfg = SuiteConfig(suite, n, cases, args.seed, 1e-9, 3.0, None)
         t0 = time.monotonic()
         rep = run_suite(cfg)
         dt = time.monotonic() - t0

@@ -6,6 +6,10 @@ Vertices are fractions.Fraction tuples in lexicographic order.  Halfspaces
 are pairs (m, c) meaning m . x <= c with m a primitive integer vector; a
 flat body carries equality constraints as opposite halfspace pairs.
 
+A full dimensional body derives its facets once, in Polytope._facets:
+each halfspace with its vertices, in cyclic order in 3D.  Edges, volume,
+clipping and the facet areas of the surface area measure all read them.
+
 All predicates and constructions in this module are exact.  Floating
 point enters only through the float_* views, relative_volume_float, and
 the metric routines nearest_points, distances_to and hausdorff_distance.
@@ -324,10 +328,16 @@ class Polytope:
         halfspaces: Iterable[tuple[Sequence, object]], ambient_dim: int
     ) -> "Polytope":
         """Vertex enumeration for a bounded polyhedron given as m . x <= c
-        rows.  Unbounded input is a caller error and gives garbage."""
+        rows.  The rows bound every such polyhedron iff their normals
+        positively span the space, that is iff the origin lies inside the
+        hull of the normals; otherwise this raises GeometryError."""
         rows = sorted(
             {(tuple(Fraction(x) for x in m), Fraction(c)) for m, c in halfspaces}
         )
+        normals = Polytope.construct([m for m, _ in rows], ambient_dim)
+        if normals.intrinsic_dim < ambient_dim or any(
+                c <= 0 for _, c in normals.halfspaces):
+            raise GeometryError("halfspaces do not bound a polytope")
         pts = set()
         for sel in itertools.combinations(rows, ambient_dim):
             x = solve([m for m, _ in sel], [c for _, c in sel])
@@ -427,23 +437,28 @@ class Polytope:
             return tuple(
                 tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))
             )
-        edges = []
-        tight_sets = []
-        for v in self.vertices:
-            tight_sets.append(
-                [m for m, c in self.proper_halfspaces if dot([Fraction(x) for x in m], v) == c]
-            )
-        for i in range(len(self.vertices)):
-            for j in range(i + 1, len(self.vertices)):
-                common = [m for m in tight_sets[i] if m in {tuple(x) for x in tight_sets[j]}]
-                if common and mat_rank(common) == self.ambient_dim - 1:
-                    edges.append((i, j))
-        return tuple(edges)
+        return tuple(sorted({tuple(sorted(e)) for _, idx in self._facets
+                             for e in zip(idx, idx[1:] + idx[:1])}))
 
-    def facet_vertex_indices(self, halfspace: Halfspace) -> tuple[int, ...]:
-        m, c = halfspace
-        mm = [Fraction(v) for v in m]
-        return tuple(i for i, v in enumerate(self.vertices) if dot(mm, v) == c)
+    @cached_property
+    def _facets(self) -> tuple[tuple[Halfspace, tuple[int, ...]], ...]:
+        """Each halfspace of a full dimensional body with the indices of
+        its vertices, found by integer dot products on the integer images.
+        In 3D the indices are in cyclic order: the monotone chain on the
+        projection that drops the last coordinate the normal uses, which
+        is one to one on the facet."""
+        q, image = _integer_image(self.vertices)
+        ints = list(image)
+        out = []
+        for m, c in self.halfspaces:
+            idx = [i for i, p in enumerate(ints) if sum(
+                a * b for a, b in zip(m, p)) * c.denominator == q * c.numerator]
+            if self.ambient_dim == 3:
+                k = max(j for j in range(3) if m[j])
+                proj = {(ints[i][:k] + ints[i][k + 1:]): i for i in idx}
+                idx = [proj[p] for p in _chain(sorted(proj))]
+            out.append(((m, c), tuple(idx)))
+        return tuple(out)
 
     # ---- transforms ---------------------------------------------------
 
@@ -509,10 +524,11 @@ class Polytope:
                 t = -si / (sj - si)
                 new_pts.append(tuple(a[k] + t * (b[k] - a[k]) for k in range(self.ambient_dim)))
         new_pts = sorted(set(new_pts))
-        if self.intrinsic_dim == self.ambient_dim and _affine_rank(new_pts) == self.ambient_dim:
-            cand = list(self.halfspaces) + [(m, c)]
-            hs = _prune_halfspaces(cand, new_pts, self.ambient_dim)
-            return Polytope(self.ambient_dim, tuple(new_pts), tuple(sorted(set(hs))))
+        if self.intrinsic_dim == self.ambient_dim and min(vals) < 0:
+            # a vertex strictly inside keeps the body full dimensional, and
+            # an old facet stays a facet iff it has such a vertex
+            hs = [h for h, idx in self._facets if any(vals[i] < 0 for i in idx)]
+            return Polytope(self.ambient_dim, tuple(new_pts), tuple(sorted(hs + [(m, c)])))
         return Polytope.construct(new_pts, self.ambient_dim)
 
     def intersect(self, other: "Polytope") -> "Polytope":
@@ -570,16 +586,15 @@ class Polytope:
         if d == 1:
             return self.vertices[-1][0] - self.vertices[0][0]
         total = Fraction(0)
-        for m, c in self.halfspaces:
-            idx = self.facet_vertex_indices((m, c))
-            k = max(range(d), key=lambda j: abs(m[j]))
-            pts = [self.vertices[i] for i in idx]
-            proj = [tuple(p[j] for j in range(d) if j != k) for p in pts]
+        for (m, c), idx in self._facets:
+            # the facet's area projected along coordinate k
+            k = max(j for j in range(d) if m[j])
+            proj = [self.vertices[i][:k] + self.vertices[i][k + 1:] for i in idx]
             if d == 2:
                 area = abs(proj[1][0] - proj[0][0])
             else:
-                cyc = _hull_2d(proj)
-                area = _shoelace(cyc)
+                area = abs(sum(a[0] * b[1] - b[0] * a[1]
+                               for a, b in zip(proj, proj[1:] + proj[:1]))) / 2
             total += c * area / abs(m[k])
         return total / d
 
@@ -589,22 +604,10 @@ class Polytope:
         k = self.intrinsic_dim
         if k < 0:
             return 0.0
-        if k == 0:
-            return 1.0
         if k == self.ambient_dim:
             return float(self.volume)
-        verts = list(self.vertices)
-        if k == 1:
-            return float(linalg.norm_sq(sub(verts[-1], verts[0]))) ** 0.5
-        # k == 2 inside ambient 3: triangulate the cycle
-        cyc = self.boundary_cycle
-        a = verts[cyc[0]]
-        tot = 0.0
-        for i in range(1, len(cyc) - 1):
-            b, c = verts[cyc[i]], verts[cyc[i + 1]]
-            n = cross3(sub(b, a), sub(c, a))
-            tot += 0.5 * float(linalg.norm_sq(n)) ** 0.5
-        return tot
+        order = self.boundary_cycle if k == 2 else (0, -1)[:k + 1]
+        return _face_measure([self.vertices[i] for i in order])
 
     # ---- float helpers ------------------------------------------------
 
@@ -727,23 +730,16 @@ def _volume_in_dim_of(bodies: Sequence[Polytope], k: int, cols: tuple[int, ...])
     return out
 
 
-def _shoelace(cycle: Sequence[Vec]) -> Fraction:
-    tot = Fraction(0)
-    for i in range(len(cycle)):
-        a = cycle[i]
-        b = cycle[(i + 1) % len(cycle)]
-        tot += a[0] * b[1] - b[0] * a[1]
-    return abs(tot) / 2
-
-
-def _prune_halfspaces(
-    cand: Sequence[Halfspace], verts: Sequence[Vec], ambient_dim: int
-) -> list[Halfspace]:
-    """Keep constraints tight on a facet (affine rank d-1 of tight vertices)."""
-    out = []
-    for m, c in set(cand):
-        mm = [Fraction(v) for v in m]
-        tight = [v for v in verts if dot(mm, v) == c]
-        if tight and _affine_rank(tight) == ambient_dim - 1:
-            out.append((m, c))
-    return out
+def _face_measure(cycle: Sequence[Vec]) -> float:
+    """Hausdorff measure of a face of dimension at most 2 from its vertices
+    in cyclic order: 1 for a point, the length of a segment, the fan sum of
+    the triangles of a polygon in space."""
+    a = cycle[0]
+    if len(cycle) == 1:
+        return 1.0
+    if len(cycle) == 2:
+        return float(linalg.norm_sq(sub(cycle[1], a))) ** 0.5
+    tot = 0.0
+    for b, c in zip(cycle[1:], cycle[2:]):
+        tot += 0.5 * float(linalg.norm_sq(cross3(sub(b, a), sub(c, a)))) ** 0.5
+    return tot

@@ -56,7 +56,6 @@ class SuiteConfig:
     cases: int
     seed: int
     tol_geom: float
-    tol_quad: float
     sigma: float
     out: str | None
 
@@ -68,7 +67,7 @@ class SuiteConfig:
             raise CliUsageError("n must be 1 or 2")
         if self.cases <= 0:
             raise CliUsageError("cases must be positive")
-        if min(self.tol_geom, self.tol_quad, self.sigma) <= 0:
+        if min(self.tol_geom, self.sigma) <= 0:
             raise CliUsageError("tolerances must be positive")
 
 
@@ -173,8 +172,7 @@ _RUNNERS = {
 
 def _cfg_dict(cfg: SuiteConfig) -> dict:
     return {"suite": cfg.suite, "n": cfg.n, "cases": cfg.cases,
-            "seed": cfg.seed, "tol_geom": cfg.tol_geom,
-            "tol_quad": cfg.tol_quad, "sigma": cfg.sigma}
+            "seed": cfg.seed, "tol_geom": cfg.tol_geom, "sigma": cfg.sigma}
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -271,7 +269,6 @@ def _cmd_verify(args) -> int:
                          _SUITE_CASE_DEFAULTS.get(suite, 10)),
         seed=_effective(args, "seed", int, 7),
         tol_geom=_effective(args, "tol-geom", float, 1e-9),
-        tol_quad=_effective(args, "tol-quad", float, 1e-6),
         sigma=_effective(args, "sigma", float, 3.0),
         out=_effective(args, "out", str, None),
     )
@@ -414,7 +411,7 @@ _FLAGS = {"suite": {"choices": SUITES}, "n": {"type": int},
           "sigma": {"type": float}, "out": {}, "in": {}, "j-list": {}}
 _SUBCOMMANDS = (
     ("verify", _cmd_verify, ("suite", "n", "cases", "seed", "tol-geom",
-                             "tol-quad", "sigma", "out")),
+                             "sigma", "out")),
     ("decompose", _cmd_decompose, ("in", "n", "cases", "seed", "tol-quad",
                                    "out")),
     ("gw", _cmd_gw, ("in", "out", "j-list")),

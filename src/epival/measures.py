@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import GeometryError, Polytope, nearest_points
+from .bodies import GeometryError, Polytope, _face_measure, nearest_points
 from .functions import PLConvexFunction
 from .linalg import Vec, dot, primitive, norm_sq, sub
 from .spherical import SphericalPatch, clip_cone, _adaptive_1d, _adaptive_tri
@@ -84,12 +84,10 @@ def surface_area_measure(P: Polytope) -> SphereMeasure:
     k = P.intrinsic_dim
     atoms: list[tuple[np.ndarray, float]] = []
     if k == d:
-        for hs in P.proper_halfspaces:
-            idx = P.facet_vertex_indices(hs)
-            facet = Polytope.construct([P.vertices[j] for j in idx], d)
-            n = np.array([float(x) for x in hs[0]])
+        for (m, _), idx in P._facets:
+            n = np.array([float(x) for x in m])
             n /= np.linalg.norm(n)
-            atoms.append((n, facet.relative_volume_float))
+            atoms.append((n, _face_measure([P.vertices[j] for j in idx])))
     elif k == d - 1 and k >= 0:
         m = P.equality_planes[0][0]
         n = np.array([float(x) for x in m])
@@ -138,8 +136,7 @@ def faces_with_cones(P: Polytope, i: int) -> list[tuple[Polytope, list[Vec]]]:
             face = Polytope.construct([va, vb], d)
             out.append((face, _cone_generators(P, [va, vb])))
     elif i == 2:
-        for hs in P.proper_halfspaces:
-            idx = P.facet_vertex_indices(hs)
+        for _, idx in P._facets:
             verts = [P.vertices[j] for j in idx]
             face = Polytope.construct(verts, d)
             out.append((face, _cone_generators(P, verts)))

@@ -57,7 +57,7 @@ def unit_cube():
 def test_criterion_01_conjugate_identity():
     t0 = time.monotonic()
     for n in (1, 2):
-        cfg = SuiteConfig("conjugate", n, 100, SEED, 1e-9, 1e-6, 3.0, None)
+        cfg = SuiteConfig("conjugate", n, 100, SEED, 1e-9, 3.0, None)
         rep = run_suite(cfg)
         assert rep.passed == 100, f"n={n}: {rep.failed} cases broke exactness"
         assert rep.worst_residual == 0.0
@@ -67,8 +67,7 @@ def test_criterion_01_conjugate_identity():
 def test_criterion_02_change_of_variables():
     t0 = time.monotonic()
     for n in (1, 2):
-        cfg = SuiteConfig("change-of-vars", n, 100, SEED, 1e-9, 1e-6, 3.0,
-                          None)
+        cfg = SuiteConfig("change-of-vars", n, 100, SEED, 1e-9, 3.0, None)
         rep = run_suite(cfg)
         assert rep.all_passed, f"n={n}: worst {rep.worst_residual}"
         assert rep.worst_residual <= 1e-9

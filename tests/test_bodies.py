@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epival.bodies import (
+    GeometryError,
     Polytope,
     _affine_rank,
     _canon_halfspace,
     _hull_3d_brute,
     _hull_3d_incremental,
 )
-from epival.measures import nearest_points
+from epival.linalg import cross3, mat_rank, norm_sq, sub
+from epival.measures import nearest_points, surface_area_measure
 
 
 def square(a=0, b=1):
@@ -335,6 +337,18 @@ class TestTransforms:
         C = cube()
         D = Polytope.from_halfspaces(C.halfspaces, 3)
         assert C == D
+        box = Polytope.from_halfspaces([((1, 0), 2), ((-1, 0), 1), ((0, 1), 3),
+                                        ((0, -1), F(1, 2))], 2)
+        assert box == Polytope.construct([(-1, F(-1, 2)), (2, F(-1, 2)), (2, 3), (-1, 3)])
+
+    def test_from_halfspaces_rejects_unbounded(self):
+        half_plane = [((0, 1), 1)]
+        strip = [((0, 1), 1), ((0, -1), 1)]
+        # normals spanning the plane, but only a half-plane of directions
+        wedge = [((1, 0), 1), ((0, 1), 1), ((-1, 1), 1)]
+        for rows in (half_plane, strip, wedge):
+            with pytest.raises(GeometryError, match="do not bound"):
+                Polytope.from_halfspaces(rows, 2)
 
 
 coord = st.fractions(min_value=-4, max_value=4).map(lambda x: x.limit_denominator(6))
@@ -396,3 +410,66 @@ def test_intersection_commutes_3d(pts_a, pts_b):
     I = A.intersect(B)
     assert I == B.intersect(A)
     assert_intersection_is_reference(A, B, I)
+
+
+def tight_indices(P, m, c):
+    """The vertices on a facet, by Fraction dot products."""
+    return [i for i, v in enumerate(P.vertices)
+            if sum(F(a) * x for a, x in zip(m, v)) == c]
+
+
+def pairwise_edges(P):
+    """Edges of a 3D body as the vertex pairs whose common tight facets
+    have rank 2."""
+    tight = [[m for m, c in P.halfspaces if i in tight_indices(P, m, c)]
+             for i in range(len(P.vertices))]
+    return tuple((i, j) for i in range(len(P.vertices))
+                 for j in range(i + 1, len(P.vertices))
+                 if mat_rank([m for m in tight[i] if m in tight[j]]) == 2)
+
+
+def facet_area(verts, d):
+    """relative_volume_float of the facet built as its own flat body: the
+    segment length in 2D, the fan over its boundary_cycle in 3D."""
+    Fc = Polytope.construct(verts, d)
+    if d == 2:
+        return float(norm_sq(sub(Fc.vertices[-1], Fc.vertices[0]))) ** 0.5
+    cyc = [Fc.vertices[i] for i in Fc.boundary_cycle]
+    return sum(0.5 * float(norm_sq(cross3(sub(b, cyc[0]), sub(c, cyc[0])))) ** 0.5
+               for b, c in zip(cyc[1:], cyc[2:]))
+
+
+def assert_facet_table(P):
+    d = P.ambient_dim
+    assert [h for h, _ in P._facets] == list(P.halfspaces)
+    atoms = surface_area_measure(P).atoms
+    for ((m, c), idx), (_, w) in zip(P._facets, atoms):
+        tight = tight_indices(P, m, c)
+        assert sorted(idx) == tight
+        verts = [P.vertices[i] for i in tight]
+        if d == 3:
+            Fc = Polytope.construct(verts, 3)
+            assert list(idx) == [P.vertices.index(Fc.vertices[i]) for i in Fc.boundary_cycle]
+        assert w == facet_area(verts, d)
+    if d == 3:
+        assert P.edge_list == pairwise_edges(P)
+
+
+rational = st.builds(F, st.integers(-20, 20), st.integers(1, 5))
+grid = st.integers(-2, 2).map(F)
+hull_inputs = st.one_of(
+    *(st.lists(st.tuples(*[q] * d), min_size=d + 1, max_size=11)
+      for q in (rational, grid) for d in (2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hull_inputs, st.lists(st.integers(-3, 3), min_size=3, max_size=3), rational)
+def test_facet_table_matches_old_derivations(pts, vec, off):
+    """_facets, edge_list and the surface area measure against the
+    per-facet derivations they replace, on a fresh hull and on the bodies
+    that clip, translate and reflect_last make from it."""
+    d = len(pts[0])
+    P = Polytope.construct(pts, d)
+    for Q in (P, P.clip(vec[:d], off), P.translate(vec[:d]), P.reflect_last()):
+        if Q.intrinsic_dim == d:
+            assert_facet_table(Q)
