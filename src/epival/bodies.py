@@ -441,14 +441,19 @@ class Polytope:
                              for e in zip(idx, idx[1:] + idx[:1])}))
 
     @cached_property
+    def _image(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The vertices' common denominator q and their images q * v."""
+        q, image = _integer_image(self.vertices)
+        return q, tuple(image)
+
+    @cached_property
     def _facets(self) -> tuple[tuple[Halfspace, tuple[int, ...]], ...]:
         """Each halfspace of a full dimensional body with the indices of
         its vertices, found by integer dot products on the integer images.
         In 3D the indices are in cyclic order: the monotone chain on the
         projection that drops the last coordinate the normal uses, which
         is one to one on the facet."""
-        q, image = _integer_image(self.vertices)
-        ints = list(image)
+        q, ints = self._image
         out = []
         for m, c in self.halfspaces:
             idx = [i for i, p in enumerate(ints) if sum(
@@ -509,8 +514,10 @@ class Polytope:
         if all(Fraction(v) == 0 for v in normal):
             return self if Fraction(offset) >= 0 else Polytope.empty(self.ambient_dim)
         m, c = _canon_halfspace([Fraction(v) for v in normal], Fraction(offset))
-        mm = [Fraction(v) for v in m]
-        vals = [dot(mm, v) - c for v in self.vertices]
+        # the slack m . v - c of each vertex v, times q * c.denominator > 0
+        q, ints = self._image
+        vals = [sum(a * b for a, b in zip(m, p)) * c.denominator - q * c.numerator
+                for p in ints]
         if all(v <= 0 for v in vals):
             return self
         keep = [v for v, s in zip(self.vertices, vals) if s <= 0]
@@ -520,9 +527,10 @@ class Polytope:
         for i, j in self.edge_list:
             si, sj = vals[i], vals[j]
             if (si < 0 < sj) or (sj < 0 < si):
-                a, b = self.vertices[i], self.vertices[j]
-                t = -si / (sj - si)
-                new_pts.append(tuple(a[k] + t * (b[k] - a[k]) for k in range(self.ambient_dim)))
+                # the slack vanishes at (sj * v_i - si * v_j) / (sj - si)
+                d = q * (sj - si)
+                new_pts.append(tuple(Fraction(x * sj - y * si, d)
+                                     for x, y in zip(ints[i], ints[j])))
         new_pts = sorted(set(new_pts))
         if self.intrinsic_dim == self.ambient_dim and min(vals) < 0:
             # a vertex strictly inside keeps the body full dimensional, and

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import GeometryError, Polytope
+from .bodies import GeometryError
 from .cases import CaseGenerator
 from .dual import DualAtomMeasure, gw_pipeline, mollifier_kernel
 from .functions import PLConvexFunction
@@ -31,7 +31,6 @@ from .measures import (
 from .minkowski import NonPositiveMeasure, minkowski_solve
 from .report import Report, SuiteReport, dumps_canonical
 from .valuations import (
-    ValuationSpec,
     eval_gradient_valuation,
     eval_sphere_valuation,
     homogeneous_components,

@@ -6,6 +6,10 @@ domain and +infinity outside.  Pieces kept are exactly those active on a
 region of full dimension inside the domain, so two functions are equal
 iff their canonical data are equal.
 
+One body carries a function's geometry: its epigraph truncated above the
+maximum, the prism D x [lo, T] clipped once per piece.  The minimal
+pieces, cells, complex vertices, minimum and conjugate are read off it.
+
 The link to convex bodies goes both ways: body_of builds the compact
 body enclosed by the graph and its reflection through the max level,
 floor_of reads the lower boundary function off a body.
@@ -19,8 +23,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .bodies import GeometryError, Polytope
-from .linalg import Vec, dot, smul, sub
+from .bodies import GeometryError, Polytope, _affine_rank
+from .linalg import Vec, dot, sub
 
 Piece = tuple[Vec, Fraction]
 
@@ -41,6 +45,30 @@ def _project_piece(piece: Piece, domain: Polytope) -> Piece:
     basis = linalg.independent_subset(sub(p, base) for p in domain.vertices[1:])
     resid = linalg.reject(g, linalg.orthogonalize(basis))
     return sub(g, resid), b + dot(resid, base)
+
+
+def _epigraph(domain: Polytope, pieces: Sequence[Piece], level: Fraction) -> Polytope:
+    """The epigraph of max(pieces) on a nonempty domain, truncated at a level
+    above that maximum: the prism domain x [lo, level], with lo below the
+    first piece, clipped by each piece's halfspace g . x - t <= -b."""
+    g0, b0 = pieces[0]
+    lo = min(dot(g0, v) for v in domain.vertices) + b0 - 1
+    z = (0,) * domain.ambient_dim
+    hs = [(m + (0,), c) for m, c in domain.halfspaces]
+    hs += [(z + (1,), level), (z + (-1,), -lo)]
+    body = Polytope(domain.ambient_dim + 1,
+                    tuple(sorted(v + (t,) for v in domain.vertices for t in (lo, level))),
+                    tuple(sorted(hs)))
+    for g, b in pieces:
+        body = body.clip(g + (-1,), -b)
+    return body
+
+
+def _tight(epigraph: Polytope, piece: Piece) -> list[Vec]:
+    """The x of the epigraph vertices on the graph of the piece: the
+    vertices of the region where the piece is the maximum."""
+    g, b = piece
+    return [v[:-1] for v in epigraph.vertices if dot(g, v[:-1]) + b == v[-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,25 +104,16 @@ class PLConvexFunction:
         k = domain.intrinsic_dim
         if k < domain.ambient_dim:
             raw = [_project_piece(p, domain) for p in raw]
-        if k == 0:
-            x0 = domain.vertices[0]
-            val = max(dot(g, x0) + b for g, b in raw)
-            zero = (Fraction(0),) * domain.ambient_dim
-            return PLConvexFunction(domain, ((zero, val),))
         raw = sorted(set(raw))
-        kept = []
-        for i, (g, b) in enumerate(raw):
-            region = domain
-            for j, (h, c) in enumerate(raw):
-                if i == j:
-                    continue
-                # keep where g.x + b >= h.x + c
-                region = region.clip(sub(h, g), b - c)
-                if region.is_empty or region.intrinsic_dim < k:
-                    break
-            if not region.is_empty and region.intrinsic_dim == k:
-                kept.append((g, b))
-        return PLConvexFunction(domain, tuple(kept))
+        level = max(dot(g, v) + b for g, b in raw for v in domain.vertices) + 1
+        epi = _epigraph(domain, raw, level)
+        # a piece stays iff its region has the dimension k of the domain
+        kept = tuple(p for p in raw if (pts := _tight(epi, p)) and _affine_rank(pts) == k)
+        u = PLConvexFunction(domain, kept)
+        # the kept pieces have the same maximum as the raw ones, and the
+        # same epigraph at the same level: hand the body over to the cache
+        u.__dict__["epigraph"] = epi
+        return u
 
     @staticmethod
     def lower_envelope(lifted_points: Iterable[Sequence]) -> "PLConvexFunction":
@@ -109,29 +128,25 @@ class PLConvexFunction:
     @staticmethod
     def floor_of(body: Polytope) -> "PLConvexFunction":
         """Lower boundary function: x maps to min{t : (x, t) in body}."""
-        if body.is_empty:
-            return PLConvexFunction.empty(body.ambient_dim - 1)
         n = body.ambient_dim - 1
-        dom = Polytope.construct([v[:-1] for v in body.vertices], n) if n >= 1 else None
         if n < 1:
             raise GeometryError("need ambient dimension at least 2")
-        if body.intrinsic_dim == 0:
-            return PLConvexFunction.constant(dom, body.vertices[0][-1])
-        pieces = []
-        for m, c in body.proper_halfspaces:
-            if m[-1] < 0:
-                mt = Fraction(m[-1])
-                g = tuple(-Fraction(x) / mt for x in m[:-1])
-                pieces.append((g, c / mt))
-        for m, c in body.equality_planes:
-            if m[-1] != 0:
-                mt = Fraction(m[-1])
-                g = tuple(-Fraction(x) / mt for x in m[:-1])
-                pieces.append((g, c / mt))
-        if not pieces:
-            # vertical segment: bottom vertex value
-            lo = min(v[-1] for v in body.vertices)
-            return PLConvexFunction.constant(dom, lo)
+        if body.is_empty:
+            return PLConvexFunction.empty(n)
+        dom = Polytope.construct([v[:-1] for v in body.vertices], n)
+
+        def piece(m, c):
+            # the plane m . (x, t) = c as t = g . x + b
+            return tuple(Fraction(-a, m[-1]) for a in m[:-1]), c / m[-1]
+
+        pieces = [piece(m, c) for m, c in body.proper_halfspaces if m[-1] < 0]
+        if body.intrinsic_dim == body.ambient_dim:
+            # each lower facet projects onto a full dimensional cell, so
+            # these pieces are already the minimal family
+            return PLConvexFunction(dom, tuple(sorted(pieces)))
+        # a flat body has a lower relative facet if it is vertical, and a
+        # nonvertical equality plane otherwise
+        pieces += [piece(m, c) for m, c in body.equality_planes if m[-1] != 0]
         return PLConvexFunction.from_pieces(dom, pieces)
 
     # ---- canonical structure ------------------------------------------
@@ -158,30 +173,30 @@ class PLConvexFunction:
     @cached_property
     def cells(self) -> tuple[tuple[Vec, Fraction, Polytope], ...]:
         """Maximal regions of affineness with their gradient and offset."""
+        return tuple((g, b, Polytope.construct(_tight(self.epigraph, (g, b)), self.n))
+                     for g, b in self.pieces)
+
+    @cached_property
+    def epigraph(self) -> Polytope:
+        """The epigraph truncated one above the maximum."""
         if self.is_empty:
-            return ()
-        k = self.domain.intrinsic_dim
-        out = []
-        for g, b in self.pieces:
-            region = self.domain
-            for h, c in self.pieces:
-                if (h, c) == (g, b):
-                    continue
-                region = region.clip(sub(h, g), b - c)
-            assert not region.is_empty and region.intrinsic_dim == k
-            out.append((g, b, region))
-        return tuple(out)
+            return Polytope.empty(self.n + 1)
+        return _epigraph(self.domain, self.pieces, self.max_value + 1)
+
+    @cached_property
+    def _graph(self) -> tuple[Vec, ...]:
+        """The epigraph vertices below the level, which are the extreme
+        points of the graph: a convex combination that uses a vertex at
+        the level lies strictly above the graph."""
+        return tuple(v for v in self.epigraph.vertices if v[-1] <= self.max_value)
 
     @cached_property
     def complex_vertices(self) -> tuple[Vec, ...]:
-        pts = set(self.domain.vertices)
-        for _, _, region in self.cells:
-            pts.update(region.vertices)
-        return tuple(sorted(pts))
+        return tuple(sorted({v[:-1] for v in self.epigraph.vertices}))
 
     @cached_property
     def min_value(self) -> Fraction:
-        return min(self.evaluate(v) for v in self.complex_vertices)
+        return min(v[-1] for v in self._graph)
 
     @cached_property
     def max_value(self) -> Fraction:
@@ -221,32 +236,15 @@ class PLConvexFunction:
         if self.is_empty:
             return Polytope.empty(self.n + 1)
         M = self.max_value
-        pts = []
-        for v in self.complex_vertices:
-            t = self.evaluate(v)
-            pts.append(v + (t,))
-            pts.append(v + (2 * M - t,))
-        return Polytope.construct(pts, self.n + 1)
-
-    def graph_hull(self) -> Polytope:
-        if self.is_empty:
-            return Polytope.empty(self.n + 1)
-        pts = [v + (self.evaluate(v),) for v in self.complex_vertices]
-        return Polytope.construct(pts, self.n + 1)
+        return Polytope.construct([v[:-1] + (t,) for v in self._graph
+                                   for t in (v[-1], 2 * M - v[-1])], self.n + 1)
 
     def fenchel_conjugate(self) -> "MaxAffine":
         """Exact convex conjugate; finite and piecewise linear on all of
         space because the domain is compact."""
         if self.is_empty:
             raise GeometryError("conjugate of the empty function")
-        hull = self.graph_hull()
-        lifted = set(hull.vertices)
-        pieces = []
-        for v in self.complex_vertices:
-            t = self.evaluate(v)
-            if v + (t,) in lifted:
-                pieces.append((v, -t))
-        return MaxAffine(tuple(sorted(pieces)))
+        return MaxAffine(tuple(sorted((v[:-1], -v[-1]) for v in self._graph)))
 
     # ---- epi operations -----------------------------------------------
 
@@ -282,13 +280,6 @@ class PLConvexFunction:
             dom, list(self.pieces) + list(other.pieces)
         )
 
-    def _ceiling_body(self, level: Fraction) -> Polytope:
-        """The epigraph truncated at a level at or above the maximum:
-        hull of the graph and the domain lifted to the level."""
-        pts = [v + (self.evaluate(v),) for v in self.complex_vertices]
-        pts += [v + (level,) for v in self.domain.vertices]
-        return Polytope.construct(pts, self.n + 1)
-
     def pointwise_min(self, other: "PLConvexFunction") -> "PLConvexFunction":
         """Pointwise minimum; raises EpiMinNotConvex unless the result is
         convex (equivalently the union of the epigraphs is convex).
@@ -309,12 +300,13 @@ class PLConvexFunction:
             return self
         # strictly above both maxima so the truncated bodies are full-dim
         level = max(self.max_value, other.max_value) + 1
-        if not self._ceiling_body(level).is_union_convex(
-                other._ceiling_body(level)):
+        A = _epigraph(self.domain, self.pieces, level)
+        B = _epigraph(other.domain, other.pieces, level)
+        if not A.is_union_convex(B):
             raise EpiMinNotConvex("epigraph union is not convex")
-        cand_pts = [v + (self.evaluate(v),) for v in self.complex_vertices]
-        cand_pts += [v + (other.evaluate(v),) for v in other.complex_vertices]
-        return PLConvexFunction.lower_envelope(cand_pts)
+        # the vertices below the level are the extreme points of both graphs
+        return PLConvexFunction.lower_envelope(
+            v for v in A.vertices + B.vertices if v[-1] < level)
 
     # ---- serialization ------------------------------------------------
 

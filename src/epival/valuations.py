@@ -20,14 +20,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .bodies import GeometryError, Polytope
 from .functions import EpiMinNotConvex, PLConvexFunction
 from .linalg import solve as exact_solve
-from .measures import SphereMeasure, surface_area_measure
+from .measures import surface_area_measure
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epival.bodies import Polytope
+from epival.bodies import GeometryError, Polytope
 from epival.functions import (
     EpiMinNotConvex,
     MaxAffine,
     PLConvexFunction,
+    _as_piece,
+    _project_piece,
     epi_distance,
 )
+from epival.linalg import dot, sub
 
 
 def absfun():
@@ -109,7 +112,7 @@ class TestDictionary:
         for n in (1, 2):
             for _ in range(12):
                 u = random_envelope(rng, n)
-                assert PLConvexFunction.floor_of(u.graph_hull()) == u
+                assert PLConvexFunction.floor_of(u.epigraph) == u
 
     def test_floor_of_cube(self):
         C = Polytope.construct(
@@ -119,6 +122,11 @@ class TestDictionary:
         assert u == PLConvexFunction.constant(
             Polytope.construct([(0, 0), (1, 0), (1, 1), (0, 1)]), 0
         )
+
+    def test_floor_of_needs_a_graph_axis(self):
+        for body in (Polytope.empty(1), Polytope.construct([(0,), (1,)], 1)):
+            with pytest.raises(GeometryError):
+                PLConvexFunction.floor_of(body)
 
     def test_floor_of_rotated_square(self):
         K = Polytope.construct([(0, 0), (1, 1), (0, 2), (-1, 1)])
@@ -336,3 +344,87 @@ def test_envelope_convexity_midpoints(pts):
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
             va, vb, vm = u.evaluate(a), u.evaluate(b), u.evaluate(mid)
             assert vm is not None and vm <= (va + vb) / 2
+
+
+# ---- the derivations the truncated epigraph replaced, as references -------
+
+
+def pairwise_pieces(domain, pieces):
+    """Minimal pieces: clip the domain by every other piece and keep the
+    pieces whose region has the dimension of the domain."""
+    raw = [_as_piece(g, b) for g, b in pieces]
+    k = domain.intrinsic_dim
+    if k < domain.ambient_dim:
+        raw = [_project_piece(p, domain) for p in raw]
+    if k == 0:
+        x0 = domain.vertices[0]
+        return (((F(0),) * domain.ambient_dim, max(dot(g, x0) + b for g, b in raw)),)
+    raw = sorted(set(raw))
+    kept = []
+    for g, b in raw:
+        region = domain
+        for h, c in raw:
+            if (h, c) != (g, b):
+                region = region.clip(sub(h, g), b - c)
+        if not region.is_empty and region.intrinsic_dim == k:
+            kept.append((g, b))
+    return tuple(kept)
+
+
+def pairwise_cells(u):
+    out = []
+    for g, b in u.pieces:
+        region = u.domain
+        for h, c in u.pieces:
+            if (h, c) != (g, b):
+                region = region.clip(sub(h, g), b - c)
+        out.append((g, b, region))
+    return out
+
+
+def graph_hull_conjugate(u, verts):
+    """Conjugate pieces (v, -u(v)) at the extreme points of the graph,
+    found as the vertices of the hull of the graph points."""
+    hull = Polytope.construct([v + (u.evaluate(v),) for v in verts], u.n + 1)
+    return tuple(sorted((p[:-1], -p[-1]) for p in hull.vertices))
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def domain_and_pieces(draw):
+    n = draw(st.sampled_from((1, 2)))
+    # one or two points give a point or a segment, collinear ones a flat
+    # domain in the plane
+    pts = draw(st.lists(st.tuples(*[small] * n), min_size=1, max_size=4))
+    pieces = draw(st.lists(st.tuples(st.tuples(*[small] * n), small),
+                           min_size=1, max_size=4))
+    g, b = pieces[0]
+    if draw(st.booleans()):
+        pieces.append((g, b))
+    if draw(st.booleans()):
+        pieces.append((g, b - 1))
+    return Polytope.construct(pts, n), pieces
+
+
+@settings(max_examples=80, deadline=None)
+@given(domain_and_pieces())
+def test_epigraph_matches_old_derivations(case):
+    dom, pieces = case
+    u = PLConvexFunction.from_pieces(dom, pieces)
+    assert u.pieces == pairwise_pieces(dom, pieces)
+    cells = pairwise_cells(u)
+    assert [(g, b, c.vertices, c.halfspaces) for g, b, c in u.cells] == [
+        (g, b, c.vertices, c.halfspaces) for g, b, c in cells]
+    verts = tuple(sorted(set(dom.vertices).union(
+        *(c.vertices for _, _, c in cells))))
+    assert u.complex_vertices == verts
+    assert u.min_value == min(u.evaluate(v) for v in verts)
+    assert u.fenchel_conjugate().pieces == graph_hull_conjugate(u, verts)
+    # the epigraph handed over by from_pieces is the one built from the
+    # kept pieces
+    fresh = PLConvexFunction(u.domain, u.pieces).epigraph
+    assert fresh == u.epigraph and fresh.halfspaces == u.epigraph.halfspaces
+    assert PLConvexFunction.floor_of(u.epigraph) == u
+    assert PLConvexFunction.empty(u.n).complex_vertices == ()
