@@ -536,7 +536,9 @@ class Polytope:
             # a vertex strictly inside keeps the body full dimensional, and
             # an old facet stays a facet iff it has such a vertex
             hs = [h for h, idx in self._facets if any(vals[i] < 0 for i in idx)]
-            return Polytope(self.ambient_dim, tuple(new_pts), tuple(sorted(hs + [(m, c)])))
+            out = Polytope(self.ambient_dim, tuple(new_pts), tuple(sorted(hs + [(m, c)])))
+            out.__dict__["intrinsic_dim"] = self.ambient_dim
+            return out
         return Polytope.construct(new_pts, self.ambient_dim)
 
     def intersect(self, other: "Polytope") -> "Polytope":
@@ -561,19 +563,22 @@ class Polytope:
         )
 
     def is_union_convex(self, other: "Polytope") -> bool:
-        """Exact test whether the set union with the other body is convex.
+        """Exact test whether the set union with the other body is convex."""
+        return self._union_hull(other) is not None
+
+    def _union_hull(self, other: "Polytope") -> "Polytope | None":
+        """The convex hull of the union with the other body if the union is
+        convex, else None.
 
         The union is convex iff it fills its own convex hull up to measure
         zero in the hull's dimension, and inclusion-exclusion gives that
         measure exactly.  All four bodies are measured through one shared
         coordinate projection so the comparison is scale consistent.
         """
-        if self.is_empty or other.is_empty:
-            return True
         hull = self.convex_union(other)
+        if self.is_empty or other.is_empty or hull.intrinsic_dim == 0:
+            return hull
         k = hull.intrinsic_dim
-        if k == 0:
-            return True
         inter = self.intersect(other)
         if k == self.ambient_dim:
             vols = [b.volume for b in (self, other, hull, inter)]
@@ -581,7 +586,7 @@ class Polytope:
             cols = _independent_projection_columns(list(hull.vertices), k)
             vols = _volume_in_dim_of([self, other, hull, inter], k, cols)
         va, vb, vh, vi = vols
-        return vh == va + vb - vi
+        return hull if vh == va + vb - vi else None
 
     # ---- measure ------------------------------------------------------
 

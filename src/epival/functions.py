@@ -302,11 +302,11 @@ class PLConvexFunction:
         level = max(self.max_value, other.max_value) + 1
         A = _epigraph(self.domain, self.pieces, level)
         B = _epigraph(other.domain, other.pieces, level)
-        if not A.is_union_convex(B):
+        hull = A._union_hull(B)
+        if hull is None:
             raise EpiMinNotConvex("epigraph union is not convex")
-        # the vertices below the level are the extreme points of both graphs
-        return PLConvexFunction.lower_envelope(
-            v for v in A.vertices + B.vertices if v[-1] < level)
+        # the union is its own hull: the minimum's epigraph truncated at level
+        return PLConvexFunction.floor_of(hull)
 
     # ---- serialization ------------------------------------------------
 

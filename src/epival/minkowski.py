@@ -42,7 +42,17 @@ class NonPositiveMeasure(DegenerateNormals):
     """An atom weight is at or below 0 once atoms of one normal are merged."""
 
 
-def _merged_atoms(mu: SphereMeasure, direction_tol: float = 1e-9):
+# atoms whose unit normals lie within DIRECTION_TOL are merged; a measure
+# whose closedness residual exceeds BALANCE_TOL of its total mass is
+# rejected; the 3D Newton polish stops once every facet area is within
+# AREA_TOL (relative to the largest target area) or after MAX_ITER steps
+DIRECTION_TOL = 1e-9
+BALANCE_TOL = 1e-6
+AREA_TOL = 1e-9
+MAX_ITER = 200
+
+
+def _merged_atoms(mu: SphereMeasure):
     units: list[np.ndarray] = []
     raw: list[float] = []
     for n, w in mu.atoms:
@@ -62,9 +72,9 @@ def _merged_atoms(mu: SphereMeasure, direction_tol: float = 1e-9):
         n, w = units[k], raw[k]
         hit = False
         for idx in range(len(normals) - 1, -1, -1):
-            if n[0] - normals[idx][0] > direction_tol:
+            if n[0] - normals[idx][0] > DIRECTION_TOL:
                 break
-            if np.linalg.norm(normals[idx] - n) < direction_tol:
+            if np.linalg.norm(normals[idx] - n) < DIRECTION_TOL:
                 weights[idx] += w
                 hit = True
                 break
@@ -83,23 +93,21 @@ def project_closed(normals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weights - correction
 
 
-def _balance(normals, weights, balance_tol: float):
-    """Reject weights whose closedness residual exceeds balance_tol of the
+def _balance(normals, weights):
+    """Reject weights whose closedness residual exceeds BALANCE_TOL of the
     total mass, then project them onto the closedness constraint."""
     N = np.array(normals)
     w = np.array(weights, dtype=float)
     r = N.T @ w
     total = float(np.sum(np.abs(w))) or 1.0
-    if np.linalg.norm(r) > balance_tol * total:
+    if np.linalg.norm(r) > BALANCE_TOL * total:
         raise UnbalancedInput(
             f"closedness residual {np.linalg.norm(r):.3e} exceeds "
-            f"{balance_tol:.1e} of total mass")
+            f"{BALANCE_TOL:.1e} of total mass")
     return project_closed(N, w)
 
 
-def minkowski_solve(mu: SphereMeasure, balance_tol: float = 1e-6,
-                    area_tol: float = 1e-9,
-                    max_iter: int = 200) -> Polytope:
+def minkowski_solve(mu: SphereMeasure) -> Polytope:
     """The polytope whose surface area measure is mu, up to translation."""
     if mu.dim not in (2, 3):
         raise GeometryError(f"dimension {mu.dim} not supported")
@@ -108,20 +116,20 @@ def minkowski_solve(mu: SphereMeasure, balance_tol: float = 1e-6,
         raise NonPositiveMeasure("surface area measure must be positive")
     if mu.dim == 2:
         return Polytope.construct(
-            _edge_walk(normals, weights, balance_tol).tolist(), 2)
-    return _solve_3d(normals, weights, balance_tol, area_tol, max_iter)
+            _edge_walk(normals, weights).tolist(), 2)
+    return _solve_3d(normals, weights)
 
 
 # ---------------------------------------------------------------------------
 # dimension 2: the edge walk
 
 
-def _edge_walk(normals, weights, balance_tol: float) -> np.ndarray:
+def _edge_walk(normals, weights) -> np.ndarray:
     """Edges in angular order laid end to end, the closing gap spread
     evenly over the vertices."""
     if len(normals) < 3:
         raise DegenerateNormals("need at least three distinct edge normals")
-    w = _balance(normals, weights, balance_tol)
+    w = _balance(normals, weights)
     order = np.argsort([math.atan2(n[1], n[0]) for n in normals])
     pts = [np.zeros(2)]
     for k in order:
@@ -269,12 +277,11 @@ def _vertices(polys, L: float) -> np.ndarray:
     return np.array([np.mean(cl, axis=0) for cl in clusters])
 
 
-def _solve_3d(normals, weights, balance_tol: float, area_tol: float,
-              max_iter: int) -> Polytope:
+def _solve_3d(normals, weights) -> Polytope:
     N = np.array(normals)
     if len(normals) < 4 or np.linalg.matrix_rank(N, tol=1e-9) < 3:
         raise DegenerateNormals("normals do not span space")
-    target = _balance(normals, weights, balance_tol)
+    target = _balance(normals, weights)
     scale = float(np.max(target))
     m = len(normals)
 
@@ -316,8 +323,8 @@ def _solve_3d(normals, weights, balance_tol: float, area_tol: float,
     lam = float(target @ areas) / tt
     c = float(target @ h)
     best = float(np.max(np.abs(areas - lam * target)))
-    for _ in range(max_iter):
-        if best <= area_tol * max(1.0, lam * scale):
+    for _ in range(MAX_ITER):
+        if best <= AREA_TOL * max(1.0, lam * scale):
             break
         M = np.zeros((m + 1, m + 1))
         M[:m, :m] = J

@@ -1,10 +1,12 @@
 """Regions cut out of the unit sphere by polyhedral cones.
 
-A patch is built from exact rational cone generators.  The case analysis
-(lineality space, pointed part, extreme rays in cyclic order) is exact;
-measures and integrals of continuous functions over the patch are floats.
-Each patch also carries an exact halfspace description of its cone:
-bounding normals m with the meaning m·x ≤ 0.
+A patch is built from exact rational cone generators.  All cone structure
+is read off one exact hull: the facets of conv({0} ∪ generators) through
+the origin.  Their normals m give the cone as {x : m·x ≤ 0} (its bounding
+halfspaces, equality pairs included for a flat cone), decide membership,
+mark the lineality rays (those with m·r = 0 for every m) and the extreme
+rays of a pointed wedge.  Measures and integrals of continuous functions
+over the patch are floats.
 
 Patch kinds by linear span s and lineality l of the cone, ambient d:
     points    s=1        one direction (l=0) or an antipodal pair (l=1)
@@ -26,8 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .bodies import GeometryError, _hull_2d
-from .linalg import Vec, dot, mat_rank, primitive, solve
+from .bodies import GeometryError, Polytope, _hull_2d
+from .linalg import Vec, dot, mat_rank, primitive
 
 _GL_NODES = {}
 
@@ -49,25 +51,17 @@ def _unit(v) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
+def _tangent_normals(gens: Sequence[Sequence], d: int) -> list[tuple[int, ...]]:
+    """Normals m of the facets of conv({0} ∪ gens) through the origin, so
+    that cone(gens) = {x : m·x ≤ 0 for every m}: the tangent cone of a
+    polytope at a point is cut out by the facets through it."""
+    hull = Polytope.construct([(0,) * d, *gens], d)
+    return [m for m, c in hull.halfspaces if c == 0]
+
+
 def in_cone(x: Sequence[Fraction], gens: Sequence[Vec]) -> bool:
     """Exact membership of x in the conical hull of the generators."""
-    x = tuple(Fraction(v) for v in x)
-    if all(v == 0 for v in x):
-        return True
-    d = len(x)
-    for r in range(1, d + 1):
-        for sel in itertools.combinations(gens, r):
-            if mat_rank(sel) < r:
-                continue
-            gram = [[dot(a, b) for b in sel] for a in sel]
-            rhs = [dot(a, x) for a in sel]
-            lam = solve(gram, rhs)
-            if lam is None or any(l < 0 for l in lam):
-                continue
-            rec = [sum(lam[i] * sel[i][k] for i in range(r)) for k in range(d)]
-            if tuple(rec) == x:
-                return True
-    return False
+    return all(dot(m, x) <= 0 for m in _tangent_normals(gens, len(x)))
 
 
 def clip_cone(rays: Sequence[Vec], normal: Sequence) -> list[Vec]:
@@ -95,35 +89,30 @@ def _dedupe_rays(gens: Sequence[Vec]) -> list[tuple[int, ...]]:
     return seen
 
 
-def _extreme_pair(pointed: list[Vec]) -> tuple[Vec, Vec]:
-    """The two extreme rays of a pointed rank-2 cone, exact."""
-    if len(pointed) == 2:
-        return pointed[0], pointed[1]
-    for a, b in itertools.combinations(pointed, 2):
-        if mat_rank([a, b]) < 2:
-            continue
-        if all(in_cone(g, [a, b]) for g in pointed):
-            return a, b
-    raise GeometryError("no extreme pair found; cone not pointed of rank 2?")
-
-
-def _wedge_facets(ea: Vec, eb: Vec) -> list[Vec]:
-    """Bounding normals of the wedge between two independent extreme rays,
-    exact: minus the component of each ray orthogonal to the other."""
-    return [tuple(-x for x in linalg.reject(eb, [ea])),
-            tuple(-x for x in linalg.reject(ea, [eb]))]
+def _extreme_pair(pointed: list[Vec], normals: list[tuple[int, ...]]) -> tuple[Vec, Vec]:
+    """The two extreme rays of a pointed rank-2 cone, exact: the pointed
+    rays on a bounding hyperplane that is not an equality, in order.  Every
+    normal is orthogonal to the lineality space, so a ray and its part off
+    that space lie on the same hyperplanes."""
+    facets = [m for m in normals if tuple(-x for x in m) not in normals]
+    ea, eb = [g for g in pointed if any(dot(m, g) == 0 for m in facets)]
+    return ea, eb
 
 
 def _interior_direction(pointed: list[Vec]) -> Vec:
-    cands = [tuple(sum(g[k] for g in pointed) for k in range(3))]
-    fsum = np.sum([_unit(g) for g in pointed], axis=0)
-    if np.linalg.norm(fsum) > 1e-12:
-        cands.append(tuple(Fraction(x).limit_denominator(10 ** 6)
-                           for x in fsum / np.linalg.norm(fsum)))
-    for i, j in itertools.combinations(range(len(pointed)), 2):
-        cands.append(tuple(x + y for x, y in zip(pointed[i], pointed[j])))
-    cands.append(_interior_direction_lp(pointed))
-    for w in cands:
+    """An exact w with w·g > 0 for every generator; the LP is solved only
+    when every exact candidate fails."""
+    def candidates():
+        yield tuple(sum(g[k] for g in pointed) for k in range(3))
+        fsum = np.sum([_unit(g) for g in pointed], axis=0)
+        if np.linalg.norm(fsum) > 1e-12:
+            yield tuple(Fraction(x).limit_denominator(10 ** 6)
+                        for x in fsum / np.linalg.norm(fsum))
+        for i, j in itertools.combinations(range(len(pointed)), 2):
+            yield tuple(x + y for x, y in zip(pointed[i], pointed[j]))
+        yield _interior_direction_lp(pointed)
+
+    for w in candidates():
         if all(v == 0 for v in w):
             continue
         if all(dot(w, g) > 0 for g in pointed):
@@ -178,8 +167,9 @@ class SphericalPatch:
         if not rays:
             raise GeometryError("cone has no nonzero generators")
         rays_f = [tuple(Fraction(x) for x in r) for r in rays]
-        # lineality space: spanned by the rays whose negation stays inside
-        lin_rays = [r for r in rays_f if in_cone([-x for x in r], rays_f)]
+        bounding = _tangent_normals(rays, d)
+        # lineality space: spanned by the rays on every bounding hyperplane
+        lin_rays = [r for r in rays_f if all(dot(m, r) == 0 for m in bounding)]
         lin_basis = linalg.independent_subset(lin_rays)
         l = len(lin_basis)
         # pointed part: project the remaining rays off the lineality space
@@ -191,103 +181,81 @@ class SphericalPatch:
         s = l + p
 
         if d == 2:
-            kind, measure, data, span_facets = SphericalPatch._build_2d(
-                l, p, pointed, lin_basis)
+            kind, measure, data = SphericalPatch._build_2d(
+                l, p, pointed, lin_basis, bounding)
         else:
-            kind, measure, data, span_facets = SphericalPatch._build_3d(
-                l, p, s, pointed, lin_basis)
-
-        span_basis = list(lin_basis) + list(pointed)
-        bounding = [primitive(m) for m in span_facets]
-        if span_basis and mat_rank(span_basis) < d:
-            for m in linalg.orthogonal_complement(span_basis, d):
-                pm = primitive(m)
-                bounding.append(pm)
-                bounding.append(tuple(-x for x in pm))
+            kind, measure, data = SphericalPatch._build_3d(
+                l, p, s, pointed, lin_basis, bounding)
         return SphericalPatch(kind, d, measure, data,
                               tuple(rays_f), tuple(bounding))
 
     # ---- assembly ------------------------------------------------------
 
     @staticmethod
-    def _build_2d(l, p, pointed, lin_basis):
+    def _build_2d(l, p, pointed, lin_basis, bounding):
         if l == 2:
             e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-            return "arc", 2 * math.pi, (e1, e2, 0.0, 2 * math.pi), []
+            return "arc", 2 * math.pi, (e1, e2, 0.0, 2 * math.pi)
         if l == 1:
             if p == 0:
                 u = _unit(lin_basis[0])
-                return "points", 2.0, (u, -u), []
+                return "points", 2.0, (u, -u)
             # half plane: semicircle centered on the pointed direction
             a = _unit(pointed[0])
             t = _unit(lin_basis[0])
-            return "arc", math.pi, (t, a, 0.0, math.pi), \
-                [tuple(-x for x in pointed[0])]
+            return "arc", math.pi, (t, a, 0.0, math.pi)
         if p == 1:
-            a = pointed[0]
-            return "points", 1.0, (_unit(a),), [tuple(-x for x in a)]
-        ea, eb = _extreme_pair(pointed)
+            return "points", 1.0, (_unit(pointed[0]),)
+        ea, eb = _extreme_pair(pointed, bounding)
         ua, ub = _unit(ea), _unit(eb)
         ang = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
         sgn = 1.0 if (ua[0] * ub[1] - ua[1] * ub[0]) > 0 else -1.0
         e2 = np.array([-ua[1] * sgn, ua[0] * sgn])
-        return "arc", ang, (ua, e2, 0.0, ang), _wedge_facets(ea, eb)
+        return "arc", ang, (ua, e2, 0.0, ang)
 
     @staticmethod
-    def _build_3d(l, p, s, pointed, lin_basis):
+    def _build_3d(l, p, s, pointed, lin_basis, bounding):
         if s == 1:
             if l == 1:
                 u = _unit(lin_basis[0])
-                return "points", 2.0, (u, -u), []
-            a = pointed[0]
-            return "points", 1.0, (_unit(a),), [tuple(-x for x in a)]
+                return "points", 2.0, (u, -u)
+            return "points", 1.0, (_unit(pointed[0]),)
         if l == 3:
-            return "sphere", 4 * math.pi, (), []
+            return "sphere", 4 * math.pi, ()
         if l == 2 and p == 0:
             # the cone is a plane: great circle
             e1 = _unit(lin_basis[0])
             e2f = np.array([float(x) for x in lin_basis[1]])
             e2 = e2f - (e2f @ e1) * e1
             e2 /= np.linalg.norm(e2)
-            return "arc", 2 * math.pi, (e1, e2, 0.0, 2 * math.pi), []
+            return "arc", 2 * math.pi, (e1, e2, 0.0, 2 * math.pi)
         if l == 2:
             # half space: the pointed remainder is orthogonal to the plane
-            a = pointed[0]
-            return "cap", 2 * math.pi, (_unit(a),), [tuple(-x for x in a)]
+            return "cap", 2 * math.pi, (_unit(pointed[0]),)
         if s == 2:
             if l == 1:
                 # half great circle from -t through a to t
                 t = _unit(lin_basis[0])
                 a = _unit(pointed[0])
-                return "arc", math.pi, (t, a, 0.0, math.pi), \
-                    [tuple(-x for x in pointed[0])]
-            ea, eb = _extreme_pair(pointed)
+                return "arc", math.pi, (t, a, 0.0, math.pi)
+            ea, eb = _extreme_pair(pointed, bounding)
             ua, ub = _unit(ea), _unit(eb)
             ang = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
             e2 = ub - float(ub @ ua) * ua
             e2 /= np.linalg.norm(e2)
-            return "arc", ang, (ua, e2, 0.0, ang), _wedge_facets(ea, eb)
+            return "arc", ang, (ua, e2, 0.0, ang)
         if l == 1:
             # lune between the meridian planes through the wedge edges
-            ea, eb = _extreme_pair(pointed)
+            ea, eb = _extreme_pair(pointed, bounding)
             axis = _unit(lin_basis[0])
             ua, ub = _unit(ea), _unit(eb)
             theta = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
             e2 = ub - float(ub @ ua) * ua
             e2 /= np.linalg.norm(e2)
-            return "lune", 2 * theta, (axis, ua, e2, theta), _wedge_facets(ea, eb)
+            return "lune", 2 * theta, (axis, ua, e2, theta)
         # pointed full dimensional cone: spherical polygon
-        cyc = _extreme_cycle_3d(pointed)
-        w = _interior_direction(pointed)
-        facets = []
-        for i in range(len(cyc)):
-            a, b = cyc[i], cyc[(i + 1) % len(cyc)]
-            nu = linalg.cross3(a, b)
-            if dot(nu, w) > 0:
-                nu = tuple(-x for x in nu)
-            facets.append(nu)
-        verts = [_unit(v) for v in cyc]
-        return "polygon", _girard_area(verts), tuple(verts), facets
+        verts = [_unit(v) for v in _extreme_cycle_3d(pointed)]
+        return "polygon", _girard_area(verts), tuple(verts)
 
     # ---- queries -------------------------------------------------------
 

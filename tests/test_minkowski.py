@@ -118,7 +118,7 @@ def test_polygon_is_the_strict_hull_of_the_walk(draw):
     except DegenerateNormals:
         return
     walk = [tuple(map(F, p))
-            for p in _edge_walk(*_merged_atoms(mu), 1e-6).tolist()]
+            for p in _edge_walk(*_merged_atoms(mu)).tolist()]
     cycle = [P.vertices[i] for i in P.boundary_cycle]
     assert cycle[0] == min(walk)
     assert set(cycle) <= set(walk)

@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from epival.bodies import Polytope
+from epival.linalg import mat_rank, solve
 from epival.spherical import SphericalPatch, clip_cone, in_cone
 
 
@@ -159,6 +162,11 @@ class TestPatch3D:
             ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)], 3),
             ([(2, 1, 1), (1, 3, 1), (1, 1, 4), (3, 2, 2)], 3),
             ([(1, 0, 0), (-1, 0, 0), (0, 0, 1)], 3),
+            # a polygon whose edge normals, oriented by a direction of the
+            # dual cone, once excluded the generator (1, -2, -2)
+            ([(-1, 1, -2), (1, -2, -2), (3, -1, 3)], 3),
+            # a flat cone with three pointed generators
+            ([(2, 1, 1), (-1, 2, 2), (1, 3, 3)], 3),
         ]
         for gens, d in cases:
             p = patch(gens, d)
@@ -206,3 +214,52 @@ class TestPatch3D:
             p = patch(gens, 3)
             assert p.kind == "arc"
             assert p.measure == pytest.approx(math.pi / 2, abs=1e-14)
+
+
+def subset_in_cone(x, gens):
+    """Membership by the definition: x is a nonnegative combination of
+    some linearly independent subset of the generators."""
+    x = tuple(Fraction(v) for v in x)
+    if all(v == 0 for v in x):
+        return True
+    for r in range(1, len(x) + 1):
+        for sel in itertools.combinations(gens, r):
+            if mat_rank(sel) < r:
+                continue
+            gram = [[linalg_dot(a, b) for b in sel] for a in sel]
+            lam = solve(gram, [linalg_dot(a, x) for a in sel])
+            if lam is None or any(t < 0 for t in lam):
+                continue
+            if all(sum(lam[i] * sel[i][k] for i in range(r)) == x[k]
+                   for k in range(len(x))):
+                return True
+    return False
+
+
+@st.composite
+def cones_and_probes(draw):
+    d = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(-3, 3)] * d)
+    gens = draw(st.lists(vec, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in gens[0]))      # a lineality direction
+    if draw(st.booleans()):
+        gens.append(gens[-1])                         # a duplicate
+    probes = draw(st.lists(vec, min_size=1, max_size=8))
+    return d, gens, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(cones_and_probes())
+def test_hull_cone_structure_matches_subset_membership(case):
+    d, gens, probes = case
+    assume(any(any(g) for g in gens))
+    p = patch(gens, d)
+    rays = [tuple(Fraction(x) for x in r) for r in p.rays]
+    for x in probes + gens + [tuple(-v for v in g) for g in gens]:
+        ref = subset_in_cone(x, rays)
+        assert in_cone(x, gens) == ref
+        assert all(linalg_dot(m, x) <= 0 for m in p.bounding) == ref
+    lineality = [r for r in rays if subset_in_cone([-v for v in r], rays)]
+    assert lineality == [r for r in rays
+                         if all(linalg_dot(m, r) == 0 for m in p.bounding)]
