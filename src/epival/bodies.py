@@ -6,9 +6,13 @@ Vertices are fractions.Fraction tuples in lexicographic order.  Halfspaces
 are pairs (m, c) meaning m . x <= c with m a primitive integer vector; a
 flat body carries equality constraints as opposite halfspace pairs.
 
-A full dimensional body derives its facets once, in Polytope._facets:
-each halfspace with its vertices, in cyclic order in 3D.  Edges, volume,
-clipping and the facet areas of the surface area measure all read them.
+Every hull is decided on the integer image of its points, scaled by
+their common denominator: the monotone chain in the plane, one incremental
+hull in space, with no fallback.  A full dimensional body derives its
+facets once, in Polytope._facets: each halfspace with its vertices, in
+cyclic order in 3D.  Edges, volume, clipping and the facet areas of the
+surface area measure all read them.  A plane in space is projected one to
+one by dropping the last coordinate its normal uses (_last_axis).
 
 All predicates and constructions in this module are exact.  Floating
 point enters only through the float_* views, relative_volume_float, and
@@ -19,15 +23,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .linalg import Vec, cross3, dot, mat_rank, primitive, smul, solve, sub
+from .linalg import Vec, cross3, dot, primitive, smul, solve, sub
 
 Halfspace = tuple[tuple[int, ...], Fraction]
 
@@ -107,117 +113,77 @@ def _hull_2d(points: Iterable[Vec]) -> list[Vec]:
     return [image[p] for p in _chain(sorted(image))]
 
 
-def _hull_3d_incremental(points: list[Vec]) -> tuple[list[Halfspace], list[Vec]]:
-    """Exact incremental hull for affinely full rank point sets.
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    """Dot product of integer vectors, in integer arithmetic."""
+    return sum(map(mul, a, b))
 
-    Returns facet halfspaces and hull vertices.  Raises GeometryError when a
-    consistency check fails; the caller then retries with the brute force
-    enumeration.
+
+def _last_axis(m: Sequence) -> int:
+    """The last coordinate the normal m uses.  Dropping it projects the
+    normal's plane one to one onto the other coordinates."""
+    return max(j for j, x in enumerate(m) if x)
+
+
+def _hull_3d(pts: list[tuple[int, ...]]
+             ) -> tuple[list[tuple[tuple[int, ...], int]], set[int]]:
+    """Incremental hull (de Berg et al., Computational Geometry, ch. 11)
+    of distinct integer points of affine rank 3 in lexicographic order.
+
+    Returns each facet's primitive outer normal m with its offset m . a,
+    and the indices of the strict hull vertices: the union of the facets'
+    monotone chains.  Raises GeometryError if an input point lies outside.
     """
-    pts = sorted(set(points))
-    i0 = 0
-    i1 = next(i for i in range(len(pts)) if pts[i] != pts[i0])
-    i2 = next(
-        i
-        for i in range(len(pts))
-        if not linalg.is_zero(cross3(sub(pts[i1], pts[i0]), sub(pts[i], pts[i0])))
-    )
-    n012 = cross3(sub(pts[i1], pts[i0]), sub(pts[i2], pts[i0]))
-    i3 = next(i for i in range(len(pts)) if dot(n012, sub(pts[i], pts[i0])) != 0)
-    seed = [i0, i1, i2, i3]
-    center = smul(Fraction(1, 4), [sum(pts[i][k] for i in seed) for k in range(3)])
 
-    def oriented(a: int, b: int, c: int) -> tuple[int, int, int]:
-        n = cross3(sub(pts[b], pts[a]), sub(pts[c], pts[a]))
-        if dot(n, sub(center, pts[a])) > 0:
-            return (a, c, b)
-        return (a, b, c)
+    def cross(o, a, b):
+        u0, u1, u2 = a[0] - o[0], a[1] - o[1], a[2] - o[2]
+        v0, v1, v2 = b[0] - o[0], b[1] - o[1], b[2] - o[2]
+        return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
 
-    tris = [
-        oriented(seed[0], seed[1], seed[2]),
-        oriented(seed[0], seed[1], seed[3]),
-        oriented(seed[0], seed[2], seed[3]),
-        oriented(seed[1], seed[2], seed[3]),
-    ]
+    i2 = next(i for i in range(2, len(pts)) if any(cross(pts[0], pts[1], pts[i])))
+    n012 = cross(pts[0], pts[1], pts[i2])
+    i3 = next(i for i in range(2, len(pts))
+              if _idot(n012, pts[i]) != _idot(n012, pts[0]))
+    seed = (0, 1, i2, i3)
+    # four times the seed's centroid, a point inside every hull below
+    center = [sum(pts[i][k] for i in seed) for k in range(3)]
 
-    def tri_plane(t):
-        a, b, c = t
-        n = cross3(sub(pts[b], pts[a]), sub(pts[c], pts[a]))
-        return n, dot(n, pts[a])
+    def triangle(a, b, c):
+        """The triangle oriented away from the center, with its plane
+        n . x <= off."""
+        n = cross(pts[a], pts[b], pts[c])
+        off = _idot(n, pts[a])
+        if _idot(n, center) > 4 * off:
+            return (a, c, b), tuple(-x for x in n), -off
+        return (a, b, c), n, off
 
-    for p in range(len(pts)):
+    tris = [triangle(*t) for t in itertools.combinations(seed, 3)]
+    for p, x in enumerate(pts):
         if p in seed:
             continue
-        x = pts[p]
-        # seeing a facet includes lying on its plane: coplanar facets must
-        # be rebuilt with the new point or the horizon fans pinch
-        visible = []
-        strict = False
-        for t in tris:
-            n, off = tri_plane(t)
-            s = dot(n, x) - off
-            if s >= 0:
-                visible.append(t)
-                if s > 0:
-                    strict = True
-        if not strict:
+        sides = [_idot(n, x) - off for _, n, off in tris]
+        if max(sides) <= 0:
             continue
-        edge_count: dict[frozenset, int] = {}
-        for t in visible:
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                k = frozenset(e)
-                edge_count[k] = edge_count.get(k, 0) + 1
-        horizon = [tuple(k) for k, c in edge_count.items() if c == 1]
-        vis_set = set(visible)
-        tris = [t for t in tris if t not in vis_set]
-        for a, b in horizon:
-            tris.append(oriented(a, b, p))
+        # seeing a triangle includes lying on its plane: coplanar triangles
+        # must be rebuilt with the new point or the horizon fans pinch
+        edges = Counter(frozenset(e) for (t, _, _), s in zip(tris, sides) if s >= 0
+                        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])))
+        tris = [t for t, s in zip(tris, sides) if s < 0]
+        tris += [triangle(*e, p) for e, k in edges.items() if k == 1]
 
-    planes: dict[tuple[int, ...], Fraction] = {}
-    for t in tris:
-        n, off = tri_plane(t)
-        if linalg.is_zero(n):
-            raise GeometryError("degenerate facet in incremental hull")
-        m, c = _canon_halfspace(n, off)
-        if m in planes and planes[m] != c:
-            raise GeometryError("inconsistent facet planes")
-        planes[m] = c
-    hs = sorted(planes.items())
-    for x in pts:
-        for m, c in hs:
-            if dot([Fraction(v) for v in m], x) > c:
-                raise GeometryError("hull misses an input point")
-    idx = sorted({i for t in tris for i in t})
-    verts = []
-    for i in idx:
-        tight = [m for (m, c) in hs if dot([Fraction(v) for v in m], pts[i]) == c]
-        if mat_rank(tight) == 3:
-            verts.append(pts[i])
-    return [(m, c) for m, c in hs], sorted(verts)
-
-
-def _hull_3d_brute(points: list[Vec]) -> tuple[list[Halfspace], list[Vec]]:
-    pts = sorted(set(points))
-    planes: dict[tuple[int, ...], Fraction] = {}
-    for a, b, c in itertools.combinations(pts, 3):
-        n = cross3(sub(b, a), sub(c, a))
-        if linalg.is_zero(n):
-            continue
-        off = dot(n, a)
-        sides = [dot(n, p) - off for p in pts]
-        if all(s <= 0 for s in sides):
-            m, cc = _canon_halfspace(n, off)
-            planes.setdefault(m, cc)
-        elif all(s >= 0 for s in sides):
-            m, cc = _canon_halfspace([-x for x in n], -off)
-            planes.setdefault(m, cc)
-    hs = sorted(planes.items())
-    verts = []
-    for p in pts:
-        tight = [m for (m, c) in hs if dot([Fraction(v) for v in m], p) == c]
-        if mat_rank(tight) == 3:
-            verts.append(p)
-    return [(m, c) for m, c in hs], verts
+    corners: dict[tuple[int, ...], set[int]] = defaultdict(set)
+    for t, n, _ in tris:
+        g = math.gcd(*n)
+        corners[tuple(x // g for x in n)].update(t)
+    facets, verts = [], set()
+    for m, idx in corners.items():
+        off = _idot(m, pts[min(idx)])
+        if max(_idot(m, x) for x in pts) > off:
+            raise GeometryError("hull misses an input point")
+        facets.append((m, off))
+        k = _last_axis(m)
+        proj = {pts[i][:k] + pts[i][k + 1:]: i for i in idx}
+        verts.update(proj[c] for c in _chain(sorted(proj)))
+    return facets, verts
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +214,7 @@ class Polytope:
         q, image = _integer_image(pts)
         keys = sorted(image)
         pts = [image[k] for k in keys]
-        rank = _affine_rank(pts)
+        rank = _affine_rank(keys)
         if rank < ambient_dim:
             return Polytope._construct_flat(pts, ambient_dim, rank)
         if ambient_dim == 1:
@@ -266,14 +232,12 @@ class Polytope:
                 n = (b[1] - a[1], a[0] - b[0])
                 g = math.gcd(*n)
                 m = (n[0] // g, n[1] // g)
-                hs.append((m, Fraction(m[0] * a[0] + m[1] * a[1], q)))
+                hs.append((m, Fraction(_idot(m, a), q)))
             return Polytope(2, tuple(image[k] for k in sorted(cycle)),
                             tuple(sorted(hs)))
-        try:
-            hs, verts = _hull_3d_incremental(pts)
-        except GeometryError:
-            hs, verts = _hull_3d_brute(pts)
-        return Polytope(3, tuple(sorted(verts)), tuple(sorted(hs)))
+        facets, idx = _hull_3d(keys)
+        return Polytope(3, tuple(pts[i] for i in sorted(idx)),
+                        tuple(sorted((m, Fraction(c, q)) for m, c in facets)))
 
     @staticmethod
     def _construct_flat(pts: list[Vec], ambient_dim: int, rank: int) -> "Polytope":
@@ -396,7 +360,7 @@ class Polytope:
         if self.is_empty:
             return False
         x = tuple(Fraction(v) for v in point)
-        return all(dot([Fraction(v) for v in m], x) <= c for m, c in self.halfspaces)
+        return all(dot(m, x) <= c for m, c in self.halfspaces)
 
     def support(self, direction: Sequence) -> Fraction:
         if self.is_empty:
@@ -416,11 +380,14 @@ class Polytope:
         """Vertex indices of a 2 dimensional body in cyclic order."""
         if self.intrinsic_dim != 2:
             raise GeometryError("boundary cycle needs a 2 dimensional body")
-        cols = _independent_projection_columns(self.vertices, 2)
-        _, image = _integer_image(tuple(v[c] for c in cols)
-                                  for v in self.vertices)
+        verts = self.vertices
+        if self.ambient_dim == 3:
+            # drop the last coordinate the plane's normal uses
+            k = _last_axis(self.equality_planes[0][0])
+            verts = [v[:k] + v[k + 1:] for v in verts]
         # the projection is one to one on the vertices, so their images
         # are distinct and keep the vertex order
+        _, image = _integer_image(verts)
         index = {k: i for i, k in enumerate(image)}
         return tuple(index[k] for k in _chain(sorted(image)))
 
@@ -456,10 +423,10 @@ class Polytope:
         q, ints = self._image
         out = []
         for m, c in self.halfspaces:
-            idx = [i for i, p in enumerate(ints) if sum(
-                a * b for a, b in zip(m, p)) * c.denominator == q * c.numerator]
+            idx = [i for i, p in enumerate(ints)
+                   if _idot(m, p) * c.denominator == q * c.numerator]
             if self.ambient_dim == 3:
-                k = max(j for j in range(3) if m[j])
+                k = _last_axis(m)
                 proj = {(ints[i][:k] + ints[i][k + 1:]): i for i in idx}
                 idx = [proj[p] for p in _chain(sorted(proj))]
             out.append(((m, c), tuple(idx)))
@@ -473,7 +440,7 @@ class Polytope:
         t = tuple(Fraction(v) for v in shift)
         verts = tuple(sorted(linalg.add(v, t) for v in self.vertices))
         hs = tuple(
-            sorted((m, c + dot([Fraction(v) for v in m], t)) for m, c in self.halfspaces)
+            sorted((m, c + dot(m, t)) for m, c in self.halfspaces)
         )
         return Polytope(self.ambient_dim, verts, hs)
 
@@ -516,8 +483,7 @@ class Polytope:
         m, c = _canon_halfspace([Fraction(v) for v in normal], Fraction(offset))
         # the slack m . v - c of each vertex v, times q * c.denominator > 0
         q, ints = self._image
-        vals = [sum(a * b for a, b in zip(m, p)) * c.denominator - q * c.numerator
-                for p in ints]
+        vals = [_idot(m, p) * c.denominator - q * c.numerator for p in ints]
         if all(v <= 0 for v in vals):
             return self
         keep = [v for v, s in zip(self.vertices, vals) if s <= 0]
@@ -583,7 +549,15 @@ class Polytope:
         if k == self.ambient_dim:
             vols = [b.volume for b in (self, other, hull, inter)]
         else:
-            cols = _independent_projection_columns(list(hull.vertices), k)
+            # a segment projects one to one onto the first coordinate its
+            # direction uses, a polygon in space onto the coordinates left
+            # when the last one its normal uses is dropped
+            if k == 1:
+                u = sub(hull.vertices[-1], hull.vertices[0])
+                cols = (next(j for j, x in enumerate(u) if x),)
+            else:
+                drop = _last_axis(hull.equality_planes[0][0])
+                cols = tuple(j for j in range(3) if j != drop)
             vols = _volume_in_dim_of([self, other, hull, inter], k, cols)
         va, vb, vh, vi = vols
         return hull if vh == va + vb - vi else None
@@ -601,7 +575,7 @@ class Polytope:
         total = Fraction(0)
         for (m, c), idx in self._facets:
             # the facet's area projected along coordinate k
-            k = max(j for j in range(d) if m[j])
+            k = _last_axis(m)
             proj = [self.vertices[i][:k] + self.vertices[i][k + 1:] for i in idx]
             if d == 2:
                 area = abs(proj[1][0] - proj[0][0])
@@ -719,17 +693,6 @@ def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndar
         best = np.where(inside, 0.0, best)
         proj[inside] = pts[inside]
     return best, proj
-
-
-def _independent_projection_columns(verts: Sequence[Vec], k: int) -> tuple[int, ...]:
-    """Coordinate columns onto which the affine hull projects bijectively."""
-    basis = _affine_basis(list(verts))
-    d = len(verts[0])
-    for cols in itertools.combinations(range(d), k):
-        sub_rows = [[u[c] for c in cols] for u in basis]
-        if mat_rank(sub_rows) == k:
-            return cols
-    raise GeometryError("no independent projection found")
 
 
 def _volume_in_dim_of(bodies: Sequence[Polytope], k: int, cols: tuple[int, ...]) -> list[Fraction]:

@@ -363,6 +363,14 @@ def _cmd_gw(args) -> int:
             raise CliUsageError(
                 f"{infile}: gw takes a measure in one variable, got n={mu.n}")
         family = _parse_family(payload["family"])
+        if not family:
+            raise CliUsageError(f"{infile}: family needs at least one function")
+        for i, f in enumerate(family):
+            if f.n != mu.n:
+                raise CliUsageError(f"{infile}: family entry {i} has n={f.n}, "
+                                    f"the measure has n={mu.n}")
+            if f.is_empty:
+                raise CliUsageError(f"{infile}: family entry {i} has an empty domain")
         bump = payload.get("bump", "smooth")
         mollifier_kernel(bump, mu.n)  # rejects an unknown bump here
     except (KeyError, TypeError) as exc:

@@ -24,7 +24,7 @@ import numpy as np
 from .bodies import GeometryError, Polytope, _face_measure, nearest_points
 from .functions import PLConvexFunction
 from .linalg import Vec, dot, primitive, norm_sq, sub
-from .spherical import SphericalPatch, clip_cone, _adaptive_1d, _adaptive_tri
+from .spherical import SphericalPatch, _adaptive_1d, _adaptive_tri
 
 
 def density_constant(d: int, i: int) -> Fraction:
@@ -485,20 +485,21 @@ def hessian_steiner(u: PLConvexFunction, t: Fraction,
 def _lower_clip(patch: SphericalPatch, n: int,
                 bound: Optional[Fraction]) -> Optional[SphericalPatch]:
     """Restrict a normal-cone patch to the open lower half sphere and,
-    optionally, to the gradient box pulled back through the projection."""
+    optionally, to the gradient box pulled back through the projection.
+
+    The cuts are homogeneous, so they cut the pyramid conv({0} ∪ rays) to
+    a body whose nonzero vertices generate the cut cone."""
     d = n + 1
-    e_last = tuple(Fraction(1) if k == n else Fraction(0) for k in range(d))
-    rays = clip_cone(patch.rays, e_last)
+    cuts = [tuple(int(k == n) for k in range(d))]
     if bound is not None:
         for j in range(n):
             for sgn in (1, -1):
-                m = [Fraction(0)] * d
-                m[j] = Fraction(sgn)
-                m[n] = Fraction(bound)
-                rays = clip_cone(rays, tuple(m))
-                if not rays:
-                    return None
-    rays = [r for r in rays if any(x != 0 for x in r)]
+                cuts.append(tuple(sgn if k == j else bound if k == n else 0
+                                  for k in range(d)))
+    body = Polytope.construct([(0,) * d, *patch.rays], d)
+    for m in cuts:
+        body = body.clip(m, 0)
+    rays = [v for v in body.vertices if any(v)]
     if not rays or all(r[-1] == 0 for r in rays):
         return None
     return SphericalPatch.from_generators(rays, d)

@@ -64,20 +64,6 @@ def in_cone(x: Sequence[Fraction], gens: Sequence[Vec]) -> bool:
     return all(dot(m, x) <= 0 for m in _tangent_normals(gens, len(x)))
 
 
-def clip_cone(rays: Sequence[Vec], normal: Sequence) -> list[Vec]:
-    """Generators of cone(rays) ∩ {x : normal·x ≤ 0} (double description step)."""
-    nrm = tuple(Fraction(x) for x in normal)
-    out = [r for r in rays if dot(nrm, r) <= 0]
-    below = [r for r in rays if dot(nrm, r) < 0]
-    above = [r for r in rays if dot(nrm, r) > 0]
-    for a in below:
-        for b in above:
-            w = tuple(dot(nrm, b) * x - dot(nrm, a) * y for x, y in zip(a, b))
-            if any(v != 0 for v in w):
-                out.append(w)
-    return out
-
-
 def _dedupe_rays(gens: Sequence[Vec]) -> list[tuple[int, ...]]:
     seen = []
     for g in gens:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,10 +11,9 @@ from epival.bodies import (
     Polytope,
     _affine_rank,
     _canon_halfspace,
-    _hull_3d_brute,
-    _hull_3d_incremental,
+    _last_axis,
 )
-from epival.linalg import cross3, mat_rank, norm_sq, sub
+from epival.linalg import cross3, dot, independent_subset, mat_rank, norm_sq, sub
 from epival.measures import nearest_points, surface_area_measure
 
 
@@ -76,17 +76,42 @@ class TestConstruct:
         assert E.is_empty and E.volume == 0 and not E.contains((0, 0))
 
 
+def brute_hull(points):
+    """Plane enumeration in Fraction arithmetic: the planes through three
+    points with every point on one side, and the points where the tight
+    planes have rank 3.  Sorted halfspaces and vertices."""
+    pts = sorted(set(map(lambda p: tuple(map(F, p)), points)))
+    planes = {}
+    for a, b, c in itertools.combinations(pts, 3):
+        n = cross3(sub(b, a), sub(c, a))
+        if not any(n):
+            continue
+        off = dot(n, a)
+        sides = [dot(n, p) - off for p in pts]
+        if all(s <= 0 for s in sides):
+            m, cc = _canon_halfspace(n, off)
+            planes.setdefault(m, cc)
+        elif all(s >= 0 for s in sides):
+            m, cc = _canon_halfspace([-x for x in n], -off)
+            planes.setdefault(m, cc)
+    hs = sorted(planes.items())
+    verts = [p for p in pts
+             if mat_rank([m for m, c in hs if dot(m, p) == c]) == 3]
+    return hs, verts
+
+
 class TestHullAgainstBruteForce:
-    """The fast incremental hull must agree with plane enumeration on
-    degenerate inputs: grids, boundary-heavy and cospherical points."""
+    """The incremental hull on integer images must agree with plane
+    enumeration on degenerate inputs: grids, boundary-heavy and
+    cospherical points, and floats with huge common denominators."""
 
     def _check(self, pts):
-        if _affine_rank(sorted(set(pts))) < 3:
+        if _affine_rank(sorted(set(map(lambda p: tuple(map(F, p)), pts)))) < 3:
             return
-        hi, vi = _hull_3d_incremental(pts)
-        hb, vb = _hull_3d_brute(pts)
-        assert sorted(hi) == sorted(hb)
-        assert sorted(vi) == sorted(vb)
+        P = Polytope.construct(pts, 3)
+        hs, verts = brute_hull(pts)
+        assert list(P.halfspaces) == hs
+        assert list(P.vertices) == verts
 
     def test_grid_points(self):
         rng = random.Random(7)
@@ -122,6 +147,38 @@ class TestHullAgainstBruteForce:
             pts.append((F(18 * a, s + 81), F(18 * b, s + 81), F(9 * (s - 81), s + 81)))
         self._check(pts)
 
+    def test_perturbed_cube_floats(self):
+        # cube corners and face centers moved by a few units in the last
+        # place or by 1e-9: some stay vertices, some fall inside
+        rng = random.Random(17)
+        corners = [(x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+        centers = [(0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (1.0, 0.5, 0.5)]
+        for scale in (1e-15, 1e-9):
+            for _ in range(10):
+                pts = [tuple(F(x + rng.uniform(-scale, scale)) for x in p)
+                       for p in corners + centers]
+                self._check(pts)
+
+    def test_tiny_coordinates(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            pts = [tuple(F(rng.randint(-3, 3) * 1e-300 + rng.uniform(-1, 1) * 1e-301)
+                         for _ in range(3)) for _ in range(9)]
+            self._check(pts + [(1e-300, 0.0, 0.0), (0.0, 1e-300, 0.0),
+                               (0.0, 0.0, 1e-300), (0.0, 0.0, 0.0)])
+
+    # decimals, floats and small fractions, as in TestPlaneHull
+    xyz = st.one_of(st.floats(-1e3, 1e3),
+                    st.integers(-30, 30).map(lambda k: k / 10),
+                    st.fractions(-10, 10, max_denominator=12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(xyz, xyz, xyz), min_size=1, max_size=9))
+    def test_matches_plane_enumeration(self, pts):
+        # three points off the first one make the hull three dimensional
+        x, y, z = pts[0]
+        self._check(pts + [(x + 1, y, z), (x, y + 1, z), (x, y, z + 1)])
+
     def test_volume_matches_scipy(self):
         from scipy.spatial import ConvexHull
 
@@ -136,6 +193,40 @@ class TestHullAgainstBruteForce:
             P = Polytope.construct(pts)
             H = ConvexHull(np.array([[float(x) for x in p] for p in pts]))
             assert abs(float(P.volume) - H.volume) < 1e-9
+
+
+def subset_columns(verts, k):
+    """The first k coordinate columns, in itertools order, onto which the
+    affine hull of the points projects one to one: the subset search that
+    _last_axis and the segment rule replace."""
+    basis = independent_subset(sub(p, verts[0]) for p in verts[1:])
+    for cols in itertools.combinations(range(len(verts[0])), k):
+        if mat_rank([[u[c] for c in cols] for u in basis]) == k:
+            return cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(*(st.lists(st.tuples(*[grid] * d), min_size=2, max_size=8)
+                   for grid in (st.integers(-2, 2), st.integers(0, 1))
+                   for d in (2, 3))))
+def test_projection_rule_matches_subset_search(pts):
+    """Segments in the plane and in space project onto the first
+    coordinate their direction uses; polygons in space and the facets of
+    bodies drop the last coordinate their normal uses."""
+    d = len(pts[0])
+    P = Polytope.construct(pts, d)
+    k = P.intrinsic_dim
+    if k == 1:
+        u = sub(P.vertices[-1], P.vertices[0])
+        assert (next(j for j, x in enumerate(u) if x),) == subset_columns(P.vertices, 1)
+    if k == 2 and d == 3:
+        drop = _last_axis(P.equality_planes[0][0])
+        assert tuple(j for j in range(3) if j != drop) == subset_columns(P.vertices, 2)
+    if k == d:
+        for (m, _), idx in P._facets:
+            drop = _last_axis(m)
+            cols = subset_columns([P.vertices[i] for i in idx], d - 1)
+            assert tuple(j for j in range(d) if j != drop) == cols
 
 
 def fraction_polygon(points):

@@ -242,6 +242,27 @@ class TestGw:
         assert "bad family entry" in capsys.readouterr().err
         assert not (tmp_path / "gwrep.json").exists()
 
+    square = Polytope.construct([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
+    empty_domain = {"domain": {"dim": 1, "vertices": []}, "n": 1,
+                    "pieces": [{"a": ["0"], "b": "0"}]}
+
+    @pytest.mark.parametrize("family, message", [
+        ([PLConvexFunction.constant(square, 0).to_dict()],
+         "family entry 0 has n=2, the measure has n=1"),
+        ([empty_domain], "family entry 0 has an empty domain"),
+        ([], "family needs at least one function"),
+    ], ids=["other_n", "empty_domain", "no_functions"])
+    def test_bad_family(self, tmp_path, capsys, family, message):
+        path = tmp_path / "gw.json"
+        gw_input_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["family"] = family
+        path.write_text(json.dumps(payload))
+        assert run("gw", "--in", str(path), "--j-list", "2",
+                   "--out", str(tmp_path / "gwrep")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "gwrep.json").exists()
+
     def test_missing_family_key(self, tmp_path):
         path = tmp_path / "nofam.json"
         path.write_text(json.dumps({"measure": {"n": 1, "atoms": []}}))

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from epival.bodies import Polytope
 from epival.linalg import mat_rank, solve
-from epival.spherical import SphericalPatch, clip_cone, in_cone
+from epival.measures import _lower_clip
+from epival.spherical import SphericalPatch, in_cone
 
 
 def patch(gens, d):
@@ -185,23 +186,21 @@ class TestPatch3D:
         assert q.contains_direction(np.array([0.0, 0.0, 1.0]))
         assert not q.contains_direction(np.array([-1.0, 0.1, 0.0]) / np.linalg.norm([-1.0, 0.1, 0.0]))
 
-    def test_clip_cone_octant(self):
-        gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        # cut by x + y + z has no effect below; cutting by z leaves the quarter plane
-        cut = clip_cone([tuple(map(Fraction, g)) for g in gens], (0, 0, 1))
-        p = patch(cut, 3)
-        assert p.kind == "arc"
+    def test_lower_clip_octant(self):
+        # cutting the quarter space x, y >= 0 by z <= 0 leaves an octant;
+        # the octant x, y, z >= 0 only meets z <= 0 on the equator
+        p = check_lower_clip([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], 2, None)
+        assert p.kind == "polygon"
         assert p.measure == pytest.approx(math.pi / 2, abs=1e-14)
+        assert check_lower_clip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, None) is None
 
-    def test_clip_cone_tilted(self):
-        gens = [tuple(map(Fraction, g)) for g in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
-        cut = clip_cone(gens, (1, 1, -1))
-        p = patch(cut, 3)
-        # the plane x+y=z slices the octant; quadrature still matches Girard
+    def test_lower_clip_tilted(self):
+        # the gradient box x <= -z, y <= -z slices the lower octant; the
+        # quadrature still matches Girard
+        p = check_lower_clip([(1, 0, 0), (0, 1, 0), (0, 0, -1)], 2, Fraction(1))
         assert p.kind == "polygon"
         assert p.integrate(lambda u: 1.0) == pytest.approx(p.measure, abs=1e-9)
-        for r in cut:
-            assert linalg_dot((1, 1, -1), r) <= 0
+        assert sorted(p.rays) == [(0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1)]
 
     def test_cube_edge_cones(self):
         cube = Polytope.construct(
@@ -214,6 +213,53 @@ class TestPatch3D:
             p = patch(gens, 3)
             assert p.kind == "arc"
             assert p.measure == pytest.approx(math.pi / 2, abs=1e-14)
+
+
+def dd_clip(rays, normal):
+    """The double description step: generators of cone(rays) ∩ {x :
+    normal·x ≤ 0}, every below/above pair kept, none dropped."""
+    side = [linalg_dot(normal, r) for r in rays]
+    out = [r for r, s in zip(rays, side) if s <= 0]
+    for a, sa in zip(rays, side):
+        for b, sb in zip(rays, side):
+            if sa < 0 < sb:
+                out.append(tuple(sb * x - sa * y for x, y in zip(a, b)))
+    return out
+
+
+def check_lower_clip(gens, n, bound):
+    """_lower_clip against the double description steps it replaced: the
+    same bounding set and kind, the measure to 1e-12."""
+    d = n + 1
+    p = patch(gens, d)
+    rays = dd_clip(p.rays, tuple(int(k == n) for k in range(d)))
+    if bound is not None:
+        for j in range(n):
+            for sgn in (1, -1):
+                m = tuple(sgn if k == j else bound if k == n else 0
+                          for k in range(d))
+                rays = dd_clip(rays, m)
+    rays = [r for r in rays if any(r)]
+    got = _lower_clip(p, n, bound)
+    if not rays or all(r[-1] == 0 for r in rays):
+        assert got is None
+        return None
+    ref = patch(rays, d)
+    assert got.kind == ref.kind
+    assert set(got.bounding) == set(ref.bounding)
+    assert got.measure == pytest.approx(ref.measure, abs=1e-12)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * (n + 1)), min_size=1, max_size=6),
+    st.sampled_from([None, Fraction(1, 2), Fraction(3)]))))
+def test_lower_clip_matches_double_description(case):
+    n, gens, bound = case
+    assume(any(any(g) for g in gens))
+    check_lower_clip(gens, n, bound)
 
 
 def subset_in_cone(x, gens):
