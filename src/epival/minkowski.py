@@ -2,21 +2,26 @@
 
 Dimension 2 is a direct edge walk: sort the normals by angle, lay the
 edges end to end, close the tiny float gap.  Dimension 3 solves the
-variational form of the problem: maximize the enclosed volume over
-support offsets h on the slice {target . h = const}, where cube root
-of volume is concave, so projected gradient ascent cannot stall even
-while some facets are still empty.  A bordered Newton polish on the
-stationarity system A(h) = lam * target then converges quadratically
-using the analytic area Jacobian
+variational form of the problem: minimize
+
+    f(h) = target . h - log V(h)
+
+over support offsets h.  By Brunn-Minkowski log V is concave, so f is
+convex, and the translations span its kernel.  Its gradient is
+target - A/V, so at the minimum the facet areas are A = V * target and
+h / sqrt(V) is the body.  One Levenberg-Marquardt damped Newton loop
+finds it, with the Hessian -J/V + A A^T / V^2 built from the analytic
+area Jacobian
 
     dA_i/dh_j = len(i, j) / sin(i, j)          for adjacent facets
     dA_i/dh_i = -sum_j len(i, j) * cos(i, j) / sin(i, j)
 
-whose kernel is exactly the translations.  Facet polygons are computed
-by clipping each facet's plane against all the other halfspaces, which
-keeps every edge length tagged by the neighbor that produced it.  The
-input measure must be positive and closed; both failure modes get
-their own exception.
+The damping gives a facet that has left the body a gradient step back.
+Facet polygons are computed by clipping each facet's plane against all
+the other halfspaces, which keeps every edge length tagged by the
+neighbor that produced it; each plane's basis and cut directions depend
+on the normals only and are computed once per solve.  The input measure
+must be positive and closed; both failure modes get their own exception.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ class NonPositiveMeasure(DegenerateNormals):
 
 # atoms whose unit normals lie within DIRECTION_TOL are merged; a measure
 # whose closedness residual exceeds BALANCE_TOL of its total mass is
-# rejected; the 3D Newton polish stops once every facet area is within
-# AREA_TOL (relative to the largest target area) or after MAX_ITER steps
+# rejected; the 3D Newton loop stops once every rescaled facet area is
+# within AREA_TOL of its target, relative to the largest target area, or
+# after MAX_ITER steps
 DIRECTION_TOL = 1e-9
 BALANCE_TOL = 1e-6
 AREA_TOL = 1e-9
@@ -65,21 +71,24 @@ def _merged_atoms(mu: SphereMeasure):
     # lexicographic sort so duplicates land next to each other; a short
     # backward scan over entries with a close leading coordinate then
     # merges them without the quadratic all-pairs comparison
-    order = sorted(range(len(units)), key=lambda k: tuple(units[k]))
+    keys = [tuple(u.tolist()) for u in units]
+    order = sorted(range(len(units)), key=keys.__getitem__)
     normals: list[np.ndarray] = []
+    kept: list[tuple] = []
     weights: list[float] = []
     for k in order:
-        n, w = units[k], raw[k]
+        n, w = keys[k], raw[k]
         hit = False
-        for idx in range(len(normals) - 1, -1, -1):
-            if n[0] - normals[idx][0] > DIRECTION_TOL:
+        for idx in range(len(kept) - 1, -1, -1):
+            if n[0] - kept[idx][0] > DIRECTION_TOL:
                 break
-            if np.linalg.norm(normals[idx] - n) < DIRECTION_TOL:
+            if math.dist(kept[idx], n) < DIRECTION_TOL:
                 weights[idx] += w
                 hit = True
                 break
         if not hit:
-            normals.append(n)
+            normals.append(units[k])
+            kept.append(n)
             weights.append(w)
     keep = [k for k, w in enumerate(weights) if abs(w) > 1e-14]
     return [normals[k] for k in keep], [weights[k] for k in keep]
@@ -178,7 +187,38 @@ def _clip_chain(edges, a, b, c, tag):
     return out
 
 
-def _facet_polygons(normals: np.ndarray, h: np.ndarray):
+def _facet_frames(normals: np.ndarray):
+    """What each facet plane's clipping needs of the normals alone, so
+    that one solve computes it once.
+
+    Facet i gets (e1, e2, cuts, parallel, sins): an orthonormal basis of
+    its plane; (j, a/s, b/s, s) for each other facet j whose normal has
+    in-plane coefficients (a, b) of length s; the facets parallel to it;
+    and s by neighbor, the sine of the angle between the two normals."""
+    frames = []
+    for i, ni in enumerate(normals):
+        e1 = np.cross(ni, [1.0, 0.0, 0.0])
+        if np.linalg.norm(e1) < 0.1:
+            e1 = np.cross(ni, [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(ni, e1)
+        cuts, parallel = [], []
+        for j, nj in enumerate(normals):
+            if j == i:
+                continue
+            a = float(nj @ e1)
+            b = float(nj @ e2)
+            s = math.hypot(a, b)
+            if s < 1e-12:
+                parallel.append(j)
+            else:
+                cuts.append((j, a / s, b / s, s))
+        frames.append((e1, e2, cuts, parallel,
+                       {j: s for j, _, _, s in cuts}))
+    return frames
+
+
+def _facet_polygons(normals: np.ndarray, frames, h: np.ndarray):
     """The nonempty facet polygons at support vector h and the half-width
     L of the seed box they were clipped from; (None, L) when the body is
     empty.
@@ -190,47 +230,37 @@ def _facet_polygons(normals: np.ndarray, h: np.ndarray):
     the sine of the angle to each neighbor."""
     L = 100.0 * (1.0 + float(np.max(np.abs(h))))
     for _ in range(3):
-        polys = _facet_polygons_at(normals, h, L)
+        polys = _facet_polygons_at(normals, frames, h, L)
         if polys is not None:
             return polys or None, L
         L *= 100.0
     return None, L
 
 
-def _facet_polygons_at(normals: np.ndarray, h: np.ndarray, L: float):
+def _facet_polygons_at(normals: np.ndarray, frames, h: np.ndarray,
+                       L: float):
     """The facet polygons clipped from a seed box of half-width L, or
     None when the box is too small for this support vector."""
-    m = len(normals)
+    origins = h[:, None] * normals
+    # offsets[i][j] = h_j - n_j . p0_i: facet j's line in facet i's plane
+    offsets = (h - np.vecdot(normals, origins[:, None, :])).tolist()
+    corners = [(-L, -L), (L, -L), (L, L), (-L, L)]
+    box = [((corners[k], corners[(k + 1) % 4]), None) for k in range(4)]
     polys = []
-    for i in range(m):
-        ni = normals[i]
-        e1 = np.cross(ni, [1.0, 0.0, 0.0])
-        if np.linalg.norm(e1) < 0.1:
-            e1 = np.cross(ni, [0.0, 1.0, 0.0])
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(ni, e1)
-        p0 = h[i] * ni
-        corners = [(-L, -L), (L, -L), (L, L), (-L, L)]
-        edges = [((corners[k], corners[(k + 1) % 4]), None) for k in range(4)]
-        sins = {}
-        for j in range(m):
-            if j == i or edges is None:
-                continue
-            a = float(normals[j] @ e1)
-            b = float(normals[j] @ e2)
-            c = float(h[j] - normals[j] @ p0)
-            s = math.hypot(a, b)
-            if s < 1e-12:
-                if c < -1e-9:
-                    edges = None
-                continue
-            sins[j] = s
-            edges = _clip_chain(edges, a / s, b / s, c / s, j)
+    for i, (e1, e2, cuts, parallel, sins) in enumerate(frames):
+        c = offsets[i]
+        if any(c[j] < -1e-9 for j in parallel):
+            continue
+        edges = box
+        for j, a, b, s in cuts:
+            edges = _clip_chain(edges, a, b, c[j] / s, j)
+            if edges is None:
+                break
         if edges is None:
             continue
         if any(et is None for _, et in edges):
             return None  # seed box too small for this support vector
-        polys.append((i, p0, e1, e2, edges, sins))
+        polys.append((i, origins[i], e1, e2, edges, sins))
     return polys
 
 
@@ -253,10 +283,10 @@ def _areas_and_jacobian(normals: np.ndarray, polys):
     return areas, 0.5 * (J + J.T)
 
 
-def _facet_geometry(normals: np.ndarray, h: np.ndarray):
+def _facet_geometry(normals: np.ndarray, frames, h: np.ndarray):
     """Areas and adjacency Jacobian at support vector h, or None when the
     body is empty."""
-    polys, _ = _facet_polygons(normals, h)
+    polys, _ = _facet_polygons(normals, frames, h)
     return None if polys is None else _areas_and_jacobian(normals, polys)
 
 
@@ -283,82 +313,64 @@ def _solve_3d(normals, weights) -> Polytope:
         raise DegenerateNormals("normals do not span space")
     target = _balance(normals, weights)
     scale = float(np.max(target))
+    unit = target / scale  # iterate at a scale-free size, h of order 1
     m = len(normals)
+    frames = _facet_frames(N)
 
-    # Maximize volume over the slice {target . h = const}.  By
-    # Brunn-Minkowski V^(1/3) is concave there, and the projected
-    # gradient pulls in any facet plane that has drifted off the body,
-    # so ascent cannot stall the way a raw area Newton does.
-    h = np.ones(m)
-    geo = _facet_geometry(N, h)
-    if geo is None:
-        raise DegenerateNormals("unit support polytope is empty")
-    areas, J = geo
-    tt = float(target @ target)
-    alpha = 1.0
-    for _ in range(400):
+    def state(h):
+        """f(h), the areas, their Jacobian, the volume and the rescaled
+        residual max |A/V - unit| at h; None where the body is empty."""
+        geo = _facet_geometry(N, frames, h)
+        if geo is None:
+            return None
+        areas, J = geo
         vol = float(h @ areas) / 3.0
-        lam = float(target @ areas) / tt
-        g = areas - lam * target
-        if float(np.linalg.norm(g)) <= 1e-3 * max(lam, 1e-12) * math.sqrt(tt):
-            break
-        moved = False
-        for _ in range(60):
-            trial = h + alpha * g
-            t_geo = _facet_geometry(N, trial)
-            if t_geo is not None:
-                t_areas, t_J = t_geo
-                if float(trial @ t_areas) / 3.0 > vol:
-                    h, areas, J = trial, t_areas, t_J
-                    alpha *= 2.0
-                    moved = True
-                    break
-            alpha *= 0.5
-        if not moved:
-            break
+        if not vol > 0:
+            return None
+        return (float(unit @ h) - math.log(vol), areas, J, vol,
+                float(np.max(np.abs(areas / vol - unit))))
 
-    # Newton polish on the stationarity system A(h) = lam * target with
-    # the slice constraint bordered in; translations span the kernel and
-    # the least squares solve ignores them.
-    lam = float(target @ areas) / tt
-    c = float(target @ h)
-    best = float(np.max(np.abs(areas - lam * target)))
-    for _ in range(MAX_ITER):
-        if best <= AREA_TOL * max(1.0, lam * scale):
+    # Minimize f(h) = unit . h - log V(h).  By Brunn-Minkowski log V is
+    # concave, so f is convex, with the translations as its kernel; at
+    # the minimum A(h) = V(h) * unit.  Start on the ray through
+    # (1, ..., 1) where f is least, at unit . h = 3.
+    h = np.full(m, 3.0 / float(np.sum(unit)))
+    cur = state(h)
+    if cur is None:
+        raise DegenerateNormals("unit support polytope is empty")
+    f, areas, J, vol, res = cur
+    steps, mu = 0, 1.0
+    while res > AREA_TOL and steps < MAX_ITER:
+        # Levenberg-Marquardt step on the Hessian -J/V + A A^T / V^2; the
+        # damping gives an empty facet, whose row is zero, a gradient step
+        H = np.outer(areas, areas) / vol ** 2 - J / vol
+        H += mu * float(np.max(np.abs(np.diag(H)))) * np.eye(m)
+        trial = h + np.linalg.solve(H, areas / vol - unit)
+        if np.array_equal(trial, h):
             break
-        M = np.zeros((m + 1, m + 1))
-        M[:m, :m] = J
-        M[:m, m] = -target
-        M[m, :m] = target
-        rhs = np.concatenate([lam * target - areas, [c - float(target @ h)]])
-        step = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        improved = False
-        frac = 1.0
-        for _ in range(40):
-            trial = h + frac * step[:m]
-            t_lam = lam + frac * step[m]
-            t_geo = _facet_geometry(N, trial)
-            if t_geo is not None:
-                t_areas, t_J = t_geo
-                err = float(np.max(np.abs(t_areas - t_lam * target)))
-                if err < best:
-                    h, areas, J, lam, best = trial, t_areas, t_J, t_lam, err
-                    improved = True
-                    break
-            frac *= 0.5
-        if not improved:
-            break
+        steps += 1
+        new = state(trial)
+        # accept a decrease of f, or, where f is flat in float near the
+        # minimum, a decrease of the residual
+        if new is not None and (new[0] < f or (
+                new[0] <= f + 1e-12 * (1.0 + abs(f)) and new[4] < res)):
+            h = trial
+            f, areas, J, vol, res = new
+            mu /= 10.0
+        else:
+            mu *= 10.0
 
-    if lam <= 0:
-        raise GeometryError("area iteration collapsed")
-    h /= math.sqrt(lam)
-    polys, L = _facet_polygons(N, h)
+    h *= math.sqrt(scale / vol)
+    polys, L = _facet_polygons(N, frames, h)
     if polys is None:
         raise GeometryError("area iteration collapsed")
     areas, _ = _areas_and_jacobian(N, polys)
     final = float(np.max(np.abs(areas - target)))
     if final > 1e-7 * max(1.0, scale):
-        raise GeometryError(f"area iteration stalled at residual {final:.3e}")
+        raise GeometryError(
+            f"area iteration stalled at residual {final:.3e} after "
+            f"{steps} Newton steps and {steps + 1} facet-geometry "
+            "evaluations")
 
     return Polytope.construct(
         [tuple(Fraction(float(x)) for x in v) for v in _vertices(polys, L)], 3)

@@ -14,13 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epival.bodies import Polytope
+from epival import minkowski
+from epival.bodies import GeometryError, Polytope
+from epival.cases import CaseGenerator
 from epival.linalg import primitive
 from epival.measures import SphereMeasure, surface_area_measure
 from epival.minkowski import (
     DegenerateNormals,
     UnbalancedInput,
+    _areas_and_jacobian,
+    _clip_chain,
     _edge_walk,
+    _facet_frames,
+    _facet_polygons_at,
     _merged_atoms,
     minkowski_solve,
 )
@@ -178,3 +184,112 @@ class TestDim3:
                                ((0, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)])
         with pytest.raises(UnbalancedInput):
             minkowski_solve(mu)
+
+    def test_evaluation_budget(self, monkeypatch):
+        """The damped Newton loop solves the acceptance family in few
+        facet-geometry evaluations."""
+        calls = []
+        geometry = minkowski._facet_geometry
+        monkeypatch.setattr(minkowski, "_facet_geometry",
+                            lambda *a: calls.append(1) or geometry(*a))
+        gen = CaseGenerator(7, 3)
+        per_body = []
+        for i in range(20):
+            del calls[:]
+            minkowski_solve(surface_area_measure(gen.body(i)))
+            per_body.append(len(calls))
+        assert sum(per_body) <= 1000, per_body
+        assert max(per_body) <= 150, per_body
+
+    @pytest.mark.parametrize("index", [2, 6, 8, 9, 11, 12, 13, 19])
+    def test_round_trip_hard_bodies(self, index):
+        """Bodies of the acceptance family on which Newton's method
+        without damping stalls, collapses or needs thousands of
+        evaluations."""
+        mu = surface_area_measure(CaseGenerator(7, 3).body(index))
+        got = surface_area_measure(minkowski_solve(mu))
+        for n, w in mu.atoms:
+            near = sum(wg for ng, wg in got.atoms
+                       if np.linalg.norm(ng - n) < 1e-5)
+            assert abs(near - w) <= 1e-8
+
+    def test_stall_names_steps_and_evaluations(self, monkeypatch):
+        monkeypatch.setattr(minkowski, "MAX_ITER", 1)
+        mu = surface_area_measure(CaseGenerator(7, 3).body(2))
+        with pytest.raises(GeometryError, match=(
+                r"stalled at residual .* after 1 Newton steps and 2 "
+                r"facet-geometry evaluations")):
+            minkowski_solve(mu)
+
+
+def per_evaluation_polygons(normals, h, L):
+    """The facet polygons as built before the frames were shared: each
+    evaluation derives every facet's basis and cut coefficients anew."""
+    m = len(normals)
+    polys = []
+    for i in range(m):
+        ni = normals[i]
+        e1 = np.cross(ni, [1.0, 0.0, 0.0])
+        if np.linalg.norm(e1) < 0.1:
+            e1 = np.cross(ni, [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(ni, e1)
+        p0 = h[i] * ni
+        corners = [(-L, -L), (L, -L), (L, L), (-L, L)]
+        edges = [((corners[k], corners[(k + 1) % 4]), None) for k in range(4)]
+        sins = {}
+        for j in range(m):
+            if j == i or edges is None:
+                continue
+            a = float(normals[j] @ e1)
+            b = float(normals[j] @ e2)
+            c = float(h[j] - normals[j] @ p0)
+            s = math.hypot(a, b)
+            if s < 1e-12:
+                if c < -1e-9:
+                    edges = None
+                continue
+            sins[j] = s
+            edges = _clip_chain(edges, a / s, b / s, c / s, j)
+        if edges is None:
+            continue
+        if any(et is None for _, et in edges):
+            return None
+        polys.append((i, p0, e1, e2, edges, sins))
+    return polys
+
+
+def test_shared_frames_match_per_evaluation_construction():
+    """Areas and Jacobian from the per-solve frames are bit-identical to
+    the per-evaluation construction, at random support vectors that
+    leave some facets empty and some seed boxes too small."""
+    rng = np.random.default_rng(93)
+    cube = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+            (0, 0, -1)]
+    normal_sets = [np.array(cube, dtype=float)]
+    gen = CaseGenerator(7, 3)
+    for i in range(6):
+        normal_sets.append(np.array(
+            _merged_atoms(surface_area_measure(gen.body(i)))[0]))
+    for _ in range(4):
+        N = rng.normal(size=(int(rng.integers(4, 16)), 3))
+        normal_sets.append(N / np.linalg.norm(N, axis=1)[:, None])
+    checked = 0
+    for N in normal_sets:
+        frames = _facet_frames(N)
+        for _ in range(25):
+            h = rng.uniform(0.2, 1.5, size=len(N)) * 10.0 ** rng.uniform(-3, 3)
+            h[rng.random(len(N)) < 0.2] *= 30.0
+            for L in (1.0, 100.0 * (1.0 + float(np.max(np.abs(h))))):
+                want = per_evaluation_polygons(N, h, L)
+                got = _facet_polygons_at(N, frames, h, L)
+                assert (want is None) == (got is None)
+                if want is None:
+                    continue
+                checked += 1
+                assert [p[4] for p in got] == [p[4] for p in want]
+                a_want, J_want = _areas_and_jacobian(N, want)
+                a_got, J_got = _areas_and_jacobian(N, got)
+                assert np.array_equal(a_got, a_want)
+                assert np.array_equal(J_got, J_want)
+    assert checked > 100
