@@ -17,11 +17,13 @@ area Jacobian
     dA_i/dh_i = -sum_j len(i, j) * cos(i, j) / sin(i, j)
 
 The damping gives a facet that has left the body a gradient step back.
-Facet polygons are computed by clipping each facet's plane against all
-the other halfspaces, which keeps every edge length tagged by the
-neighbor that produced it; each plane's basis and cut directions depend
-on the normals only and are computed once per solve.  The input measure
-must be positive and closed; both failure modes get their own exception.
+The loop runs on target over its largest entry, which keeps h of order
+1 at any input scale.  Facet polygons are computed by clipping each
+facet's plane against all the other halfspaces, which keeps every edge
+length tagged by the neighbor that produced it; each plane's basis and
+cut directions depend on the normals only and are computed once per
+solve.  The input measure must be positive and closed; both failure
+modes get their own exception.
 """
 
 from __future__ import annotations
@@ -242,7 +244,8 @@ def _facet_polygons_at(normals: np.ndarray, frames, h: np.ndarray,
     """The facet polygons clipped from a seed box of half-width L, or
     None when the box is too small for this support vector."""
     origins = h[:, None] * normals
-    # offsets[i][j] = h_j - n_j . p0_i: facet j's line in facet i's plane
+    # offsets[i][j] = h_j - n_j . p0_i: facet j's line in facet i's plane;
+    # vecdot takes one dot per pair, so the bits match n_j @ p0_i
     offsets = (h - np.vecdot(normals, origins[:, None, :])).tolist()
     corners = [(-L, -L), (L, -L), (L, L), (-L, L)]
     box = [((corners[k], corners[(k + 1) % 4]), None) for k in range(4)]
