@@ -14,6 +14,12 @@ cyclic order in 3D.  Edges, volume, clipping and the facet areas of the
 surface area measure all read them.  A plane in space is projected one to
 one by dropping the last coordinate its normal uses (_last_axis).
 
+A flat body (a point, a segment, a polygon in space) is built in one
+coordinate chart of its affine hull (_chart): the same integer hull runs
+on the projected points, and each relative facet normal is lifted into
+the hull's direction space by one exact rejection against the equality
+normals, with no Gram solves and no dual basis.
+
 All predicates and constructions in this module are exact.  Floating
 point enters only through the float_* views, relative_volume_float, and
 the metric routines nearest_points, distances_to and hausdorff_distance.
@@ -27,7 +33,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,6 +130,21 @@ def _last_axis(m: Sequence) -> int:
     return max(j for j, x in enumerate(m) if x)
 
 
+def _chart(normals: Sequence[Sequence], d: int) -> tuple[int, ...]:
+    """The coordinates onto which a flat in R^d with these independent
+    equality normals projects one to one.  One normal (a segment in the
+    plane, a polygon in space): drop the last coordinate it uses.  Two
+    normals in space (a segment): keep the first coordinate the segment's
+    direction, their cross product, uses.  With no normals every
+    coordinate is kept, and a point keeps none."""
+    if len(normals) == 1:
+        k = _last_axis(normals[0])
+        return tuple(j for j in range(d) if j != k)
+    if d - len(normals) == 1:
+        return (next(j for j, x in enumerate(cross3(*normals)) if x),)
+    return tuple(range(d - len(normals)))
+
+
 def _hull_3d(pts: list[tuple[int, ...]]
              ) -> tuple[list[tuple[tuple[int, ...], int]], set[int]]:
     """Incremental hull (de Berg et al., Computational Geometry, ch. 11)
@@ -214,17 +235,17 @@ class Polytope:
         q, image = _integer_image(pts)
         keys = sorted(image)
         pts = [image[k] for k in keys]
-        rank = _affine_rank(keys)
-        if rank < ambient_dim:
-            return Polytope._construct_flat(pts, ambient_dim, rank)
-        if ambient_dim == 1:
+        basis = _affine_basis(keys)
+        if len(basis) < ambient_dim:
+            out = Polytope._construct_flat(pts, basis)
+        elif ambient_dim == 1:
             verts = _hull_1d(pts)
             hs = [
                 _canon_halfspace((Fraction(-1),), -verts[0][0]),
                 _canon_halfspace((Fraction(1),), verts[-1][0]),
             ]
-            return Polytope(1, tuple(verts), tuple(sorted(hs)))
-        if ambient_dim == 2:
+            out = Polytope(1, tuple(verts), tuple(sorted(hs)))
+        elif ambient_dim == 2:
             # edges of the integer image: primitive normal m, offset m . a / q
             cycle = _chain(keys)
             hs = []
@@ -233,59 +254,41 @@ class Polytope:
                 g = math.gcd(*n)
                 m = (n[0] // g, n[1] // g)
                 hs.append((m, Fraction(_idot(m, a), q)))
-            return Polytope(2, tuple(image[k] for k in sorted(cycle)),
-                            tuple(sorted(hs)))
-        facets, idx = _hull_3d(keys)
-        return Polytope(3, tuple(pts[i] for i in sorted(idx)),
-                        tuple(sorted((m, Fraction(c, q)) for m, c in facets)))
+            out = Polytope(2, tuple(image[k] for k in sorted(cycle)),
+                           tuple(sorted(hs)))
+        else:
+            facets, idx = _hull_3d(keys)
+            out = Polytope(3, tuple(pts[i] for i in sorted(idx)),
+                           tuple(sorted((m, Fraction(c, q)) for m, c in facets)))
+        out.__dict__["intrinsic_dim"] = len(basis)
+        return out
 
     @staticmethod
-    def _construct_flat(pts: list[Vec], ambient_dim: int, rank: int) -> "Polytope":
-        base = pts[0]
-        if rank == 0:
-            hs = []
-            for k in range(ambient_dim):
-                e = tuple(Fraction(int(k == j)) for j in range(ambient_dim))
-                hs.append(_canon_halfspace(e, base[k]))
-                hs.append(_canon_halfspace([-x for x in e], -base[k]))
-            return Polytope(ambient_dim, (base,), tuple(sorted(set(hs))))
-        basis = _affine_basis(pts)
-        # exact coordinates of each point in the affine basis
-        gram = [[dot(u, v) for v in basis] for u in basis]
-        coords = []
-        for p in pts:
-            rhs = [dot(u, sub(p, base)) for u in basis]
-            y = solve(gram, rhs)
-            coords.append(y)
-        inner = Polytope.construct(coords, rank)
-        # dual basis inside the span lifts relative normals to ambient ones
-        dual = []
-        for j in range(rank):
-            lam = solve(gram, [Fraction(int(i == j)) for i in range(rank)])
-            w = tuple(
-                sum(lam[i] * basis[i][k] for i in range(rank)) for k in range(ambient_dim)
-            )
-            dual.append(w)
+    def _construct_flat(pts: list[Vec], basis: list) -> "Polytope":
+        """Hull of distinct points whose affine hull, with direction space
+        span(basis), is flat.  The hull is decided on the chart; each of
+        its facet normals is lifted into the span by rejecting the
+        equality normals, which pin the affine hull."""
+        d, base = len(pts[0]), pts[0]
+        comp = [primitive(w) for w in linalg.orthogonal_complement(basis, d)]
+        cols = _chart(comp, d)
+        image = {tuple(p[j] for j in cols): p for p in pts}
+        verts, rel = pts, ()
+        if cols:
+            inner = Polytope.construct(image, len(cols))
+            verts = [image[y] for y in inner.vertices]
+            rel = [m for m, _ in inner.halfspaces]
         hs: list[Halfspace] = []
-        for m, c in inner.halfspaces:
-            n = tuple(
-                sum(Fraction(m[j]) * dual[j][k] for j in range(rank))
-                for k in range(ambient_dim)
-            )
-            hs.append(_canon_halfspace(n, c + dot(n, base)))
-        # equality constraints pin the affine hull
-        comp = linalg.orthogonal_complement(basis, ambient_dim)
+        for m in rel:
+            lift = [0] * d
+            for j, x in zip(cols, m):
+                lift[j] = x
+            n = primitive(linalg.reject(lift, comp))
+            hs.append((n, max(dot(n, v) for v in verts)))
         for w in comp:
-            hs.append(_canon_halfspace(w, dot(w, base)))
-            hs.append(_canon_halfspace([-x for x in w], -dot(w, base)))
-        lifted = []
-        for y in inner.vertices:
-            v = tuple(
-                base[k] + sum(y[j] * basis[j][k] for j in range(rank))
-                for k in range(ambient_dim)
-            )
-            lifted.append(v)
-        return Polytope(ambient_dim, tuple(sorted(lifted)), tuple(sorted(set(hs))))
+            c = dot(w, base)
+            hs += [(w, c), (tuple(-x for x in w), -c)]
+        return Polytope(d, tuple(sorted(verts)), tuple(sorted(hs)))
 
     @staticmethod
     def from_halfspaces(
@@ -340,6 +343,8 @@ class Polytope:
 
     @cached_property
     def equality_planes(self) -> tuple[Halfspace, ...]:
+        if self.intrinsic_dim == self.ambient_dim:
+            return ()
         seen = set(self.halfspaces)
         eq = []
         for m, c in self.halfspaces:
@@ -380,12 +385,9 @@ class Polytope:
         """Vertex indices of a 2 dimensional body in cyclic order."""
         if self.intrinsic_dim != 2:
             raise GeometryError("boundary cycle needs a 2 dimensional body")
-        verts = self.vertices
-        if self.ambient_dim == 3:
-            # drop the last coordinate the plane's normal uses
-            k = _last_axis(self.equality_planes[0][0])
-            verts = [v[:k] + v[k + 1:] for v in verts]
-        # the projection is one to one on the vertices, so their images
+        cols = _chart([m for m, _ in self.equality_planes], self.ambient_dim)
+        verts = list(map(itemgetter(*cols), self.vertices))
+        # the chart is one to one on the vertices, so their images
         # are distinct and keep the vertex order
         _, image = _integer_image(verts)
         index = {k: i for i, k in enumerate(image)}
@@ -549,15 +551,7 @@ class Polytope:
         if k == self.ambient_dim:
             vols = [b.volume for b in (self, other, hull, inter)]
         else:
-            # a segment projects one to one onto the first coordinate its
-            # direction uses, a polygon in space onto the coordinates left
-            # when the last one its normal uses is dropped
-            if k == 1:
-                u = sub(hull.vertices[-1], hull.vertices[0])
-                cols = (next(j for j, x in enumerate(u) if x),)
-            else:
-                drop = _last_axis(hull.equality_planes[0][0])
-                cols = tuple(j for j in range(3) if j != drop)
+            cols = _chart([m for m, _ in hull.equality_planes], self.ambient_dim)
             vols = _volume_in_dim_of([self, other, hull, inter], k, cols)
         va, vb, vh, vi = vols
         return hull if vh == va + vb - vi else None

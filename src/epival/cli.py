@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,12 @@ class CliUsageError(Exception):
     pass
 
 
+def _check_tolerances(*tols: float) -> None:
+    # NaN fails every comparison, so test for the valid range
+    if not all(0 < t < math.inf for t in tols):
+        raise CliUsageError("tolerances must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
@@ -66,8 +73,7 @@ class SuiteConfig:
             raise CliUsageError("n must be 1 or 2")
         if self.cases <= 0:
             raise CliUsageError("cases must be positive")
-        if min(self.tol_geom, self.sigma) <= 0:
-            raise CliUsageError("tolerances must be positive")
+        _check_tolerances(self.tol_geom, self.sigma)
 
 
 def _mc_seed(seed: int, stream: int, index: int) -> int:
@@ -291,8 +297,7 @@ def _cmd_decompose(args) -> int:
     out = _effective(args, "out", str, None)
     if n not in (1, 2) or cases <= 0:
         raise CliUsageError("need n in {1,2} and positive cases")
-    if tol <= 0:
-        raise CliUsageError("tolerances must be positive")
+    _check_tolerances(tol)
     try:
         registry = load_registry(infile)
     except OSError as exc:
@@ -341,13 +346,13 @@ def _cmd_decompose(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _parse_family(payload) -> list[PLConvexFunction]:
+def _parse_family(payload, infile: str) -> list[PLConvexFunction]:
     if not isinstance(payload, list):
-        raise CliUsageError("family must be a JSON array of functions")
+        raise CliUsageError(f"{infile}: family must be a JSON array of functions")
     try:
         return [PLConvexFunction.from_dict(d) for d in payload]
-    except (KeyError, TypeError, ValueError, GeometryError) as exc:
-        raise CliUsageError(f"bad family entry: {exc}")
+    except (KeyError, TypeError, ValueError, OverflowError, GeometryError) as exc:
+        raise CliUsageError(f"{infile}: bad family entry: {exc}")
 
 
 def _cmd_gw(args) -> int:
@@ -362,7 +367,7 @@ def _cmd_gw(args) -> int:
         if mu.n != 1:
             raise CliUsageError(
                 f"{infile}: gw takes a measure in one variable, got n={mu.n}")
-        family = _parse_family(payload["family"])
+        family = _parse_family(payload["family"], infile)
         if not family:
             raise CliUsageError(f"{infile}: family needs at least one function")
         for i, f in enumerate(family):
@@ -375,7 +380,7 @@ def _cmd_gw(args) -> int:
         mollifier_kernel(bump, mu.n)  # rejects an unknown bump here
     except (KeyError, TypeError) as exc:
         raise CliUsageError(f"{infile}: expected measure/family keys: {exc}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliUsageError(f"{infile}: {exc}")
     report = gw_pipeline(mu, bump, j_list, family)
     for row in report.rows:

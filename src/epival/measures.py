@@ -71,6 +71,8 @@ class SphereMeasure:
             raise ValueError(f"atom normals must have dim = {dim} coordinates")
         if not all(np.all(np.isfinite(n)) and math.isfinite(w) for n, w in atoms):
             raise ValueError("atom normals and weights must be finite")
+        if any(not n.any() for n, _ in atoms):
+            raise ValueError("atom normals must be nonzero")
         return SphereMeasure(dim, atoms, bool(data.get("signed", False)))
 
 
@@ -334,7 +336,6 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
     rays = _cone_generators(u.domain, face.vertices)
     if not points:
         raise GeometryError("face lies in no cell of the complex")
-    hs: list[tuple[tuple[int, ...], Fraction]] = []
     if n == 1:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
@@ -348,6 +349,7 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
             return Polytope.empty(1), points, rays
         region = Polytope.construct([(lo,), (hi,)], 1)
         return region, points, rays
+    region = Polytope.construct(itertools.product((-bound, bound), repeat=n), n)
     hull = Polytope.construct(points, n)
     cands = [m for m, _ in hull.halfspaces]
     for r in rays:
@@ -365,13 +367,8 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
         seen.add(pm)
         if any(dot(pm, r) > 0 for r in rays):
             continue
-        off = max(dot(pm, p) for p in points)
-        hs.append((pm, Fraction(off)))
-    for j in range(n):
-        e = tuple(1 if k == j else 0 for k in range(n))
-        hs.append((e, Fraction(bound)))
-        hs.append((tuple(-x for x in e), Fraction(bound)))
-    return Polytope.from_halfspaces(hs, n), points, rays
+        region = region.clip(pm, max(dot(pm, p) for p in points))
+    return region, points, rays
 
 
 def _flat_factor_pair(face: Polytope, grad: Polytope) -> Fraction:
@@ -444,6 +441,8 @@ def hessian_measure(u: PLConvexFunction, i: int,
     if not 0 <= i <= n:
         raise ValueError(f"order {i} outside 0..{n}")
     bound = Fraction(gradient_bound)
+    if bound < 0:
+        raise ValueError("the gradient box needs a nonnegative bound")
     c = Fraction(1, comb(n, i))
     pieces = []
     for face in complex_faces(u, i):

@@ -11,9 +11,19 @@ from epival.bodies import (
     Polytope,
     _affine_rank,
     _canon_halfspace,
+    _chart,
     _last_axis,
 )
-from epival.linalg import cross3, dot, independent_subset, mat_rank, norm_sq, sub
+from epival.linalg import (
+    cross3,
+    dot,
+    independent_subset,
+    mat_rank,
+    norm_sq,
+    orthogonal_complement,
+    solve,
+    sub,
+)
 from epival.measures import nearest_points, surface_area_measure
 
 
@@ -210,23 +220,103 @@ def subset_columns(verts, k):
                    for grid in (st.integers(-2, 2), st.integers(0, 1))
                    for d in (2, 3))))
 def test_projection_rule_matches_subset_search(pts):
-    """Segments in the plane and in space project onto the first
-    coordinate their direction uses; polygons in space and the facets of
-    bodies drop the last coordinate their normal uses."""
+    """The chart of a flat body: segments in the plane and in space
+    project onto the first coordinate their direction uses, polygons in
+    space drop the last coordinate their normal uses, and a point keeps
+    none.  The facets of full dimensional bodies drop the last coordinate
+    their normal uses."""
     d = len(pts[0])
     P = Polytope.construct(pts, d)
     k = P.intrinsic_dim
+    if k < d:
+        cols = _chart([m for m, _ in P.equality_planes], d)
+        assert cols == subset_columns(P.vertices, k)
     if k == 1:
         u = sub(P.vertices[-1], P.vertices[0])
-        assert (next(j for j, x in enumerate(u) if x),) == subset_columns(P.vertices, 1)
-    if k == 2 and d == 3:
-        drop = _last_axis(P.equality_planes[0][0])
-        assert tuple(j for j in range(3) if j != drop) == subset_columns(P.vertices, 2)
+        assert cols == (next(j for j, x in enumerate(u) if x),)
     if k == d:
         for (m, _), idx in P._facets:
             drop = _last_axis(m)
             cols = subset_columns([P.vertices[i] for i in idx], d - 1)
             assert tuple(j for j in range(d) if j != drop) == cols
+
+
+def gram_flat_hull(points, d):
+    """Vertices and halfspaces of a flat hull through exact coordinates
+    in an affine basis (one Gram solve per point) and a dual basis that
+    lifts the relative normals: the construction the chart replaces."""
+    pts = sorted(set(tuple(map(F, p)) for p in points))
+    base = pts[0]
+    basis = independent_subset(sub(p, base) for p in pts[1:])
+    rank = len(basis)
+    comp = orthogonal_complement(basis, d)
+    hs = []
+    for w in comp:
+        hs.append(_canon_halfspace(w, dot(w, base)))
+        hs.append(_canon_halfspace([-x for x in w], -dot(w, base)))
+    if rank == 0:
+        return (base,), tuple(sorted(set(hs)))
+    gram = [[dot(u, v) for v in basis] for u in basis]
+    coords = [solve(gram, [dot(u, sub(p, base)) for u in basis]) for p in pts]
+    inner = Polytope.construct(coords, rank)
+    dual = []
+    for j in range(rank):
+        lam = solve(gram, [F(int(i == j)) for i in range(rank)])
+        dual.append(tuple(sum(lam[i] * basis[i][k] for i in range(rank))
+                          for k in range(d)))
+    for m, c in inner.halfspaces:
+        n = tuple(sum(m[j] * dual[j][k] for j in range(rank)) for k in range(d))
+        hs.append(_canon_halfspace(n, c + dot(n, base)))
+    verts = [tuple(base[k] + sum(y[j] * basis[j][k] for j in range(rank))
+                   for k in range(d)) for y in inner.vertices]
+    return tuple(sorted(verts)), tuple(sorted(set(hs)))
+
+
+def gram_boundary_cycle(P):
+    """The cycle of a polygon found in Fraction arithmetic on the
+    projection that drops the last coordinate of its plane's normal in
+    space: the rule boundary_cycle kept before the chart."""
+    verts = P.vertices
+    if P.ambient_dim == 3:
+        k = _last_axis(P.equality_planes[0][0])
+        verts = [v[:k] + v[k + 1:] for v in verts]
+    cycle, _ = fraction_polygon(verts)
+    return tuple(verts.index(p) for p in cycle)
+
+
+# coordinates with small, large and float-derived denominators
+rational = st.one_of(st.integers(-4, 4).map(F),
+                     st.fractions(-50, 50, max_denominator=12),
+                     st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+                     st.floats(-1e3, 1e3).map(F))
+
+
+@st.composite
+def flat_point_sets(draw):
+    """Points, segments and polygons in the plane and in space: affine
+    combinations of at most d - 1 directions, with duplicates."""
+    d = draw(st.sampled_from((2, 3)))
+    rank = draw(st.integers(0, d - 1))
+    base = draw(st.tuples(*[rational] * d))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3).map(F) | rational] * d),
+                         min_size=rank, max_size=rank))
+    coefs = draw(st.lists(st.tuples(*[rational] * rank), min_size=1, max_size=8))
+    pts = [tuple(base[k] + sum(t * u[k] for t, u in zip(c, dirs)) for k in range(d))
+           for c in coefs]
+    return d, pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_point_sets())
+def test_chart_construction_matches_gram_solves(data):
+    d, pts = data
+    P = Polytope.construct(pts, d)
+    verts, hs = gram_flat_hull(pts, d)
+    assert P.vertices == verts
+    assert P.halfspaces == hs
+    assert P.intrinsic_dim == _affine_rank(list(verts)) < d
+    if P.intrinsic_dim == 2:
+        assert P.boundary_cycle == gram_boundary_cycle(P)
 
 
 def fraction_polygon(points):

@@ -12,7 +12,9 @@ from epival.dual import DualAtomMeasure
 from epival.functions import PLConvexFunction
 from epival.report import dumps_canonical
 
-SQUARE_MEASURE = Path(__file__).resolve().parent.parent / "data" / "square_measure.json"
+DATA = Path(__file__).resolve().parent.parent / "data"
+SQUARE_MEASURE = DATA / "square_measure.json"
+REGISTRY = DATA / "registry.json"
 
 
 def run(*argv):
@@ -187,6 +189,16 @@ class TestMinkowski:
             assert f"dim = {dim} coordinates" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_zero_normal(self, tmp_path, capsys):
+        payload = json.loads(SQUARE_MEASURE.read_text())
+        payload["atoms"].append({"n": [0.0, 0.0], "w": 1.0})
+        path = tmp_path / "zero_normal.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert run("minkowski", "--in", str(path), "--out", str(out)) == 2
+        assert "atom normals must be nonzero" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGw:
     def test_small_run(self, tmp_path):
@@ -263,6 +275,23 @@ class TestGw:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "gwrep.json").exists()
 
+    @pytest.mark.parametrize("where", ["weight", "family_vertex"])
+    def test_non_finite_number(self, tmp_path, capsys, where):
+        # 1e400 is a valid JSON number that overflows to infinity
+        path = tmp_path / "gw.json"
+        gw_input_file(tmp_path)
+        payload = json.loads(path.read_text())
+        if where == "weight":
+            payload["measure"]["atoms"][0]["w"] = "HUGE"
+        else:
+            payload["family"][0]["domain"]["vertices"][0] = ["HUGE"]
+        path.write_text(json.dumps(payload).replace('"HUGE"', "1e400"))
+        assert run("gw", "--in", str(path), "--j-list", "2",
+                   "--out", str(tmp_path / "gwrep")) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Infinity" in err
+        assert not (tmp_path / "gwrep.json").exists()
+
     def test_missing_family_key(self, tmp_path):
         path = tmp_path / "nofam.json"
         path.write_text(json.dumps({"measure": {"n": 1, "atoms": []}}))
@@ -314,6 +343,27 @@ class TestDecompose:
                    "--out", str(out)) == 2
         assert "tolerances must be positive" in capsys.readouterr().err
         assert not (tmp_path / "dec.json").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("verify", "tol-geom"), ("verify", "sigma"), ("decompose", "tol-quad")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tolerances_must_be_finite_and_positive(tmp_path, capsys, command,
+                                                key, value, source):
+    cfg = tmp_path / "run.cfg"
+    lines = ["suite=conjugate", "cases=1", f"in={REGISTRY}", f"out={tmp_path / 'rep'}"]
+    if command == "decompose":
+        lines.remove("suite=conjugate")
+    if source == "config":
+        lines.append(f"{key}={value}")
+    cfg.write_text("\n".join(lines) + "\n")
+    argv = [command, "--config", str(cfg)]
+    if source == "flag":
+        argv.append(f"--{key}={value}")
+    assert run(*argv) == 2
+    assert "tolerances must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_each_subcommand_rejects_flags_it_does_not_read(capsys):

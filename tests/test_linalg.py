@@ -76,3 +76,23 @@ def test_solve_agrees_with_rank(data):
     else:
         assert x is not None
         assert all(dot(row, x) == bi for row, bi in zip(rows, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists(), st.data())
+def test_complement_depends_only_on_the_span(data, draw):
+    # a second basis of the same span: nonzero integer multiples of the
+    # basis vectors plus multiples of the earlier ones, then reversed
+    d, vecs = data
+    basis = independent_subset(vecs)
+    other = []
+    for i, u in enumerate(basis):
+        k = draw.draw(st.integers(1, 5) | st.integers(-5, -1))
+        cs = draw.draw(st.lists(st.integers(-4, 4), min_size=i, max_size=i))
+        v = tuple(k * x for x in u)
+        for c, w in zip(cs, basis):
+            v = tuple(a + c * b for a, b in zip(v, w))
+        other.append(v)
+    other.reverse()
+    assert mat_rank(basis + other) == len(basis)
+    assert orthogonal_complement(other, d) == orthogonal_complement(basis, d)

@@ -26,10 +26,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epival.bodies import Polytope
+from epival.cases import CaseGenerator
 from epival.functions import PLConvexFunction
+from epival.linalg import dot
 from epival.measures import (
     FaceMeasure,
     SphereMeasure,
+    _gradient_region,
+    complex_faces,
     density_constant,
     hessian_integrate,
     hessian_integrate_via_support,
@@ -290,6 +294,31 @@ class TestHessianTotals:
         assert hessian_total(u, 0) == 4
         # flowout at t=1 in box R=1 is the 4x4 square
         assert hessian_steiner(u, 1) == 16
+
+    def test_negative_gradient_bound(self):
+        with pytest.raises(ValueError, match="nonnegative bound"):
+            hessian_measure(indicator_interval(), 0, F(-1))
+
+    def test_gradient_regions_match_vertex_enumeration(self):
+        # the region clipped from the box equals the vertex enumeration of
+        # its rows: hull facets and ray perpendiculars that no ray leaves,
+        # and the box
+        gen = CaseGenerator(7, 2)
+        for k in range(4):
+            u = gen.pl_function(k)
+            for R in (F(1), F(1, 2), F(3)):
+                box = [(m, R) for m in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+                for i in range(3):
+                    for face in complex_faces(u, i):
+                        region, points, rays = _gradient_region(u, face, R)
+                        hull = Polytope.construct(points, 2)
+                        cands = [m for m, _ in hull.halfspaces]
+                        cands += [(s * r[1], -s * r[0]) for r in rays for s in (1, -1)]
+                        rows = [(m, max(dot(m, p) for p in points)) for m in cands
+                                if any(m) and all(dot(m, r) <= 0 for r in rays)]
+                        ref = Polytope.from_halfspaces(rows + box, 2)
+                        assert region.vertices == ref.vertices
+                        assert region.halfspaces == ref.halfspaces
 
     def test_two_dim_simple_split(self):
         dom = Polytope.construct([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
