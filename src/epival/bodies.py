@@ -635,39 +635,125 @@ class Polytope:
 # max(1, |offset|) of each halfspace row
 FACET_TOL = 1e-9
 INSIDE_TOL = 1e-12
+# nearest_points works on blocks of this many rows, which bounds its
+# rows x facets and rows x vertices arrays
+NEAREST_BLOCK = 4096
 
 
 def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances and metric projections onto the body, vectorized, float.
 
-    Candidates are the vertices, the edges, and the facet planes (or the
-    affine hull of a flat polygon in space); a point inside the body is
-    its own projection."""
+    A point inside the body is its own projection.  A point outside is at
+    least as far as the plane of its max-slack facet, so on a full
+    dimensional body one slack product per block of rows settles the inside
+    points and the points whose projection onto that plane lies in the
+    facet, clear of the other facet planes by FACET_TOL.  The rest go
+    through _nearest_search."""
     if P.is_empty:
         raise GeometryError("projection onto empty body")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dist, proj = np.empty(len(pts)), np.empty_like(pts)
+    full = P.intrinsic_dim == P.ambient_dim >= 2
+    tables = _search_tables(P) if full else None
+    for lo in range(0, len(pts), NEAREST_BLOCK):
+        rows = slice(lo, lo + NEAREST_BLOCK)
+        if full:
+            dist[rows], proj[rows] = _nearest_screened(P, pts[rows], tables)
+        else:
+            dist[rows], proj[rows] = _nearest_search(P, pts[rows])
+    return dist, proj
+
+
+def _search_tables(P: Polytope) -> tuple[list[list[int]], list[list[int]]]:
+    """For each edge of a full dimensional body the rows of the halfspaces
+    whose facets contain it, and for each vertex its neighbours."""
+    facets = [set(idx) for _, idx in P._facets]
+    edge_facets = [[r for r, f in enumerate(facets) if i in f and j in f]
+                   for i, j in P.edge_list]
+    neighbours: list[list[int]] = [[] for _ in P.vertices]
+    for i, j in P.edge_list:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    return edge_facets, neighbours
+
+
+def _nearest_screened(P: Polytope, pts: np.ndarray,
+                      tables: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One block of nearest_points on a full dimensional body: the slack
+    screen, then _nearest_search on the rows it leaves."""
+    A, bvec = P.float_halfspaces
+    slack = np.maximum(1.0, np.abs(bvec))
+    norms = np.linalg.norm(A, axis=1)
+    vals = pts @ A.T
+    rest = ~np.all(vals <= bvec + INSIDE_TOL * slack, axis=1)
+    over = vals - bvec
+    top = np.argmax(over / norms, axis=1)
+    best, proj = np.zeros(len(pts)), pts.copy()
+    clear = bvec - FACET_TOL * slack
+    for r in range(len(bvec)):
+        sel = np.nonzero(rest & (top == r))[0]
+        if not len(sel):
+            continue
+        # the plane candidate of _nearest_search, on these rows only
+        n, off = A[r] / norms[r], bvec[r] / norms[r]
+        dist = pts[sel] @ n - off
+        cand = pts[sel] - dist[:, None] * n
+        ok = cand @ A.T <= clear
+        ok[:, r] = True
+        ok = np.all(ok, axis=1)
+        best[sel[ok]] = np.abs(dist[ok])
+        proj[sel[ok]] = cand[ok]
+        rest[sel[ok]] = False
+    left = np.nonzero(rest)[0]
+    if len(left):
+        seen = over[left] > -FACET_TOL * slack
+        best[left], proj[left] = _nearest_search(P, pts[left], seen, tables)
+    return best, proj
+
+
+def _nearest_search(P: Polytope, pts: np.ndarray, seen: np.ndarray | None = None,
+                    tables: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and projections by search: the candidates are the
+    vertices, the edges, and the facet planes (or the affine hull of a
+    flat polygon in space).
+
+    seen, for points outside a full dimensional body, marks the facets
+    each point may lie beyond; tables are the body's _search_tables.  The
+    nearest point lies on a facet the point sees, and it is the nearest
+    vertex v when x - v makes an obtuse angle with every edge at v.  So
+    the rows settled at a vertex are cleared from seen, and an edge is
+    tried only on the rows that see one of its facets, a facet plane only
+    on the rows that see it."""
     verts = P.float_vertices
     dv = np.linalg.norm(pts[:, None, :] - verts[None, :, :], axis=2)
     arg = np.argmin(dv, axis=1)
     best = dv[np.arange(len(pts)), arg]
     proj = verts[arg].copy()
+    every = np.arange(len(pts))
+    if seen is not None:
+        edge_facets, neighbours = tables
+        for v, nb in enumerate(neighbours):
+            sel = np.nonzero(arg == v)[0]
+            ends = verts[nb] - verts[v]
+            corner = np.all((pts[sel] - verts[v]) @ ends.T < 0, axis=1)
+            seen[sel[corner]] = False
 
-    def consider(cand_pts, cand_dist):
-        nonlocal best, proj
-        better = cand_dist < best
-        best = np.where(better, cand_dist, best)
-        proj[better] = cand_pts[better]
+    def consider(rows, cand, cand_dist):
+        better = cand_dist < best[rows]
+        best[rows[better]] = cand_dist[better]
+        proj[rows[better]] = cand[better]
 
-    for i, j in P.edge_list:
+    for e, (i, j) in enumerate(P.edge_list):
+        rows = every if seen is None else np.nonzero(seen[:, edge_facets[e]].any(axis=1))[0]
+        x = pts[rows]
         a, b = verts[i], verts[j]
         ab = b - a
-        tt = np.clip(((pts - a) @ ab) / float(ab @ ab), 0.0, 1.0)
+        tt = np.clip(((x - a) @ ab) / float(ab @ ab), 0.0, 1.0)
         cand = a + tt[:, None] * ab
-        consider(cand, np.linalg.norm(pts - cand, axis=1))
+        consider(rows, cand, np.linalg.norm(x - cand, axis=1))
     A, bvec = P.float_halfspaces
     slack = np.maximum(1.0, np.abs(bvec))
-    full = P.intrinsic_dim == P.ambient_dim >= 2
-    if full:
+    if P.intrinsic_dim == P.ambient_dim >= 2:
         norms = np.linalg.norm(A, axis=1)
         planes = [(A[r] / norms[r], bvec[r] / norms[r]) for r in range(A.shape[0])]
     elif P.intrinsic_dim == 2 and P.ambient_dim == 3:
@@ -677,15 +763,13 @@ def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndar
         planes = [(n / nn, float(c) / nn)]
     else:
         planes = []
-    for n, off in planes:
-        dist = pts @ n - off
-        cand = pts - dist[:, None] * n
+    for r, (n, off) in enumerate(planes):
+        rows = every if seen is None else np.nonzero(seen[:, r])[0]
+        x = pts[rows]
+        dist = x @ n - off
+        cand = x - dist[:, None] * n
         ok = np.all(cand @ A.T <= bvec + FACET_TOL * slack, axis=1)
-        consider(np.where(ok[:, None], cand, np.inf), np.where(ok, np.abs(dist), np.inf))
-    if full:
-        inside = np.all(pts @ A.T <= bvec + INSIDE_TOL * slack, axis=1)
-        best = np.where(inside, 0.0, best)
-        proj[inside] = pts[inside]
+        consider(rows[ok], cand[ok], np.abs(dist[ok]))
     return best, proj
 
 

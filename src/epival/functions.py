@@ -47,18 +47,26 @@ def _project_piece(piece: Piece, domain: Polytope) -> Piece:
     return sub(g, resid), b + dot(resid, base)
 
 
-def _epigraph(domain: Polytope, pieces: Sequence[Piece], level: Fraction) -> Polytope:
-    """The epigraph of max(pieces) on a nonempty domain, truncated at a level
-    above that maximum: the prism domain x [lo, level], with lo below the
-    first piece, clipped by each piece's halfspace g . x - t <= -b."""
-    g0, b0 = pieces[0]
-    lo = min(dot(g0, v) for v in domain.vertices) + b0 - 1
+def _prism(domain: Polytope, lo: Fraction, level: Fraction) -> Polytope:
+    """domain x [lo, level] for a nonempty domain and lo < level, with its
+    rank recorded: one more than the domain's."""
     z = (0,) * domain.ambient_dim
     hs = [(m + (0,), c) for m, c in domain.halfspaces]
     hs += [(z + (1,), level), (z + (-1,), -lo)]
     body = Polytope(domain.ambient_dim + 1,
                     tuple(sorted(v + (t,) for v in domain.vertices for t in (lo, level))),
                     tuple(sorted(hs)))
+    body.__dict__["intrinsic_dim"] = domain.intrinsic_dim + 1
+    return body
+
+
+def _epigraph(domain: Polytope, pieces: Sequence[Piece], level: Fraction) -> Polytope:
+    """The epigraph of max(pieces) on a nonempty domain, truncated at a level
+    above that maximum: the prism domain x [lo, level], with lo below the
+    first piece, clipped by each piece's halfspace g . x - t <= -b."""
+    g0, b0 = pieces[0]
+    lo = min(dot(g0, v) for v in domain.vertices) + b0 - 1
+    body = _prism(domain, lo, level)
     for g, b in pieces:
         body = body.clip(g + (-1,), -b)
     return body

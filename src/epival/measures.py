@@ -35,6 +35,9 @@ def density_constant(d: int, i: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # surface area measure
 
+# an atom normal shorter than this has no direction to normalize
+MIN_NORMAL_LENGTH = 1e-12
+
 
 @dataclass(frozen=True)
 class SphereMeasure:
@@ -71,8 +74,9 @@ class SphereMeasure:
             raise ValueError(f"atom normals must have dim = {dim} coordinates")
         if not all(np.all(np.isfinite(n)) and math.isfinite(w) for n, w in atoms):
             raise ValueError("atom normals and weights must be finite")
-        if any(not n.any() for n, _ in atoms):
-            raise ValueError("atom normals must be nonzero")
+        if any(math.sqrt(n @ n) < MIN_NORMAL_LENGTH for n, _ in atoms):
+            raise ValueError("atom normals must be nonzero, of length at least "
+                             f"{MIN_NORMAL_LENGTH:g}")
         return SphereMeasure(dim, atoms, bool(data.get("signed", False)))
 
 
@@ -185,15 +189,20 @@ class FaceMeasure:
 
 
 def support_measure(P: Polytope, i: int) -> FaceMeasure:
+    """The order-i support measure of P, built once per body and kept in
+    its __dict__, so a body rebuilt from its vertices starts afresh."""
     d = P.ambient_dim
     if not 0 <= i <= d - 1:
         raise ValueError(f"support measure order {i} outside 0..{d - 1}")
-    c = density_constant(d, i)
-    pieces = []
-    for face, gens in faces_with_cones(P, i):
-        patch = SphericalPatch.from_generators(gens, d)
-        pieces.append(FacePiece(face, patch, float(c), c))
-    return FaceMeasure(i, d, tuple(pieces))
+    cache = P.__dict__.setdefault("support_measures", {})
+    if i not in cache:
+        c = density_constant(d, i)
+        pieces = []
+        for face, gens in faces_with_cones(P, i):
+            patch = SphericalPatch.from_generators(gens, d)
+            pieces.append(FacePiece(face, patch, float(c), c))
+        cache[i] = FaceMeasure(i, d, tuple(pieces))
+    return cache[i]
 
 
 def integrate_support_measure(P: Polytope, i: int,
@@ -230,9 +239,13 @@ def integrate_over_face(face: Polytope, g: Callable[[np.ndarray], float],
         cyc = face.boundary_cycle
         verts = face.float_vertices
         total = 0.0
+
+        def g_rows(pts):
+            return [g(x) for x in pts]
+
         for j in range(1, len(cyc) - 1):
             total += _adaptive_tri(
-                verts[cyc[0]], verts[cyc[j]], verts[cyc[j + 1]], g,
+                verts[cyc[0]], verts[cyc[j]], verts[cyc[j + 1]], g_rows,
                 tol / max(1, len(cyc) - 2), 6)
         return total
     raise GeometryError("face integration supports dimension <= 2")
@@ -461,7 +474,13 @@ def hessian_measure(u: PLConvexFunction, i: int,
 
 def hessian_total(u: PLConvexFunction, i: int,
                   gradient_bound: Fraction = Fraction(1)) -> Fraction:
-    return hessian_measure(u, i, gradient_bound).total_exact
+    """The order-i total over the gradient box, computed once per function
+    and bound and kept in the function's __dict__."""
+    cache = u.__dict__.setdefault("hessian_totals", {})
+    key = (i, Fraction(gradient_bound))
+    if key not in cache:
+        cache[key] = hessian_measure(u, i, gradient_bound).total_exact
+    return cache[key]
 
 
 def hessian_steiner(u: PLConvexFunction, t: Fraction,

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bodies import GeometryError, Polytope
-from .measures import SphereMeasure
+from .measures import MIN_NORMAL_LENGTH, SphereMeasure
 
 
 class UnbalancedInput(ValueError):
@@ -65,8 +65,8 @@ def _merged_atoms(mu: SphereMeasure):
     raw: list[float] = []
     for n, w in mu.atoms:
         n = np.asarray(n, dtype=float)
-        nn = np.linalg.norm(n)
-        if nn < 1e-12:
+        nn = math.sqrt(n @ n)
+        if nn < MIN_NORMAL_LENGTH:
             raise DegenerateNormals("zero direction atom")
         units.append(n / nn)
         raw.append(float(w))

@@ -309,20 +309,24 @@ def _orthonormal_complement_f(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return b1, b2
 
 
-def _adaptive_1d(g, a: float, b: float, tol: float, depth: int = 0) -> float:
-    """Integral of g over [a, b] by Gauss-Legendre 12 on recursive halving."""
+def _adaptive_1d(g, a: float, b: float, tol: float, depth: int = 0,
+                 whole: float | None = None) -> float:
+    """Integral of g over [a, b] by Gauss-Legendre 12 on recursive halving.
+    Each half is handed the estimate its parent computed for it."""
     xs, ws = _gl(12)
 
     def quad(lo, hi):
         return (hi - lo) * float(np.sum(ws * np.array([g(lo + (hi - lo) * x) for x in xs])))
 
     mid = 0.5 * (a + b)
-    whole = quad(a, b)
-    halves = quad(a, mid) + quad(mid, b)
+    if whole is None:
+        whole = quad(a, b)
+    left, right = quad(a, mid), quad(mid, b)
+    halves = left + right
     if abs(whole - halves) < tol * (1.0 + abs(halves)) or depth > DEPTH_CAP_1D:
         return halves
-    return _adaptive_1d(g, a, mid, tol / 2, depth + 1) + \
-        _adaptive_1d(g, mid, b, tol / 2, depth + 1)
+    return _adaptive_1d(g, a, mid, tol / 2, depth + 1, left) + \
+        _adaptive_1d(g, mid, b, tol / 2, depth + 1, right)
 
 
 def _sphere_band(f, axis, b1, b2, psi0, psi1, phi0, phi1, tol) -> float:
@@ -335,32 +339,46 @@ def _sphere_band(f, axis, b1, b2, psi0, psi1, phi0, phi1, tol) -> float:
     return _adaptive_1d(g, psi0, psi1, tol)
 
 
-def _flat_tri_quad(v0, v1, v2, g, n: int) -> float:
+def _tri_rule(tris: np.ndarray, g_rows, n: int) -> list:
+    """The collapsed Gauss-Legendre rule of order n on each triangle
+    tris[k] = (v0, v1, v2).  The nodes of all the triangles go to the
+    batch integrand g_rows in one (rows, d) array; each rule's terms are
+    summed in node order, as one scalar loop would."""
     xs, ws = _gl(n)
-    e1, e2 = v1 - v0, v2 - v0
-    if len(e1) == 2:
-        area2 = abs(e1[0] * e2[1] - e1[1] * e2[0])
+    v0 = tris[:, 0]
+    e1, e2 = tris[:, 1] - v0, tris[:, 2] - v0
+    # node (i, j) is v0 + s_i * ((1 - s_j) * e1 + s_j * e2)
+    inner = (1 - xs)[:, None] * e1[:, None, :] + xs[:, None] * e2[:, None, :]
+    pts = v0[:, None, None, :] + xs[:, None, None] * inner[:, None, :, :]
+    k, d = tris.shape[0], tris.shape[2]
+    vals = np.asarray(g_rows(pts.reshape(-1, d)), dtype=float).reshape(k, n, n)
+    terms = (ws[:, None] * ws[None, :] * xs[:, None] * vals).reshape(k, -1)
+    sums = 0.0 + np.cumsum(terms, axis=1)[:, -1]
+    if d == 2:
+        area2 = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     else:
-        area2 = np.linalg.norm(np.cross(e1, e2))
-    total = 0.0
-    for i, s in enumerate(xs):
-        for j, r in enumerate(xs):
-            pt = v0 + s * ((1 - r) * (v1 - v0) + r * (v2 - v0))
-            total += ws[i] * ws[j] * s * g(pt)
-    return area2 * total
+        cross = np.cross(e1, e2)
+        area2 = np.sqrt(np.vecdot(cross, cross))
+    return list(area2 * sums)
 
 
-def _adaptive_tri(v0, v1, v2, g, tol: float, order: int, depth: int = 0) -> float:
-    """Integral of g over the flat triangle v0 v1 v2 by the collapsed
+def _adaptive_tri(v0, v1, v2, g_rows, tol: float, order: int, depth: int = 0,
+                  whole: float | None = None) -> float:
+    """Integral over the flat triangle v0 v1 v2 by the collapsed
     Gauss-Legendre rule of the given order on recursive 4-way midpoint
-    subdivision."""
-    coarse = _flat_tri_quad(v0, v1, v2, g, order)
+    subdivision.  g_rows maps a (rows, d) array of points to their values;
+    the 4 children's nodes go to it in one call, and each child is handed
+    the estimate its parent computed for it."""
+    if whole is None:
+        whole = _tri_rule(np.array([(v0, v1, v2)]), g_rows, order)[0]
     m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
     subs = ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20))
-    fine = sum(_flat_tri_quad(*t, g, order) for t in subs)
-    if abs(fine - coarse) < tol * (1.0 + abs(fine)) or depth > DEPTH_CAP_TRI:
+    parts = _tri_rule(np.array(subs), g_rows, order)
+    fine = sum(parts)
+    if abs(fine - whole) < tol * (1.0 + abs(fine)) or depth > DEPTH_CAP_TRI:
         return fine
-    return sum(_adaptive_tri(*t, g, tol / 4, order, depth + 1) for t in subs)
+    return sum(_adaptive_tri(*t, g_rows, tol / 4, order, depth + 1, p)
+               for t, p in zip(subs, parts))
 
 
 def _spherical_tri_integral(v0, v1, v2, f, tol: float) -> float:
@@ -374,8 +392,11 @@ def _spherical_tri_integral(v0, v1, v2, f, tol: float) -> float:
     if float(nu @ v0) < 0:
         nu = -nu
 
-    def g(pt):
-        r = np.linalg.norm(pt)
-        return f(pt / r) * float(pt @ nu) / r ** 3
+    def g_rows(pts):
+        # per row the bits of norm(pt) and pt @ nu: vecdot is the same dot
+        r = np.sqrt(np.vecdot(pts, pts))
+        h = np.vecdot(pts, nu)
+        return [f(u) * float(c) / s ** 3
+                for u, c, s in zip(pts / r[:, None], h, r)]
 
-    return _adaptive_tri(v0, v1, v2, g, tol, 8)
+    return _adaptive_tri(v0, v1, v2, g_rows, tol, 8)

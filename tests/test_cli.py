@@ -199,6 +199,17 @@ class TestMinkowski:
         assert "atom normals must be nonzero" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_short_normal(self, tmp_path, capsys):
+        # nonzero but too short to normalize: the solver's threshold
+        payload = json.loads(SQUARE_MEASURE.read_text())
+        payload["atoms"].append({"n": [1e-13, 0], "w": 1})
+        path = tmp_path / "short_normal.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert run("minkowski", "--in", str(path), "--out", str(out)) == 2
+        assert "of length at least 1e-12" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGw:
     def test_small_run(self, tmp_path):

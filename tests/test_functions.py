@@ -4,12 +4,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epival.bodies import GeometryError, Polytope
+from epival.bodies import GeometryError, Polytope, _affine_rank
+from epival.cases import CaseGenerator
 from epival.functions import (
     EpiMinNotConvex,
     MaxAffine,
     PLConvexFunction,
     _as_piece,
+    _epigraph,
+    _prism,
     _project_piece,
     epi_distance,
 )
@@ -428,3 +431,22 @@ def test_epigraph_matches_old_derivations(case):
     assert fresh == u.epigraph and fresh.halfspaces == u.epigraph.halfspaces
     assert PLConvexFunction.floor_of(u.epigraph) == u
     assert PLConvexFunction.empty(u.n).complex_vertices == ()
+
+
+def test_prism_records_the_rank_of_its_vertices():
+    # the epigraph's first clip reads the recorded rank instead of running
+    # the Fraction rank computation; it must be the vertices' affine rank
+    segment = Polytope.construct([(0, 0), (1, 1)], 2)
+    fns = [PLConvexFunction.from_pieces(segment, [((1, 0), 0), ((0, 1), 1)]),
+           PLConvexFunction.from_pieces(Polytope.construct([(F(1, 3), 2)], 2),
+                                        [((1, 1), 0)])]
+    for n in (1, 2):
+        gen = CaseGenerator(7, n)
+        fns += [gen.pl_function(i) for i in range(10)]
+    for u in fns:
+        level = u.max_value + 1
+        for lo in (u.max_value - 3, level - F(1, 7)):
+            prism = _prism(u.domain, lo, level)
+            assert prism.__dict__["intrinsic_dim"] == _affine_rank(list(prism.vertices))
+        epi = _epigraph(u.domain, u.pieces, level)
+        assert epi.intrinsic_dim == _affine_rank(list(epi.vertices))

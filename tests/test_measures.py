@@ -20,21 +20,26 @@ is 1/2.  Hessian totals for the three interval examples (R = 1):
 
 import math
 from fractions import Fraction as F
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epival.bodies import Polytope
+from epival import bodies
+from epival.bodies import FACET_TOL, INSIDE_TOL, GeometryError, Polytope
 from epival.cases import CaseGenerator
 from epival.functions import PLConvexFunction
 from epival.linalg import dot
 from epival.measures import (
     FaceMeasure,
+    FacePiece,
     SphereMeasure,
     _gradient_region,
     complex_faces,
     density_constant,
+    faces_with_cones,
     hessian_integrate,
     hessian_integrate_via_support,
     hessian_measure,
@@ -49,6 +54,7 @@ from epival.measures import (
     support_measure,
     surface_area_measure,
 )
+from epival.spherical import SphericalPatch
 
 
 def square():
@@ -235,6 +241,85 @@ class TestParallelVolumeMC:
         assert a == b
 
 
+def search_nearest_points(P, points):
+    """nearest_points before the slack screen: every point tries every
+    vertex, edge and facet plane, kept as the reference."""
+    if P.is_empty:
+        raise GeometryError("projection onto empty body")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    verts = P.float_vertices
+    dv = np.linalg.norm(pts[:, None, :] - verts[None, :, :], axis=2)
+    arg = np.argmin(dv, axis=1)
+    best = dv[np.arange(len(pts)), arg]
+    proj = verts[arg].copy()
+
+    def consider(cand_pts, cand_dist):
+        nonlocal best, proj
+        better = cand_dist < best
+        best = np.where(better, cand_dist, best)
+        proj[better] = cand_pts[better]
+
+    for i, j in P.edge_list:
+        a, b = verts[i], verts[j]
+        ab = b - a
+        tt = np.clip(((pts - a) @ ab) / float(ab @ ab), 0.0, 1.0)
+        cand = a + tt[:, None] * ab
+        consider(cand, np.linalg.norm(pts - cand, axis=1))
+    A, bvec = P.float_halfspaces
+    slack = np.maximum(1.0, np.abs(bvec))
+    full = P.intrinsic_dim == P.ambient_dim >= 2
+    if full:
+        norms = np.linalg.norm(A, axis=1)
+        planes = [(A[r] / norms[r], bvec[r] / norms[r]) for r in range(A.shape[0])]
+    elif P.intrinsic_dim == 2 and P.ambient_dim == 3:
+        m, c = P.equality_planes[0]
+        n = np.array([float(x) for x in m])
+        nn = np.linalg.norm(n)
+        planes = [(n / nn, float(c) / nn)]
+    else:
+        planes = []
+    for n, off in planes:
+        dist = pts @ n - off
+        cand = pts - dist[:, None] * n
+        ok = np.all(cand @ A.T <= bvec + FACET_TOL * slack, axis=1)
+        consider(np.where(ok[:, None], cand, np.inf), np.where(ok, np.abs(dist), np.inf))
+    if full:
+        inside = np.all(pts @ A.T <= bvec + INSIDE_TOL * slack, axis=1)
+        best = np.where(inside, 0.0, best)
+        proj[inside] = pts[inside]
+    return best, proj
+
+
+T_GRID = (0.25, 0.5, 1.0, 2.0)
+
+
+def assert_nearest_matches_search(P, X):
+    dist, proj = nearest_points(P, X)
+    ref, ref_proj = search_nearest_points(P, X)
+    assert dist.shape == ref.shape and proj.shape == ref_proj.shape
+    assert np.max(np.abs(dist - ref), initial=0.0) <= 1e-12
+    assert np.max(np.abs(proj - ref_proj), initial=0.0) <= 1e-9
+    for t in T_GRID:
+        # the Monte Carlo oracle's hit mask
+        assert np.array_equal((dist > 1e-12) & (dist <= t), (ref > 1e-12) & (ref <= t))
+
+
+@st.composite
+def bodies_and_probes(draw):
+    """Hulls of points on a random affine subspace of rank 0 to d (flat
+    and full bodies), with a seed and a margin for uniform probes."""
+    d = draw(st.sampled_from((2, 3)))
+    rank = draw(st.integers(0, d))
+    coord = st.integers(-4, 4).map(F) | st.fractions(-4, 4, max_denominator=7)
+    base = draw(st.tuples(*[coord] * d))
+    dirs = draw(st.lists(st.tuples(*[coord] * d), min_size=rank, max_size=rank))
+    coefs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=10))
+    pts = [tuple(base[k] + sum(c * v[k] for c, v in zip(cs, dirs)) for k in range(d))
+           for cs in coefs]
+    return (Polytope.construct(pts, d), draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.sampled_from((0.25, 1.0, 4.0))))
+
+
 class TestNearestPoints:
     def test_square_cases(self):
         P = square()
@@ -249,6 +334,79 @@ class TestNearestPoints:
         X = np.array([[0.25, 0.25, 2.0], [-1.0, 0.0, 0.0]])
         dist, _ = nearest_points(P, X)
         assert dist == pytest.approx([2.0, 1.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(bodies_and_probes())
+    def test_screen_matches_search(self, case):
+        P, seed, margin = case
+        d = P.ambient_dim
+        rng = np.random.default_rng(seed)
+        v = P.float_vertices
+        X = np.vstack([rng.uniform(v.min(0) - margin, v.max(0) + margin, size=(400, d)),
+                       v, 0.5 * (v + v[::-1])])
+        # small blocks, so that several run and the last is short
+        with mock.patch.object(bodies, "NEAREST_BLOCK", 96):
+            assert_nearest_matches_search(P, X)
+        empty = nearest_points(P, np.empty((0, d)))
+        assert empty[0].shape == (0,) and empty[1].shape == (0, d)
+
+    def test_screen_matches_search_on_case_bodies(self):
+        # the bodies and cells of the Steiner acceptance cases, sampled as
+        # their Monte Carlo oracles sample them
+        rng = np.random.default_rng(11)
+        shapes = [CaseGenerator(7, d).body(i) for d in (2, 3) for i in range(10)]
+        shapes += [region for i in range(5)
+                   for _, _, region in CaseGenerator(7, 2).pl_function(i).cells]
+        for P in shapes:
+            v = P.float_vertices
+            for t in (0.25, 2.0):
+                X = rng.uniform(v.min(0) - 2 * t, v.max(0) + 2 * t,
+                                size=(6000, P.ambient_dim))
+                assert_nearest_matches_search(P, X)
+
+
+def uncached_support_measure(P, i):
+    """support_measure as built before it was kept on the body."""
+    d = P.ambient_dim
+    c = density_constant(d, i)
+    pieces = [FacePiece(face, SphericalPatch.from_generators(gens, d), float(c), c)
+              for face, gens in faces_with_cones(P, i)]
+    return FaceMeasure(i, d, tuple(pieces))
+
+
+class TestTotalsOncePerBody:
+    def test_support_measure_kept_on_the_body(self):
+        for d in (2, 3):
+            P = CaseGenerator(7, d).body(3)
+            for i in range(d):
+                m = support_measure(P, i)
+                assert support_measure(P, i) is m
+                # a rebuild from the vertices starts afresh
+                Q = Polytope.construct(P.vertices, d)
+                assert support_measure(Q, i) is not m
+                assert support_measure(Q, i).total == m.total
+
+    def test_parallel_volume_keeps_its_bits(self):
+        for d in (2, 3):
+            for k in range(4):
+                P = CaseGenerator(7, d).body(k)
+                for t in T_GRID + (3.0,):
+                    want = float(sum(t ** (d - i) * comb(d, i)
+                                     * uncached_support_measure(P, i).total
+                                     for i in range(d)))
+                    assert parallel_volume(P, t) == want
+
+    def test_hessian_total_kept_per_order_and_bound(self):
+        u = CaseGenerator(7, 2).pl_function(1)
+        for R in (F(1), F(3), F(1, 2)):
+            for i in range(3):
+                want = hessian_measure(u, i, R).total_exact
+                got = hessian_total(u, i, R)
+                assert got == want
+                assert hessian_total(u, i, R) is got
+        assert hessian_total(u, 0, F(3)) != hessian_total(u, 0, F(1))
+        v = PLConvexFunction.from_dict(u.to_dict())
+        assert hessian_steiner(v, F(1, 2), F(3)) == hessian_steiner(u, F(1, 2), F(3))
 
 
 class TestHessianTotals:

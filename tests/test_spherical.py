@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from epival.bodies import Polytope
 from epival.linalg import mat_rank, solve
 from epival.measures import _lower_clip
-from epival.spherical import SphericalPatch, in_cone
+from epival.spherical import (
+    SphericalPatch,
+    _gl,
+    _spherical_tri_integral,
+    _tri_rule,
+    in_cone,
+)
 
 
 def patch(gens, d):
@@ -309,3 +315,75 @@ def test_hull_cone_structure_matches_subset_membership(case):
     lineality = [r for r in rays if subset_in_cone([-v for v in r], rays)]
     assert lineality == [r for r in rays
                          if all(linalg_dot(m, r) == 0 for m in p.bounding)]
+
+
+def flat_tri_quad(v0, v1, v2, g, n):
+    """The collapsed Gauss-Legendre rule node by node with a scalar
+    integrand, as it was before the nodes became arrays: the reference."""
+    xs, ws = _gl(n)
+    e1, e2 = v1 - v0, v2 - v0
+    if len(e1) == 2:
+        area2 = abs(e1[0] * e2[1] - e1[1] * e2[0])
+    else:
+        area2 = np.linalg.norm(np.cross(e1, e2))
+    total = 0.0
+    for i, s in enumerate(xs):
+        for j, r in enumerate(xs):
+            pt = v0 + s * ((1 - r) * (v1 - v0) + r * (v2 - v0))
+            total += ws[i] * ws[j] * s * g(pt)
+    return area2 * total
+
+
+def scalar_spherical_tri_integral(v0, v1, v2, f, tol):
+    """_spherical_tri_integral on the scalar rule and a scalar radial
+    projection, with the recursion that recomputes each child's estimate."""
+    nu = np.cross(v1 - v0, v2 - v0)
+    nu = nu / np.linalg.norm(nu)
+    if float(nu @ v0) < 0:
+        nu = -nu
+
+    def g(pt):
+        r = np.linalg.norm(pt)
+        return f(pt / r) * float(pt @ nu) / r ** 3
+
+    def adaptive(v0, v1, v2, tol, depth):
+        coarse = flat_tri_quad(v0, v1, v2, g, 8)
+        m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
+        subs = ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20))
+        fine = sum(flat_tri_quad(*t, g, 8) for t in subs)
+        if abs(fine - coarse) < tol * (1.0 + abs(fine)) or depth > 7:
+            return fine
+        return sum(adaptive(*t, tol / 4, depth + 1) for t in subs)
+
+    return adaptive(v0, v1, v2, tol, 0)
+
+
+coordinate = st.floats(-3, 3, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)), st.sampled_from((6, 8)),
+       st.lists(st.lists(coordinate, min_size=9, max_size=9), min_size=1, max_size=4))
+def test_batched_triangle_rule_matches_scalar_rule(d, n, raw):
+    tris = np.array([np.reshape(r[:3 * d], (3, d)) for r in raw])
+
+    def g(x):
+        return math.cos(x[0] - 2.0 * x[-1]) + x[0] * x[-1] ** 2
+
+    got = _tri_rule(tris, lambda pts: [g(x) for x in pts], n)
+    want = [flat_tri_quad(*t, g, n) for t in tris]
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+    # the terms are summed in the scalar loop's order, so the reports keep
+    # their bits
+    assert got == want
+
+
+def test_spherical_triangles_match_scalar_rule():
+    rng = np.random.default_rng(5)
+    fs = (lambda u: float(u[0] ** 2), lambda u: math.exp(u[1]) * u[2])
+    for _ in range(3):
+        v = rng.normal(size=(3, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        for f in fs:
+            assert _spherical_tri_integral(*v, f, 1e-8) == \
+                scalar_spherical_tri_integral(*v, f, 1e-8)
