@@ -648,10 +648,15 @@ def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     dimensional body one slack product per block of rows settles the inside
     points and the points whose projection onto that plane lies in the
     facet, clear of the other facet planes by FACET_TOL.  The rest go
-    through _nearest_search."""
+    through _nearest_search.  In R^1 the projection is a clip onto the
+    interval."""
     if P.is_empty:
         raise GeometryError("projection onto empty body")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if P.ambient_dim == 1:
+        verts = P.float_vertices
+        proj = np.clip(pts, verts.min(), verts.max())
+        return np.abs(pts - proj)[:, 0], proj
     dist, proj = np.empty(len(pts)), np.empty_like(pts)
     full = P.intrinsic_dim == P.ambient_dim >= 2
     tables = _search_tables(P) if full else None

@@ -25,13 +25,13 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bodies import GeometryError, Polytope
 from .functions import PLConvexFunction
 from .measures import SphereMeasure
 from .minkowski import minkowski_solve, project_closed
 from .report import Report, csv_text, dumps_canonical
+from .spherical import _adaptive_1d
 from .valuations import SphereDensity
 
 
@@ -230,8 +230,8 @@ def _profile_constant(name: str, n: int) -> float:
     if n not in (1, 2):
         raise ValueError("mollifiers handle one or two variables")
     profile = _PROFILES[name]
-    val, _ = quad(lambda r: float(profile(np.array([r]))[0]) * r ** (n - 1),
-                  0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+    val = _adaptive_1d(lambda r: float(profile(np.array([r]))[0]) * r ** (n - 1),
+                       0.0, 1.0, 1e-15)
     sphere = 2.0 if n == 1 else 2.0 * math.pi
     return 1.0 / (sphere * val)
 

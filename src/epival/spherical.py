@@ -19,7 +19,6 @@ Patch kinds by linear span s and lineality l of the cone, ambient d:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,48 +84,13 @@ def _extreme_pair(pointed: list[Vec], normals: list[tuple[int, ...]]) -> tuple[V
     return ea, eb
 
 
-def _interior_direction(pointed: list[Vec]) -> Vec:
-    """An exact w with w·g > 0 for every generator; the LP is solved only
-    when every exact candidate fails."""
-    def candidates():
-        yield tuple(sum(g[k] for g in pointed) for k in range(3))
-        fsum = np.sum([_unit(g) for g in pointed], axis=0)
-        if np.linalg.norm(fsum) > 1e-12:
-            yield tuple(Fraction(x).limit_denominator(10 ** 6)
-                        for x in fsum / np.linalg.norm(fsum))
-        for i, j in itertools.combinations(range(len(pointed)), 2):
-            yield tuple(x + y for x, y in zip(pointed[i], pointed[j]))
-        yield _interior_direction_lp(pointed)
-
-    for w in candidates():
-        if all(v == 0 for v in w):
-            continue
-        if all(dot(w, g) > 0 for g in pointed):
-            return tuple(Fraction(x) for x in w)
-    raise GeometryError("no strict interior direction found for pointed cone")
-
-
-def _interior_direction_lp(pointed: list[Vec]) -> Vec:
-    """Feasible point of {w : w . g >= 1 for the unit generators}, so the
-    float answer has margin near 1 and survives exact re-verification."""
-    from scipy.optimize import linprog
-
-    units = np.array([_unit(g) for g in pointed])
-    res = linprog(
-        c=np.zeros(3),
-        A_ub=-units,
-        b_ub=-np.ones(len(pointed)),
-        bounds=[(-1e9, 1e9)] * 3,
-        method="highs",
-    )
-    if not res.success:
-        return (Fraction(0),) * 3
-    return tuple(Fraction(float(x)) for x in res.x)
-
-
-def _extreme_cycle_3d(pointed: list[Vec]) -> list[Vec]:
-    """Extreme rays of a pointed full rank cone, in cyclic order, exact."""
-    w = _interior_direction(pointed)
+def _extreme_cycle_3d(pointed: list[Vec], bounding: list[tuple[int, ...]]) -> list[Vec]:
+    """Extreme rays of a pointed full rank cone, in cyclic order, exact.
+    Every ray has m·g ≤ 0 for each tangent normal m, with equality for all
+    of them only at g = 0, so w = −Σm has w·g > 0 on every ray."""
+    w = tuple(-sum(m[k] for m in bounding) for k in range(3))
+    if not all(dot(w, g) > 0 for g in pointed):
+        raise GeometryError("no strict interior direction found for pointed cone")
     section = []
     for g in pointed:
         t = dot(w, g)
@@ -240,7 +204,7 @@ class SphericalPatch:
             e2 /= np.linalg.norm(e2)
             return "lune", 2 * theta, (axis, ua, e2, theta)
         # pointed full dimensional cone: spherical polygon
-        verts = [_unit(v) for v in _extreme_cycle_3d(pointed)]
+        verts = [_unit(v) for v in _extreme_cycle_3d(pointed, bounding)]
         return "polygon", _girard_area(verts), tuple(verts)
 
     # ---- queries -------------------------------------------------------

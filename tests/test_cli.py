@@ -1,6 +1,9 @@
 """Command line harness: subcommands, config merging, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -384,3 +387,11 @@ def test_each_subcommand_rejects_flags_it_does_not_read(capsys):
     for command, flag in unread:
         assert run(command, *flag) == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test reference only; the package never imports it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import epival.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

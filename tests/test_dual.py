@@ -27,6 +27,7 @@ Frozen oracles, derived by hand before the implementation existed:
   the origin, with unit transfer factor.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -46,6 +47,8 @@ from epival.dual import (
     mollifier_kernel,
     mollify,
     plane_to_sphere_density,
+    _PROFILES,
+    _profile_constant,
 )
 
 
@@ -111,8 +114,8 @@ class TestDualAtomMeasure:
 
 class TestMollify:
     def test_kernel_normalized(self):
-        for n in (1, 2):
-            bump = mollifier_kernel("smooth", n)
+        for name, n in itertools.product(_PROFILES, (1, 2)):
+            bump = mollifier_kernel(name, n)
             h = 1.0 / 256
             axes = np.arange(-1 + h / 2, 1, h)
             if n == 1:
@@ -122,6 +125,22 @@ class TestMollify:
                 pts = np.stack([X.ravel(), Y.ravel()], axis=1)
             mass = float(np.sum(bump(pts))) * h ** n
             assert abs(mass - 1.0) < 1e-4
+
+    def test_profile_constant_matches_quad(self):
+        from scipy.integrate import quad
+
+        # the quartic bump integrates exactly: 8/15 on [0, 1] and 1/6
+        # against r, so its constants are 15/16 and 3/pi
+        exact = {("quartic", 1): 15 / 16, ("quartic", 2): 3 / math.pi}
+        for name, profile in _PROFILES.items():
+            for n in (1, 2):
+                val, _ = quad(lambda r: float(profile(np.array([r]))[0]) * r ** (n - 1),
+                              0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+                ref = 1.0 / ((2.0 if n == 1 else 2.0 * math.pi) * val)
+                got = _profile_constant(name, n)
+                assert got == pytest.approx(ref, rel=1e-15, abs=0)
+                if (name, n) in exact:
+                    assert got == pytest.approx(exact[name, n], rel=1e-15, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

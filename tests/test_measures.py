@@ -329,6 +329,13 @@ class TestNearestPoints:
         assert proj[1] == pytest.approx([1.0, 0.5])
         assert proj[2] == pytest.approx([1.0, 1.0])
 
+    def test_interval_is_a_clip(self):
+        P = Polytope.construct([(F(-1),), (F(2),)], 1)
+        X = np.array([[0.3], [0.1], [1.7], [-1.5], [2.25]])
+        dist, proj = nearest_points(P, X)
+        assert np.array_equal(dist, [0.0, 0.0, 0.0, 0.5, 0.25])
+        assert np.array_equal(proj, [[0.3], [0.1], [1.7], [-1.0], [2.0]])
+
     def test_flat_in_3d(self):
         P = Polytope.construct([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)
         X = np.array([[0.25, 0.25, 2.0], [-1.0, 0.0, 0.0]])

@@ -12,6 +12,7 @@ from epival.linalg import mat_rank, solve
 from epival.measures import _lower_clip
 from epival.spherical import (
     SphericalPatch,
+    _extreme_cycle_3d,
     _gl,
     _spherical_tri_integral,
     _tri_rule,
@@ -315,6 +316,14 @@ def test_hull_cone_structure_matches_subset_membership(case):
     lineality = [r for r in rays if subset_in_cone([-v for v in r], rays)]
     assert lineality == [r for r in rays
                          if all(linalg_dot(m, r) == 0 for m in p.bounding)]
+    if p.kind == "polygon":
+        # a full rank pointed cone: minus the sum of its tangent normals is
+        # interior, and consecutive extreme rays share a bounding plane
+        w = [-sum(m[k] for m in p.bounding) for k in range(3)]
+        assert all(linalg_dot(w, r) > 0 for r in rays)
+        cycle = _extreme_cycle_3d(rays, list(p.bounding))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert any(linalg_dot(m, a) == 0 == linalg_dot(m, b) for m in p.bounding)
 
 
 def flat_tri_quad(v0, v1, v2, g, n):
