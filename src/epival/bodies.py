@@ -18,11 +18,24 @@ A flat body (a point, a segment, a polygon in space) is built in one
 coordinate chart of its affine hull (_chart): the same integer hull runs
 on the projected points, and each relative facet normal is lifted into
 the hull's direction space by one exact rejection against the equality
-normals, with no Gram solves and no dual basis.
+normals, with no Gram solves and no dual basis.  A single equality normal
+(a segment in the plane, a polygon in space) is a perpendicular or a
+cross product of the direction basis, with no Gram-Schmidt.
 
 All predicates and constructions in this module are exact.  Floating
 point enters only through the float_* views, relative_volume_float, and
 the metric routines nearest_points, distances_to and hausdorff_distance.
+
+nearest_points reads a point x outside a full dimensional body off its
+max-slack facet, the halfspace with the largest normalized slack.  In
+the plane the projection is one clip onto that facet's edge.  If the
+projection lies inside an edge, that edge's slack is the distance and
+every other edge's slack is smaller.  If it is a vertex v, x - v lies in
+the cone of v's two edge normals; every other edge normal is angularly
+farther from x - v and has a negative offset at v, so the max-slack edge
+ends at v.  In space x keeps its projection onto the max-slack facet
+plane when that lies in the facet; otherwise it takes the nearest of all
+edges, since its projection may lie on an edge of another facet.
 """
 
 from __future__ import annotations
@@ -266,11 +279,19 @@ class Polytope:
     @staticmethod
     def _construct_flat(pts: list[Vec], basis: list) -> "Polytope":
         """Hull of distinct points whose affine hull, with direction space
-        span(basis), is flat.  The hull is decided on the chart; each of
-        its facet normals is lifted into the span by rejecting the
-        equality normals, which pin the affine hull."""
+        span(basis), is flat.  The equality normals, which pin the affine
+        hull, span the orthogonal complement of the basis; a single one (a
+        segment in the plane, a polygon in space) is the basis vector's
+        perpendicular or the basis vectors' cross product, with no
+        Gram-Schmidt.  The hull is decided on the chart; each of its facet
+        normals is lifted into the span by rejecting the equality normals."""
         d, base = len(pts[0]), pts[0]
-        comp = [primitive(w) for w in linalg.orthogonal_complement(basis, d)]
+        if len(basis) == d - 1 > 0:
+            # the sign is free: both halfspaces of the plane are kept below
+            u = basis[0]
+            comp = [primitive((-u[1], u[0]) if d == 2 else cross3(*basis))]
+        else:
+            comp = [primitive(w) for w in linalg.orthogonal_complement(basis, d)]
         cols = _chart(comp, d)
         image = {tuple(p[j] for j in cols): p for p in pts}
         verts, rel = pts, ()
@@ -636,20 +657,28 @@ class Polytope:
 FACET_TOL = 1e-9
 INSIDE_TOL = 1e-12
 # nearest_points works on blocks of this many rows, which bounds its
-# rows x facets and rows x vertices arrays
+# rows x facets and edges x rows arrays
 NEAREST_BLOCK = 4096
 
 
 def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances and metric projections onto the body, vectorized, float.
 
-    A point inside the body is its own projection.  A point outside is at
-    least as far as the plane of its max-slack facet, so on a full
-    dimensional body one slack product per block of rows settles the inside
-    points and the points whose projection onto that plane lies in the
-    facet, clear of the other facet planes by FACET_TOL.  The rest go
-    through _nearest_search.  In R^1 the projection is a clip onto the
-    interval."""
+    A point inside a full dimensional body is its own projection.  A point
+    x outside is read off its max-slack facet, the one with the largest
+    normalized slack, in blocks of NEAREST_BLOCK rows.  In the plane that
+    is one clip onto the facet's edge.  A projection inside an edge has
+    that edge's slack as its distance, larger than any other edge's slack;
+    a projection at a vertex v puts x - v in the cone of v's two edge
+    normals, and every other edge normal is angularly farther from x - v
+    and has a negative offset at v, so the max-slack edge ends at v.  In
+    space a point whose projection onto the max-slack facet plane lies in
+    the facet, clear of the other facet planes by FACET_TOL, takes that
+    projection; the rest take the nearest of all edges, which need not lie
+    on that facet.  A flat body takes the nearest of its edges (its vertex,
+    if it is a point), and a polygon in space its affine-hull plane where
+    that projection is feasible within FACET_TOL.  In R^1 the projection
+    is a clip onto the interval."""
     if P.is_empty:
         raise GeometryError("projection onto empty body")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -658,124 +687,78 @@ def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndar
         proj = np.clip(pts, verts.min(), verts.max())
         return np.abs(pts - proj)[:, 0], proj
     dist, proj = np.empty(len(pts)), np.empty_like(pts)
-    full = P.intrinsic_dim == P.ambient_dim >= 2
-    tables = _search_tables(P) if full else None
     for lo in range(0, len(pts), NEAREST_BLOCK):
         rows = slice(lo, lo + NEAREST_BLOCK)
-        if full:
-            dist[rows], proj[rows] = _nearest_screened(P, pts[rows], tables)
-        else:
-            dist[rows], proj[rows] = _nearest_search(P, pts[rows])
+        dist[rows], proj[rows] = _nearest_block(P, pts[rows])
     return dist, proj
 
 
-def _search_tables(P: Polytope) -> tuple[list[list[int]], list[list[int]]]:
-    """For each edge of a full dimensional body the rows of the halfspaces
-    whose facets contain it, and for each vertex its neighbours."""
-    facets = [set(idx) for _, idx in P._facets]
-    edge_facets = [[r for r, f in enumerate(facets) if i in f and j in f]
-                   for i, j in P.edge_list]
-    neighbours: list[list[int]] = [[] for _ in P.vertices]
-    for i, j in P.edge_list:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    return edge_facets, neighbours
-
-
-def _nearest_screened(P: Polytope, pts: np.ndarray,
-                      tables: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One block of nearest_points on a full dimensional body: the slack
-    screen, then _nearest_search on the rows it leaves."""
+def _nearest_block(P: Polytope, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block of rows of nearest_points on a body in R^2 or R^3."""
     A, bvec = P.float_halfspaces
     slack = np.maximum(1.0, np.abs(bvec))
-    norms = np.linalg.norm(A, axis=1)
-    vals = pts @ A.T
-    rest = ~np.all(vals <= bvec + INSIDE_TOL * slack, axis=1)
-    over = vals - bvec
-    top = np.argmax(over / norms, axis=1)
-    best, proj = np.zeros(len(pts)), pts.copy()
-    clear = bvec - FACET_TOL * slack
-    for r in range(len(bvec)):
-        sel = np.nonzero(rest & (top == r))[0]
-        if not len(sel):
-            continue
-        # the plane candidate of _nearest_search, on these rows only
-        n, off = A[r] / norms[r], bvec[r] / norms[r]
-        dist = pts[sel] @ n - off
-        cand = pts[sel] - dist[:, None] * n
-        ok = cand @ A.T <= clear
-        ok[:, r] = True
-        ok = np.all(ok, axis=1)
-        best[sel[ok]] = np.abs(dist[ok])
-        proj[sel[ok]] = cand[ok]
-        rest[sel[ok]] = False
-    left = np.nonzero(rest)[0]
-    if len(left):
-        seen = over[left] > -FACET_TOL * slack
-        best[left], proj[left] = _nearest_search(P, pts[left], seen, tables)
-    return best, proj
-
-
-def _nearest_search(P: Polytope, pts: np.ndarray, seen: np.ndarray | None = None,
-                    tables: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and projections by search: the candidates are the
-    vertices, the edges, and the facet planes (or the affine hull of a
-    flat polygon in space).
-
-    seen, for points outside a full dimensional body, marks the facets
-    each point may lie beyond; tables are the body's _search_tables.  The
-    nearest point lies on a facet the point sees, and it is the nearest
-    vertex v when x - v makes an obtuse angle with every edge at v.  So
-    the rows settled at a vertex are cleared from seen, and an edge is
-    tried only on the rows that see one of its facets, a facet plane only
-    on the rows that see it."""
-    verts = P.float_vertices
-    dv = np.linalg.norm(pts[:, None, :] - verts[None, :, :], axis=2)
-    arg = np.argmin(dv, axis=1)
-    best = dv[np.arange(len(pts)), arg]
-    proj = verts[arg].copy()
-    every = np.arange(len(pts))
-    if seen is not None:
-        edge_facets, neighbours = tables
-        for v, nb in enumerate(neighbours):
-            sel = np.nonzero(arg == v)[0]
-            ends = verts[nb] - verts[v]
-            corner = np.all((pts[sel] - verts[v]) @ ends.T < 0, axis=1)
-            seen[sel[corner]] = False
-
-    def consider(rows, cand, cand_dist):
-        better = cand_dist < best[rows]
-        best[rows[better]] = cand_dist[better]
-        proj[rows[better]] = cand[better]
-
-    for e, (i, j) in enumerate(P.edge_list):
-        rows = every if seen is None else np.nonzero(seen[:, edge_facets[e]].any(axis=1))[0]
-        x = pts[rows]
-        a, b = verts[i], verts[j]
-        ab = b - a
-        tt = np.clip(((x - a) @ ab) / float(ab @ ab), 0.0, 1.0)
-        cand = a + tt[:, None] * ab
-        consider(rows, cand, np.linalg.norm(x - cand, axis=1))
-    A, bvec = P.float_halfspaces
-    slack = np.maximum(1.0, np.abs(bvec))
-    if P.intrinsic_dim == P.ambient_dim >= 2:
-        norms = np.linalg.norm(A, axis=1)
-        planes = [(A[r] / norms[r], bvec[r] / norms[r]) for r in range(A.shape[0])]
-    elif P.intrinsic_dim == 2 and P.ambient_dim == 3:
-        m, c = P.equality_planes[0]
-        n = np.array([float(x) for x in m])
-        nn = np.linalg.norm(n)
-        planes = [(n / nn, float(c) / nn)]
+    dist, proj = np.zeros(len(x)), x.copy()
+    if P.intrinsic_dim < P.ambient_dim:
+        rest = np.arange(len(x))
+        if P.intrinsic_dim == 2:
+            m, c = P.equality_planes[0]
+            n = np.array([float(v) for v in m])
+            nn = np.linalg.norm(n)
+            n, off = n / nn, float(c) / nn
+            s = x @ n - off
+            cand = x - s[:, None] * n
+            ok = np.all(cand @ A.T <= bvec + FACET_TOL * slack, axis=1)
+            dist[ok], proj[ok] = np.abs(s[ok]), cand[ok]
+            rest = rest[~ok]
     else:
-        planes = []
-    for r, (n, off) in enumerate(planes):
-        rows = every if seen is None else np.nonzero(seen[:, r])[0]
-        x = pts[rows]
-        dist = x @ n - off
-        cand = x - dist[:, None] * n
-        ok = np.all(cand @ A.T <= bvec + FACET_TOL * slack, axis=1)
-        consider(rows[ok], cand[ok], np.abs(dist[ok]))
-    return best, proj
+        vals = x @ A.T
+        out = np.nonzero(~np.all(vals <= bvec + INSIDE_TOL * slack, axis=1))[0]
+        norms = np.linalg.norm(A, axis=1)
+        over = (vals[out] - bvec) / norms
+        top = np.argmax(over, axis=1)
+        if P.ambient_dim == 2:
+            verts = P.float_vertices
+            ends = np.array([idx for _, idx in P._facets])[top]
+            dist[out], proj[out] = _segment_clip(x[out], verts[ends[:, 0]], verts[ends[:, 1]])
+            return dist, proj
+        at = (np.arange(len(out)), top)
+        s = over[at]
+        cand = x[out] - s[:, None] * (A[top] / norms[top, None])
+        ok = cand @ A.T <= bvec - FACET_TOL * slack
+        ok[at] = True
+        ok = np.all(ok, axis=1)
+        dist[out[ok]], proj[out[ok]] = s[ok], cand[ok]
+        rest = out[~ok]
+    if len(rest):
+        dist[rest], proj[rest] = _nearest_edge(P, x[rest])
+    return dist, proj
+
+
+def _segment_clip(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and projection of each row of x onto the segment [a, b]
+    given by the same row of a and b."""
+    ab = b - a
+    tt = np.clip(np.sum((x - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+    cand = a + tt[:, None] * ab
+    return np.linalg.norm(x - cand, axis=1), cand
+
+
+def _nearest_edge(P: Polytope, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and projection of each row of x onto the nearest edge of
+    the body, or onto its vertex if it is a point.  The search runs on
+    edges x rows arrays, one coordinate per array."""
+    verts = P.float_vertices
+    if not P.edge_list:
+        proj = np.repeat(verts, len(x), axis=0)
+        return np.linalg.norm(x - proj, axis=1), proj
+    i, j = np.array(P.edge_list).T
+    a, ab = verts[i], verts[j] - verts[i]
+    diff = [x[:, k] - a[:, k, None] for k in range(x.shape[1])]
+    tt = sum(dk * ab[:, k, None] for k, dk in enumerate(diff))
+    tt = np.clip(tt / np.sum(ab * ab, axis=1)[:, None], 0.0, 1.0)
+    sq = sum((dk - tt * ab[:, k, None]) ** 2 for k, dk in enumerate(diff))
+    e = np.argmin(sq, axis=0)
+    return _segment_clip(x, a[e], verts[j[e]])
 
 
 def _volume_in_dim_of(bodies: Sequence[Polytope], k: int, cols: tuple[int, ...]) -> list[Fraction]:

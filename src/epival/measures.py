@@ -254,6 +254,11 @@ def integrate_over_face(face: Polytope, g: Callable[[np.ndarray], float],
 # ---------------------------------------------------------------------------
 # the parallel-volume Monte Carlo oracle
 
+# the Monte Carlo oracles' float slack: a sample at distance up to this
+# from the body counts as in it, and a subgradient up to this past the
+# gradient bound counts as within it
+MC_TOL = 1e-12
+
 
 def local_parallel_volume_mc(
     P: Polytope,
@@ -279,7 +284,7 @@ def local_parallel_volume_mc(
     vol_box = float(np.prod(hi - lo))
     X = rng.uniform(lo, hi, size=(samples, P.ambient_dim))
     dist, proj = nearest_points(P, X)
-    hit = (dist > 1e-12) & (dist <= t)
+    hit = (dist > MC_TOL) & (dist <= t)
     if region is not None:
         idx = np.nonzero(hit)[0]
         for k in idx:
@@ -646,7 +651,7 @@ def p_t_volume_mc(
         best_val = np.where(better, vals, best_val)
         best_x[better] = xs[better]
     Y = (Z - best_x) / t
-    hit = np.all(np.abs(Y) <= gradient_bound + 1e-12, axis=1)
+    hit = np.all(np.abs(Y) <= gradient_bound + MC_TOL, axis=1)
     if region is not None:
         idx = np.nonzero(hit)[0]
         for k in idx:

@@ -25,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from epival import bodies
 from epival.bodies import FACET_TOL, INSIDE_TOL, GeometryError, Polytope
@@ -320,6 +320,26 @@ def bodies_and_probes(draw):
             draw(st.sampled_from((0.25, 1.0, 4.0))))
 
 
+@st.composite
+def polygons_and_probes(draw):
+    """Full dimensional polygons: hulls of 3 to 10 rational points of
+    affine rank 2, with a seed for uniform probes."""
+    coord = st.integers(-6, 6).map(F) | st.fractions(-6, 6, max_denominator=9)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=10))
+    P = Polytope.construct(pts, 2)
+    assume(P.intrinsic_dim == 2)
+    return P, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def max_slack_rows(P, X):
+    """Which rows of X lie outside the full dimensional body P, and the
+    halfspace row with the largest normalized slack for each."""
+    A, b = P.float_halfspaces
+    vals = X @ A.T
+    outside = ~np.all(vals <= b + INSIDE_TOL * np.maximum(1.0, np.abs(b)), axis=1)
+    return outside, np.argmax((vals - b) / np.linalg.norm(A, axis=1), axis=1)
+
+
 class TestNearestPoints:
     def test_square_cases(self):
         P = square()
@@ -341,6 +361,48 @@ class TestNearestPoints:
         X = np.array([[0.25, 0.25, 2.0], [-1.0, 0.0, 0.0]])
         dist, _ = nearest_points(P, X)
         assert dist == pytest.approx([2.0, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygons_and_probes())
+    def test_plane_projection_on_max_slack_edge(self, case):
+        P, seed = case
+        rng = np.random.default_rng(seed)
+        v = P.float_vertices
+        X = rng.uniform(v.min(0) - 3.0, v.max(0) + 3.0, size=(500, 2))
+        outside, top = max_slack_rows(P, X)
+        proj = nearest_points(P, X)[1][outside]
+        # each edge's two vertices, by exact incidence
+        ends = np.array([[[float(y) for y in w] for w in P.vertices if dot(m, w) == c]
+                         for m, c in P.halfspaces])[top[outside]]
+        a, ab = ends[:, 0], ends[:, 1] - ends[:, 0]
+        t = np.clip(np.sum((proj - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+        gap = np.linalg.norm(proj - (a + t[:, None] * ab), axis=1)
+        assert np.max(gap, initial=0.0) <= 1e-9
+
+    def test_acute_vertex_takes_far_points_of_its_cone(self):
+        # the normal cone of the origin is x <= -|y| / 100
+        P = Polytope.construct([(0, 0), (100, -1), (100, 1)], 2)
+        rng = np.random.default_rng(5)
+        xs = -rng.uniform(1.0, 1e4, size=200)
+        X = np.column_stack([xs, xs * rng.uniform(-100.0, 100.0, size=200)])
+        dist, proj = nearest_points(P, X)
+        assert np.max(np.abs(proj)) <= 1e-12
+        assert np.allclose(dist, np.linalg.norm(X, axis=1), rtol=1e-15, atol=0.0)
+
+    def test_roof_projects_onto_the_ridge_off_the_max_slack_facet(self):
+        # a roof with its ridge from (0,1,1) to (3,1,1); above the ridge the
+        # max-slack facet is the hip x + 2z <= 5, which misses the projection
+        h = F(1, 2)
+        P = Polytope.construct([(0, 0, 0), (4, 0, 0), (0, 2, 0), (4, 2, 0),
+                                (0, 1, 1), (3, 1, 1), (4, h, h), (4, 3 * h, h)], 3)
+        X = np.array([[1.5, 1.0, 50.0]])
+        dist, proj = nearest_points(P, X)
+        assert dist[0] == pytest.approx(49.0, abs=1e-12)
+        assert np.allclose(proj[0], [1.5, 1.0, 1.0], rtol=0.0, atol=1e-12)
+        outside, top = max_slack_rows(P, X)
+        (m, c), _ = P._facets[top[0]]
+        assert outside[0] and m == (1, 0, 2) and c == 5
+        assert float(c) - np.dot(m, proj[0]) > 1.0
 
     @settings(max_examples=150, deadline=None)
     @given(bodies_and_probes())
