@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .bodies import GeometryError, Polytope, _affine_rank
+from .bodies import GeometryError, Polytope, _affine_basis, _affine_rank
 from .linalg import Vec, dot, sub
 
 Piece = tuple[Vec, Fraction]
@@ -41,10 +41,9 @@ def _project_piece(piece: Piece, domain: Polytope) -> Piece:
     """Kill the gradient component orthogonal to the domain's affine hull,
     keeping the values on the domain; canonical for flat domains."""
     g, b = piece
-    base = domain.vertices[0]
-    basis = linalg.independent_subset(sub(p, base) for p in domain.vertices[1:])
+    basis = _affine_basis(domain.vertices)
     resid = linalg.reject(g, linalg.orthogonalize(basis))
-    return sub(g, resid), b + dot(resid, base)
+    return sub(g, resid), b + dot(resid, domain.vertices[0])
 
 
 def _prism(domain: Polytope, lo: Fraction, level: Fraction) -> Polytope:

@@ -1,20 +1,25 @@
 """Regions cut out of the unit sphere by polyhedral cones.
 
 A patch is built from exact rational cone generators.  All cone structure
-is read off one exact hull: the facets of conv({0} ∪ generators) through
-the origin.  Their normals m give the cone as {x : m·x ≤ 0} (its bounding
-halfspaces, equality pairs included for a flat cone), decide membership,
-mark the lineality rays (those with m·r = 0 for every m) and the extreme
-rays of a pointed wedge.  Measures and integrals of continuous functions
-over the patch are floats.
+is read off one exact hull of the origin and the generators: its dimension
+is the span s of the cone, and the normals m of its facets through the
+origin give the cone as {x : m·x ≤ 0} (its bounding halfspaces, equality
+pairs included for a flat cone), decide membership, mark the lineality
+rays (those with m·r = 0 for every m) and the extreme rays of a pointed
+wedge.  Measures and integrals of continuous functions over the patch are
+floats.
 
-Patch kinds by linear span s and lineality l of the cone, ambient d:
+One builder serves the circle (d = 2) and the sphere (d = 3).  Patch kinds
+by linear span s and lineality l of the cone:
     points    s=1        one direction (l=0) or an antipodal pair (l=1)
-    arc       s=2, d any wedge arc, half circle (l=1), full circle (l=2)
+    arc       s=2        wedge arc, half circle (l=1), full circle (l=2)
     polygon   s=3, l=0   convex spherical polygon, area by Girard
     lune      s=3, l=1   region between two meridian half planes
     cap       s=3, l=2   hemisphere
     sphere    s=3, l=3   everything
+An arc carries its frame and angle range; a lune, cap or sphere carries
+its axis, frame and polar and azimuthal extents, so all three integrate as
+one band.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .bodies import GeometryError, Polytope, _hull_2d
-from .linalg import Vec, dot, mat_rank, primitive
+from .linalg import Vec, dot, primitive
 
 _GL_NODES = {}
 
@@ -50,28 +55,24 @@ def _unit(v) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
-def _tangent_normals(gens: Sequence[Sequence], d: int) -> list[tuple[int, ...]]:
+def _tangent_normals(gens: Sequence[Sequence], d: int) -> tuple[list[tuple[int, ...]], int]:
     """Normals m of the facets of conv({0} ∪ gens) through the origin, so
     that cone(gens) = {x : m·x ≤ 0 for every m}: the tangent cone of a
-    polytope at a point is cut out by the facets through it."""
+    polytope at a point is cut out by the facets through it.  Also the
+    hull's dimension, which is the dimension of the generators' span."""
     hull = Polytope.construct([(0,) * d, *gens], d)
-    return [m for m, c in hull.halfspaces if c == 0]
+    return [m for m, c in hull.halfspaces if c == 0], hull.intrinsic_dim
 
 
 def in_cone(x: Sequence[Fraction], gens: Sequence[Vec]) -> bool:
     """Exact membership of x in the conical hull of the generators."""
-    return all(dot(m, x) <= 0 for m in _tangent_normals(gens, len(x)))
+    return all(dot(m, x) <= 0 for m in _tangent_normals(gens, len(x))[0])
 
 
 def _dedupe_rays(gens: Sequence[Vec]) -> list[tuple[int, ...]]:
-    seen = []
-    for g in gens:
-        if all(x == 0 for x in g):
-            continue
-        p = primitive(g)
-        if p not in seen:
-            seen.append(p)
-    return seen
+    """The primitive directions of the nonzero generators, each once, in
+    order of first appearance."""
+    return list(dict.fromkeys(primitive(g) for g in gens if any(g)))
 
 
 def _extreme_pair(pointed: list[Vec], normals: list[tuple[int, ...]]) -> tuple[Vec, Vec]:
@@ -113,96 +114,57 @@ class SphericalPatch:
 
     @staticmethod
     def from_generators(gens: Sequence[Sequence], d: int) -> "SphericalPatch":
-        rays = _dedupe_rays([tuple(Fraction(x) for x in g) for g in gens])
+        rays = _dedupe_rays(gens)
         if not rays:
             raise GeometryError("cone has no nonzero generators")
-        rays_f = [tuple(Fraction(x) for x in r) for r in rays]
-        bounding = _tangent_normals(rays, d)
+        bounding, s = _tangent_normals(rays, d)
         # lineality space: spanned by the rays on every bounding hyperplane
-        lin_rays = [r for r in rays_f if all(dot(m, r) == 0 for m in bounding)]
+        lin_rays = [r for r in rays if all(dot(m, r) == 0 for m in bounding)]
         lin_basis = linalg.independent_subset(lin_rays)
         l = len(lin_basis)
         # pointed part: project the remaining rays off the lineality space
         ortho = linalg.orthogonalize(lin_basis)
-        pointed = [v for v in (linalg.reject(r, ortho) for r in rays_f)
-                   if not linalg.is_zero(v)]
-        pointed = [tuple(Fraction(x) for x in p) for p in _dedupe_rays(pointed)]
-        p = mat_rank(pointed) if pointed else 0
-        s = l + p
-
-        if d == 2:
-            kind, measure, data = SphericalPatch._build_2d(
-                l, p, pointed, lin_basis, bounding)
-        else:
-            kind, measure, data = SphericalPatch._build_3d(
-                l, p, s, pointed, lin_basis, bounding)
-        return SphericalPatch(kind, d, measure, data,
-                              tuple(rays_f), tuple(bounding))
+        pointed = _dedupe_rays([linalg.reject(r, ortho) for r in rays])
+        kind, measure, data = SphericalPatch._build(
+            l, s - l, s, pointed, lin_basis, bounding)
+        return SphericalPatch(kind, d, measure, data, tuple(rays), tuple(bounding))
 
     # ---- assembly ------------------------------------------------------
 
     @staticmethod
-    def _build_2d(l, p, pointed, lin_basis, bounding):
-        if l == 2:
-            e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-            return "arc", 2 * math.pi, (e1, e2, 0.0, 2 * math.pi)
-        if l == 1:
-            if p == 0:
-                u = _unit(lin_basis[0])
-                return "points", 2.0, (u, -u)
-            # half plane: semicircle centered on the pointed direction
-            a = _unit(pointed[0])
-            t = _unit(lin_basis[0])
-            return "arc", math.pi, (t, a, 0.0, math.pi)
-        if p == 1:
-            return "points", 1.0, (_unit(pointed[0]),)
-        ea, eb = _extreme_pair(pointed, bounding)
-        ua, ub = _unit(ea), _unit(eb)
-        ang = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
-        sgn = 1.0 if (ua[0] * ub[1] - ua[1] * ub[0]) > 0 else -1.0
-        e2 = np.array([-ua[1] * sgn, ua[0] * sgn])
-        return "arc", ang, (ua, e2, 0.0, ang)
-
-    @staticmethod
-    def _build_3d(l, p, s, pointed, lin_basis, bounding):
+    def _build(l, p, s, pointed, lin_basis, bounding):
+        """Kind, measure and quadrature data of the patch; the branches for
+        a span s ≤ 2 serve the circle as well as the sphere."""
         if s == 1:
             if l == 1:
                 u = _unit(lin_basis[0])
                 return "points", 2.0, (u, -u)
             return "points", 1.0, (_unit(pointed[0]),)
         if l == 3:
-            return "sphere", 4 * math.pi, ()
+            axis = np.array([0.0, 0.0, 1.0])
+            return "sphere", 4 * math.pi, (axis, *_orthonormal_complement_f(axis),
+                                           math.pi, 2 * math.pi)
         if l == 2 and p == 0:
             # the cone is a plane: great circle
-            e1 = _unit(lin_basis[0])
-            e2f = np.array([float(x) for x in lin_basis[1]])
-            e2 = e2f - (e2f @ e1) * e1
-            e2 /= np.linalg.norm(e2)
+            e1, e2, _ = _arc_frame(*lin_basis)
             return "arc", 2 * math.pi, (e1, e2, 0.0, 2 * math.pi)
         if l == 2:
             # half space: the pointed remainder is orthogonal to the plane
-            return "cap", 2 * math.pi, (_unit(pointed[0]),)
+            axis = _unit(pointed[0])
+            return "cap", 2 * math.pi, (axis, *_orthonormal_complement_f(axis),
+                                        math.pi / 2, 2 * math.pi)
         if s == 2:
             if l == 1:
                 # half great circle from -t through a to t
                 t = _unit(lin_basis[0])
                 a = _unit(pointed[0])
                 return "arc", math.pi, (t, a, 0.0, math.pi)
-            ea, eb = _extreme_pair(pointed, bounding)
-            ua, ub = _unit(ea), _unit(eb)
-            ang = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
-            e2 = ub - float(ub @ ua) * ua
-            e2 /= np.linalg.norm(e2)
+            ua, e2, ang = _arc_frame(*_extreme_pair(pointed, bounding))
             return "arc", ang, (ua, e2, 0.0, ang)
         if l == 1:
             # lune between the meridian planes through the wedge edges
-            ea, eb = _extreme_pair(pointed, bounding)
-            axis = _unit(lin_basis[0])
-            ua, ub = _unit(ea), _unit(eb)
-            theta = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
-            e2 = ub - float(ub @ ua) * ua
-            e2 /= np.linalg.norm(e2)
-            return "lune", 2 * theta, (axis, ua, e2, theta)
+            ua, e2, theta = _arc_frame(*_extreme_pair(pointed, bounding))
+            return "lune", 2 * theta, (_unit(lin_basis[0]), ua, e2, math.pi, theta)
         # pointed full dimensional cone: spherical polygon
         verts = [_unit(v) for v in _extreme_cycle_3d(pointed, bounding)]
         return "polygon", _girard_area(verts), tuple(verts)
@@ -226,17 +188,9 @@ class SphericalPatch:
             e1, e2, p0, p1 = self.data
             g = lambda phi: f(math.cos(phi) * e1 + math.sin(phi) * e2)
             return _adaptive_1d(g, p0, p1, tol)
-        if self.kind == "cap":
-            axis = self.data[0]
-            b1, b2 = _orthonormal_complement_f(axis)
-            return _sphere_band(f, axis, b1, b2, 0.0, math.pi / 2, 0.0, 2 * math.pi, tol)
-        if self.kind == "sphere":
-            axis = np.array([0.0, 0.0, 1.0])
-            b1, b2 = _orthonormal_complement_f(axis)
-            return _sphere_band(f, axis, b1, b2, 0.0, math.pi, 0.0, 2 * math.pi, tol)
-        if self.kind == "lune":
-            axis, e1, e2, theta = self.data
-            return _sphere_band(f, axis, e1, e2, 0.0, math.pi, 0.0, theta, tol)
+        if self.kind in ("cap", "lune", "sphere"):
+            axis, e1, e2, psi, theta = self.data
+            return _sphere_band(f, axis, e1, e2, 0.0, psi, 0.0, theta, tol)
         if self.kind == "polygon":
             verts = self.data
             total = 0.0
@@ -261,6 +215,15 @@ def _girard_area(verts: list[np.ndarray]) -> float:
         tb /= np.linalg.norm(tb)
         total += math.acos(max(-1.0, min(1.0, float(ta @ tb))))
     return total - (k - 2) * math.pi
+
+
+def _arc_frame(ea, eb) -> tuple[np.ndarray, np.ndarray, float]:
+    """The unit vector ua along ea, the unit vector e2 orthogonal to it in
+    the plane of ea and eb on eb's side, and the angle from ea to eb."""
+    ua, ub = _unit(ea), _unit(eb)
+    angle = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
+    e2 = ub - float(ub @ ua) * ua
+    return ua, e2 / np.linalg.norm(e2), angle
 
 
 def _orthonormal_complement_f(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

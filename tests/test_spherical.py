@@ -8,14 +8,29 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epival.bodies import Polytope
-from epival.linalg import mat_rank, solve
+from epival.linalg import (
+    dot,
+    independent_subset,
+    is_zero,
+    mat_rank,
+    orthogonalize,
+    primitive,
+    reject,
+    solve,
+)
 from epival.measures import _lower_clip
 from epival.spherical import (
     SphericalPatch,
+    _dedupe_rays,
     _extreme_cycle_3d,
+    _extreme_pair,
     _gl,
+    _orthonormal_complement_f,
+    _sphere_band,
     _spherical_tri_integral,
+    _tangent_normals,
     _tri_rule,
+    _unit,
     in_cone,
 )
 
@@ -224,14 +239,15 @@ class TestPatch3D:
 
 def dd_clip(rays, normal):
     """The double description step: generators of cone(rays) ∩ {x :
-    normal·x ≤ 0}, every below/above pair kept, none dropped."""
+    normal·x ≤ 0}, every below/above pair kept, each direction once and
+    the zero rays dropped, which leaves the cone as it is."""
     side = [linalg_dot(normal, r) for r in rays]
     out = [r for r, s in zip(rays, side) if s <= 0]
     for a, sa in zip(rays, side):
         for b, sb in zip(rays, side):
             if sa < 0 < sb:
                 out.append(tuple(sb * x - sa * y for x, y in zip(a, b)))
-    return out
+    return list(dict.fromkeys(primitive(r) for r in out if any(r)))
 
 
 def check_lower_clip(gens, n, bound):
@@ -246,7 +262,6 @@ def check_lower_clip(gens, n, bound):
                 m = tuple(sgn if k == j else bound if k == n else 0
                           for k in range(d))
                 rays = dd_clip(rays, m)
-    rays = [r for r in rays if any(r)]
     got = _lower_clip(p, n, bound)
     if not rays or all(r[-1] == 0 for r in rays):
         assert got is None
@@ -267,6 +282,109 @@ def test_lower_clip_matches_double_description(case):
     n, gens, bound = case
     assume(any(any(g) for g in gens))
     check_lower_clip(gens, n, bound)
+
+
+def old_dedupe_rays(gens):
+    """The primitive directions of the nonzero generators by a list
+    membership test, as they were found before the dict."""
+    seen = []
+    for g in gens:
+        if all(x == 0 for x in g):
+            continue
+        p = primitive(g)
+        if p not in seen:
+            seen.append(p)
+    return seen
+
+
+def old_cone_frame(gens, d):
+    """The cone structure as from_generators read it before one builder
+    served both dimensions: Fraction rays, and the pointed rank by a second
+    elimination.  Returns (l, p, pointed, lin_basis, bounding)."""
+    rays = [tuple(Fraction(x) for x in r)
+            for r in old_dedupe_rays([tuple(Fraction(x) for x in g) for g in gens])]
+    bounding = _tangent_normals(rays, d)[0]
+    lin_basis = independent_subset(
+        [r for r in rays if all(dot(m, r) == 0 for m in bounding)])
+    ortho = orthogonalize(lin_basis)
+    pointed = [v for v in (reject(r, ortho) for r in rays) if not is_zero(v)]
+    pointed = [tuple(Fraction(x) for x in p) for p in old_dedupe_rays(pointed)]
+    return (len(lin_basis), mat_rank(pointed) if pointed else 0, pointed,
+            lin_basis, bounding)
+
+
+def old_build_2d(l, p, pointed, lin_basis, bounding):
+    """The circle's own builder: kind, measure and data."""
+    if l == 2:
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        return "arc", 2 * math.pi, (e1, e2, 0.0, 2 * math.pi)
+    if l == 1:
+        if p == 0:
+            u = _unit(lin_basis[0])
+            return "points", 2.0, (u, -u)
+        a = _unit(pointed[0])
+        t = _unit(lin_basis[0])
+        return "arc", math.pi, (t, a, 0.0, math.pi)
+    if p == 1:
+        return "points", 1.0, (_unit(pointed[0]),)
+    ea, eb = _extreme_pair(pointed, bounding)
+    ua, ub = _unit(ea), _unit(eb)
+    ang = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
+    sgn = 1.0 if (ua[0] * ub[1] - ua[1] * ub[0]) > 0 else -1.0
+    e2 = np.array([-ua[1] * sgn, ua[0] * sgn])
+    return "arc", ang, (ua, e2, 0.0, ang)
+
+
+def old_band_integral(gens, f, tol=1e-11):
+    """integrate on a sphere, cap or lune as its own branch did it, with
+    the frame each kind built for itself."""
+    l, _, pointed, lin_basis, bounding = old_cone_frame(gens, 3)
+    if l == 3:
+        axis = np.array([0.0, 0.0, 1.0])
+        b1, b2 = _orthonormal_complement_f(axis)
+        return _sphere_band(f, axis, b1, b2, 0.0, math.pi, 0.0, 2 * math.pi, tol)
+    if l == 2:
+        axis = _unit(pointed[0])
+        b1, b2 = _orthonormal_complement_f(axis)
+        return _sphere_band(f, axis, b1, b2, 0.0, math.pi / 2, 0.0, 2 * math.pi, tol)
+    ea, eb = _extreme_pair(pointed, bounding)
+    axis = _unit(lin_basis[0])
+    ua, ub = _unit(ea), _unit(eb)
+    theta = math.acos(max(-1.0, min(1.0, float(ua @ ub))))
+    e2 = ub - float(ub @ ua) * ua
+    e2 /= np.linalg.norm(e2)
+    return _sphere_band(f, axis, ua, e2, 0.0, math.pi, 0.0, theta, tol)
+
+
+def smooth(u):
+    return math.exp(u[0]) * math.cos(2.0 * u[-1]) + u[0] * u[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=5))
+def test_one_builder_matches_circle_builder(gens):
+    assume(any(any(g) for g in gens))
+    assert _dedupe_rays(gens) == old_dedupe_rays(gens)
+    kind, measure, data = old_build_2d(*old_cone_frame(gens, 2))
+    p = patch(gens, 2)
+    assert (p.kind, p.measure) == (kind, measure)
+    ref = SphericalPatch(kind, 2, measure, data).integrate(smooth)
+    assert p.integrate(smooth) == pytest.approx(ref, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("gens, kind", [
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)], "cap"),
+    ([(1, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1), (1, -1, 2)], "cap"),
+    ([(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0)], "lune"),
+    ([(1, 2, 2), (-1, -2, -2), (2, 1, -2), (-3, 1, 0), (1, 1, 1)], "lune"),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], "sphere"),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], "sphere"),
+])
+def test_band_matches_per_kind_branch(gens, kind):
+    p = patch(gens, 3)
+    assert p.kind == kind
+    assert p.integrate(smooth) == old_band_integral(gens, smooth)
 
 
 def subset_in_cone(x, gens):
