@@ -355,6 +355,16 @@ def _parse_family(payload, infile: str) -> list[PLConvexFunction]:
         raise CliUsageError(f"{infile}: bad family entry: {exc}")
 
 
+def _check_float_range(numbers, where: str) -> None:
+    """The gw pipeline turns its exact input into floats; reject a
+    rational that overflows one before it gets there."""
+    try:
+        for c in numbers:
+            float(c)
+    except OverflowError:
+        raise CliUsageError(f"{where} has a number beyond float range")
+
+
 def _cmd_gw(args) -> int:
     infile = _effective(args, "in", str, None)
     out = _effective(args, "out", str, None)
@@ -367,6 +377,8 @@ def _cmd_gw(args) -> int:
         if mu.n != 1:
             raise CliUsageError(
                 f"{infile}: gw takes a measure in one variable, got n={mu.n}")
+        _check_float_range((c for x, w in mu.atoms for c in x + (w,)),
+                           f"{infile}: measure")
         family = _parse_family(payload["family"], infile)
         if not family:
             raise CliUsageError(f"{infile}: family needs at least one function")
@@ -376,6 +388,9 @@ def _cmd_gw(args) -> int:
                                     f"the measure has n={mu.n}")
             if f.is_empty:
                 raise CliUsageError(f"{infile}: family entry {i} has an empty domain")
+            _check_float_range(
+                (c for row in f.domain.vertices + tuple(g + (b,) for g, b in f.pieces)
+                 for c in row), f"{infile}: family entry {i}")
         bump = payload.get("bump", "smooth")
         mollifier_kernel(bump, mu.n)  # rejects an unknown bump here
     except (KeyError, TypeError) as exc:

@@ -6,7 +6,9 @@ surface area measure, and finally realized as a difference of two
 polytopes whose lower facets reproduce the pairing.  Ground truth stays
 exact the whole way: the atomic pairing is a finite rational sum over
 conjugate values, and the grid pairing integrates the conjugate exactly
-over every cell.
+over every cell.  The pairing has no geometry of its own: the regions
+where the conjugate is affine, and in two variables the volume of its
+truncated epigraph over a cell, come from epival.functions.
 
 The sphere transfer uses the factor (1 + |y|^2)^(n/2 + 1).  With the
 lower normal written as (y, -1)/sqrt(1 + |y|^2), the spherical measure
@@ -22,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,18 +35,6 @@ from .minkowski import minkowski_solve, project_closed
 from .report import Report, csv_text, dumps_canonical
 from .spherical import _adaptive_1d
 from .valuations import SphereDensity
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    raise TypeError(f"not a rational value: {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +51,7 @@ class DualAtomMeasure:
 
     def __post_init__(self):
         atoms = tuple(
-            (tuple(_as_fraction(c) for c in x), _as_fraction(w))
+            (tuple(Fraction(c) for c in x), Fraction(w))
             for x, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         for x, _ in atoms:
@@ -96,10 +86,12 @@ class DualAtomMeasure:
 
     @staticmethod
     def from_dict(data: dict) -> "DualAtomMeasure":
-        atoms = tuple(
-            (tuple(_as_fraction(c) for c in a["x"]), _as_fraction(a["w"]))
-            for a in data["atoms"])
-        return DualAtomMeasure(int(data["n"]), atoms)
+        n, atoms = data["n"], data["atoms"]
+        if type(n) is not int:
+            raise ValueError(f"measure n must be a JSON integer, got {n!r}")
+        if not isinstance(atoms, list):
+            raise ValueError("measure atoms must be a JSON array")
+        return DualAtomMeasure(n, tuple((a["x"], a["w"]) for a in atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +113,8 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        self.lo = tuple(_as_fraction(v) for v in self.lo)
-        self.h = _as_fraction(self.h)
+        self.lo = tuple(Fraction(v) for v in self.lo)
+        self.h = Fraction(self.h)
         self.values = np.asarray(self.values, dtype=float)
         if self.h <= 0:
             raise ValueError("cell width must be positive")
@@ -295,120 +287,56 @@ def mollify(mu: DualAtomMeasure, bump: str, j: int) -> GridDensity:
 # exact pairing with conjugates
 
 
-def _envelope_1d(pieces) -> list[tuple[Fraction, Fraction, Optional[Fraction]]]:
-    # upper envelope of lines, each entry (slope, intercept, start); the
-    # first segment starts at minus infinity
-    best: dict[Fraction, Fraction] = {}
-    for g, b in pieces:
-        s = g[0]
-        if s not in best or b > best[s]:
-            best[s] = b
-    env: list[tuple[Fraction, Fraction, Optional[Fraction]]] = []
-    for s, c in sorted(best.items()):
-        start: Optional[Fraction] = None
-        while env:
-            s0, c0, x0 = env[-1]
-            start = (c0 - c) / (s - s0)
-            if x0 is None or start > x0:
-                break
-            env.pop()
-            start = None
-        env.append((s, c, start))
-    return env
-
-
 def _integrate_envelope(env, a: Fraction, b: Fraction) -> Fraction:
+    """Exact integral over [a, b] of a piecewise linear function given as
+    (start, slope, intercept) rows sorted by start, the first starting at
+    or before a; the walk goes left from b, row by row."""
     total = Fraction(0)
-    idx = 0
-    for i in range(len(env) - 1, -1, -1):
-        if env[i][2] is None or env[i][2] < b:
-            idx = i
-            break
-    # walk left from the segment active at b
+    idx = len(env) - 1
     hi = b
     while hi > a:
-        s, c, start = env[idx]
-        lo = a if (start is None or start < a) else start
-        total += s * (hi * hi - lo * lo) / 2 + c * (hi - lo)
-        hi = lo
+        start, s, c = env[idx]
+        if start < hi:
+            lo = start if start > a else a
+            total += (hi - lo) * (s * (lo + hi) / 2 + c)
+            hi = lo
         idx -= 1
-    return total
-
-
-def _clip_polygon(poly, a0: Fraction, a1: Fraction, rhs: Fraction):
-    # keep the side a0 x + a1 y >= rhs; exact crossings
-    out = []
-    m = len(poly)
-    for i in range(m):
-        P = poly[i]
-        Q = poly[(i + 1) % m]
-        fP = a0 * P[0] + a1 * P[1] - rhs
-        fQ = a0 * Q[0] + a1 * Q[1] - rhs
-        if fP >= 0:
-            out.append(P)
-        if (fP > 0 > fQ) or (fP < 0 < fQ):
-            t = fP / (fP - fQ)
-            out.append((P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1])))
-    return out
-
-
-def _affine_over_polygon(g, b: Fraction, poly) -> Fraction:
-    if len(poly) < 3:
-        return Fraction(0)
-    p0 = poly[0]
-    total = Fraction(0)
-    for i in range(1, len(poly) - 1):
-        p1, p2 = poly[i], poly[i + 1]
-        cross = (p1[0] - p0[0]) * (p2[1] - p0[1]) - \
-                (p1[1] - p0[1]) * (p2[0] - p0[0])
-        cx = (p0[0] + p1[0] + p2[0]) / 3
-        cy = (p0[1] + p1[1] + p2[1]) / 3
-        total += cross / 2 * (g[0] * cx + g[1] * cy + b)
-    return total
-
-
-def _maxaffine_over_cell(pieces, corners) -> Fraction:
-    total = Fraction(0)
-    for i, (gi, bi) in enumerate(pieces):
-        poly = corners
-        for k, (gk, bk) in enumerate(pieces):
-            if k == i:
-                continue
-            poly = _clip_polygon(poly, gi[0] - gk[0], gi[1] - gk[1], bk - bi)
-            if len(poly) < 3:
-                break
-        total += _affine_over_polygon(gi, bi, poly)
     return total
 
 
 def eval_dual(phi: GridDensity, u: PLConvexFunction) -> float:
     """Pair the grid density with the conjugate of u, integrating the
-    conjugate exactly over each inhabited cell."""
+    conjugate exactly over each inhabited cell.
+
+    In one variable the cells of the conjugate restricted to the grid's
+    span give its breakpoints once.  In two, the conjugate restricted to
+    a grid cell C has its epigraph truncated one above its maximum M, so
+    the integral over C is (M + 1) h^2 minus that body's volume."""
     conj = u.fenchel_conjugate()
+    lo, h = phi.lo, phi.h
+    total = 0.0
     if phi.n == 1:
-        env = _envelope_1d(conj.pieces)
-        lo, h = phi.lo[0], phi.h
-        total = 0.0
-        for k, v in enumerate(phi.values):
-            if v == 0.0:
-                continue
-            a = lo + k * h
-            total += float(v) * float(_integrate_envelope(env, a, a + h))
+        span = Polytope.construct([lo, (lo[0] + len(phi.values) * h,)], 1)
+        env = sorted((cell.vertices[0][0], g[0], b) for g, b, cell in
+                     PLConvexFunction.from_pieces(span, conj.pieces).cells)
+        a = lo[0]
+        for v in phi.values:
+            b = a + h
+            if v != 0.0:
+                total += float(v) * float(_integrate_envelope(env, a, b))
+            a = b
         return total
     if phi.n != 2:
         raise ValueError("pairing implemented for one or two variables")
-    pieces = sorted(set(conj.pieces))
-    total = 0.0
     it = np.nditer(phi.values, flags=["multi_index"])
     for v in it:
         if v == 0.0:
             continue
-        kx, ky = it.multi_index
-        x0 = phi.lo[0] + kx * phi.h
-        y0 = phi.lo[1] + ky * phi.h
-        x1, y1 = x0 + phi.h, y0 + phi.h
-        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        total += float(v) * float(_maxaffine_over_cell(pieces, corners))
+        x0, y0 = (lo[i] + k * h for i, k in enumerate(it.multi_index))
+        cell = Polytope.construct(
+            [(x0, y0), (x0 + h, y0), (x0, y0 + h), (x0 + h, y0 + h)], 2)
+        w = PLConvexFunction.from_pieces(cell, conj.pieces)
+        total += float(v) * float((w.max_value + 1) * h * h - w.epigraph.volume)
     return total
 
 

@@ -289,21 +289,53 @@ class TestGw:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "gwrep.json").exists()
 
-    @pytest.mark.parametrize("where", ["weight", "family_vertex"])
+    @pytest.mark.parametrize("where", [
+        "weight", "family_vertex", "weight_rational", "coordinate_rational",
+        "family_vertex_rational", "family_offset_rational"])
     def test_non_finite_number(self, tmp_path, capsys, where):
-        # 1e400 is a valid JSON number that overflows to infinity
+        # 1e400 is a valid JSON number that overflows to infinity; the
+        # string "1e999" is an exact rational that no float can hold
         path = tmp_path / "gw.json"
         gw_input_file(tmp_path)
         payload = json.loads(path.read_text())
+        atoms = payload["measure"]["atoms"]
+        family = payload["family"][0]
         if where == "weight":
-            payload["measure"]["atoms"][0]["w"] = "HUGE"
+            atoms[0]["w"] = "HUGE"
+        elif where == "family_vertex":
+            family["domain"]["vertices"][0] = ["HUGE"]
+        elif where == "weight_rational":
+            # balanced, so only the size of the weights is wrong
+            for atom, w in zip(atoms, ("1e999", "-2e999", "1e999")):
+                atom["w"] = w
+        elif where == "coordinate_rational":
+            atoms[0]["x"], atoms[2]["x"] = ["-1e999"], ["1e999"]
+        elif where == "family_vertex_rational":
+            family["domain"]["vertices"][0] = ["-1e999"]
         else:
-            payload["family"][0]["domain"]["vertices"][0] = ["HUGE"]
+            family["pieces"][0]["b"] = "1e999"
         path.write_text(json.dumps(payload).replace('"HUGE"', "1e400"))
         assert run("gw", "--in", str(path), "--j-list", "2",
                    "--out", str(tmp_path / "gwrep")) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "Infinity" in err
+        expect = "beyond float range" if where.endswith("_rational") else "Infinity"
+        assert str(path) in err and expect in err
+        assert not (tmp_path / "gwrep.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 1.7), ("n", True), ("n", "1"), ("atoms", {})],
+        ids=["n_float", "n_bool", "n_string", "atoms_object"])
+    def test_measure_schema(self, tmp_path, capsys, key, value):
+        # each of these once read as n = 1 or as the empty measure
+        path = tmp_path / "gw.json"
+        gw_input_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["measure"][key] = value
+        path.write_text(json.dumps(payload))
+        assert run("gw", "--in", str(path), "--j-list", "2",
+                   "--out", str(tmp_path / "gwrep")) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"measure {key} must be a JSON" in err
         assert not (tmp_path / "gwrep.json").exists()
 
     def test_missing_family_key(self, tmp_path):

@@ -34,8 +34,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epival.bodies import Polytope
+from epival.cases import CaseGenerator
 from epival.functions import PLConvexFunction
 from epival.valuations import ConstKernel, SphereDensity
 from epival.dual import (
@@ -245,6 +247,183 @@ class TestEvalDual:
             phi = mollify(mu_second(), "smooth", j)
             for u in family3():
                 assert eval_dual(phi, u) >= -1e-8
+
+
+# The pairing as it was computed before it read its regions off
+# epival.functions: a 1D upper envelope of lines, and in two variables a
+# Sutherland-Hodgman clip of each cell per piece with a fan integral.
+
+
+def ref_envelope_1d(pieces):
+    # upper envelope of lines, each entry (slope, intercept, start); the
+    # first segment starts at minus infinity
+    best = {}
+    for g, b in pieces:
+        s = g[0]
+        if s not in best or b > best[s]:
+            best[s] = b
+    env = []
+    for s, c in sorted(best.items()):
+        start = None
+        while env:
+            s0, c0, x0 = env[-1]
+            start = (c0 - c) / (s - s0)
+            if x0 is None or start > x0:
+                break
+            env.pop()
+            start = None
+        env.append((s, c, start))
+    return env
+
+
+def ref_integrate_envelope(env, a, b):
+    total = F(0)
+    idx = 0
+    for i in range(len(env) - 1, -1, -1):
+        if env[i][2] is None or env[i][2] < b:
+            idx = i
+            break
+    hi = b
+    while hi > a:
+        s, c, start = env[idx]
+        lo = a if (start is None or start < a) else start
+        total += s * (hi * hi - lo * lo) / 2 + c * (hi - lo)
+        hi = lo
+        idx -= 1
+    return total
+
+
+def ref_clip_polygon(poly, a0, a1, rhs):
+    # keep the side a0 x + a1 y >= rhs; exact crossings
+    out = []
+    m = len(poly)
+    for i in range(m):
+        P = poly[i]
+        Q = poly[(i + 1) % m]
+        fP = a0 * P[0] + a1 * P[1] - rhs
+        fQ = a0 * Q[0] + a1 * Q[1] - rhs
+        if fP >= 0:
+            out.append(P)
+        if (fP > 0 > fQ) or (fP < 0 < fQ):
+            t = fP / (fP - fQ)
+            out.append((P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1])))
+    return out
+
+
+def ref_affine_over_polygon(g, b, poly):
+    if len(poly) < 3:
+        return F(0)
+    p0 = poly[0]
+    total = F(0)
+    for i in range(1, len(poly) - 1):
+        p1, p2 = poly[i], poly[i + 1]
+        cross = (p1[0] - p0[0]) * (p2[1] - p0[1]) - \
+                (p1[1] - p0[1]) * (p2[0] - p0[0])
+        cx = (p0[0] + p1[0] + p2[0]) / 3
+        cy = (p0[1] + p1[1] + p2[1]) / 3
+        total += cross / 2 * (g[0] * cx + g[1] * cy + b)
+    return total
+
+
+def ref_maxaffine_over_cell(pieces, corners):
+    total = F(0)
+    for i, (gi, bi) in enumerate(pieces):
+        poly = corners
+        for k, (gk, bk) in enumerate(pieces):
+            if k == i:
+                continue
+            poly = ref_clip_polygon(poly, gi[0] - gk[0], gi[1] - gk[1], bk - bi)
+            if len(poly) < 3:
+                break
+        total += ref_affine_over_polygon(gi, bi, poly)
+    return total
+
+
+def ref_eval_dual(phi, u):
+    conj = u.fenchel_conjugate()
+    total = 0.0
+    if phi.n == 1:
+        env = ref_envelope_1d(conj.pieces)
+        for k, v in enumerate(phi.values):
+            if v != 0.0:
+                a = phi.lo[0] + k * phi.h
+                total += float(v) * float(ref_integrate_envelope(env, a, a + phi.h))
+        return total
+    pieces = sorted(set(conj.pieces))
+    it = np.nditer(phi.values, flags=["multi_index"])
+    for v in it:
+        if v == 0.0:
+            continue
+        kx, ky = it.multi_index
+        x0 = phi.lo[0] + kx * phi.h
+        y0 = phi.lo[1] + ky * phi.h
+        x1, y1 = x0 + phi.h, y0 + phi.h
+        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        total += float(v) * float(ref_maxaffine_over_cell(pieces, corners))
+    return total
+
+
+def lattice_parabola(n, k):
+    """|x|^2 interpolated on the lattice {-k/2, ..., k/2}^n: u* has a kink
+    between each pair of neighbouring lattice points."""
+    lattice = itertools.product(range(-k, k + 1), repeat=n)
+    return PLConvexFunction.lower_envelope(
+        [tuple(F(x, 2) for x in p) + (sum(F(x, 2) ** 2 for x in p),) for p in lattice])
+
+
+rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def pairing_cases(draw, n):
+    """A function u and a grid.  u comes from CaseGenerator, interpolates
+    |x|^2 on a lattice, or is given by pieces on a point, a segment or a
+    polygon.  The grid covers every kink of u*, straddles one, starts
+    beyond the last, or lies anywhere; the kinks of u* pass through the
+    gradients of u's pieces, so those serve as the anchors."""
+    kind = draw(st.sampled_from(["case", "parabola", "point", "segment", "polygon"]))
+    if kind == "case":
+        u = CaseGenerator(7, n).pl_function(draw(st.integers(0, 7)))
+    elif kind == "parabola":
+        u = lattice_parabola(n, draw(st.sampled_from([2, 3, 4] if n == 1 else [1, 2])))
+    else:
+        count = {"point": 1, "segment": 2, "polygon": n + 1}[kind]
+        pts = draw(st.lists(st.tuples(*[rationals] * n),
+                            min_size=count, max_size=count, unique=True))
+        pieces = draw(st.lists(st.tuples(st.tuples(*[rationals] * n), rationals),
+                               min_size=1, max_size=4))
+        u = PLConvexFunction.from_pieces(Polytope.construct(pts, n), pieces)
+    grads = [g for g, _ in u.pieces]
+    first = [min(g[a] for g in grads) for a in range(n)]
+    last = [max(g[a] for g in grads) for a in range(n)]
+    size = draw(st.integers(1, 12 if n == 1 else 4))
+    h = draw(st.sampled_from([F(1, 8), F(1, 3), F(1, 2), F(1)]))
+    where = draw(st.sampled_from(["kinks", "kink", "beyond", "anywhere"]))
+    if where == "kinks":
+        # half a unit of margin on each side
+        h = (max(y - x for x, y in zip(first, last)) + 1) / size
+        lo = tuple(x - F(1, 2) for x in first)
+    elif where == "kink":
+        frac = draw(st.sampled_from([0, F(1, 3), F(1, 2)]))
+        lo = tuple(x - (draw(st.integers(0, size - 1)) + frac) * h
+                   for x in draw(st.sampled_from(grads)))
+    elif where == "beyond":
+        lo = tuple(x + 1 for x in last)
+    else:
+        lo = draw(st.tuples(*[rationals] * n))
+    values = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-4, 4), st.floats(1 / 4, 4)),
+        min_size=size ** n, max_size=size ** n))
+    return u, GridDensity(n, lo, h, np.reshape(values, (size,) * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(pairing_cases))
+@example((lattice_parabola(1, 4), GridDensity(1, (F(-3),), F(1, 3), np.linspace(-1, 2, 18))))
+@example((lattice_parabola(2, 2), GridDensity(2, (F(-2), F(-3, 2)), F(2, 3), np.ones((5, 5)))))
+def test_eval_dual_matches_reference(case):
+    u, phi = case
+    assert eval_dual(phi, u) == ref_eval_dual(phi, u)
 
 
 class TestSphereTransfer:
