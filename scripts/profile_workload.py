@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Profile one warm pass of a benchmark workload under cProfile.
+
+    python3 scripts/profile_workload.py --workload gw --seed 1 --sort tottime
+
+Run from anywhere in a checkout: the package is imported from ``src/``
+and the workloads from ``perfbench/``, which this script only reads.  The
+workload's cases are built and its warm-up runs first, unprofiled, with
+the BLAS thread pools capped at one thread as in the benchmark.  Then
+every case runs once under cProfile, and the 40 heaviest functions by
+the chosen sort key are printed.  A case that fails its check raises.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TOP = 40
+
+
+def main(argv=None) -> int:
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
+    args = ap.parse_args(argv)
+
+    workload = workloads.WORKLOADS[args.workload]
+    cases = workload.build(args.seed, ROOT)
+    workload.warm(ROOT)
+    state: dict = {}
+    prof = cProfile.Profile()
+    prof.enable()
+    for case in cases:
+        workload.run(case, state)
+    prof.disable()
+    print(f"workload {args.workload} seed {args.seed}: {len(cases)} cases, "
+          f"one pass under cProfile")
+    pstats.Stats(prof, stream=sys.stdout).sort_stats(args.sort).print_stats(TOP)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,6 +22,13 @@ normals, with no Gram solves and no dual basis.  A single equality normal
 (a segment in the plane, a polygon in space) is a perpendicular or a
 cross product of the direction basis, with no Gram-Schmidt.
 
+A polygon made by construct, in the plane or in space, carries its
+boundary_cycle: the monotone chain its hull was decided on, read as
+indices into the sorted vertices.  Bodies made directly (a clip that
+stays full dimensional, translate, scale, reflect_last, the prism of an
+epigraph) derive it on first use from the integer image of their
+vertices.
+
 All predicates and constructions in this module are exact.  Floating
 point enters only through the float_* views, relative_volume_float, and
 the metric routines nearest_points, distances_to and hausdorff_distance.
@@ -123,6 +130,12 @@ def _chain(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
+
+
+def _reindexed(cycle: Sequence, verts: Sequence) -> tuple[int, ...]:
+    """The cycle of points as indices into verts."""
+    index = {v: i for i, v in enumerate(verts)}
+    return tuple(index[p] for p in cycle)
 
 
 def _hull_2d(points: Iterable[Vec]) -> list[Vec]:
@@ -267,8 +280,9 @@ class Polytope:
                 g = math.gcd(*n)
                 m = (n[0] // g, n[1] // g)
                 hs.append((m, Fraction(_idot(m, a), q)))
-            out = Polytope(2, tuple(image[k] for k in sorted(cycle)),
-                           tuple(sorted(hs)))
+            verts = sorted(cycle)
+            out = Polytope(2, tuple(image[k] for k in verts), tuple(sorted(hs)))
+            out.__dict__["boundary_cycle"] = _reindexed(cycle, verts)
         else:
             facets, idx = _hull_3d(keys)
             out = Polytope(3, tuple(pts[i] for i in sorted(idx)),
@@ -294,11 +308,13 @@ class Polytope:
             comp = [primitive(w) for w in linalg.orthogonal_complement(basis, d)]
         cols = _chart(comp, d)
         image = {tuple(p[j] for j in cols): p for p in pts}
-        verts, rel = pts, ()
+        verts, rel, cycle = pts, (), None
         if cols:
             inner = Polytope.construct(image, len(cols))
             verts = [image[y] for y in inner.vertices]
             rel = [m for m, _ in inner.halfspaces]
+            if len(basis) == 2:  # a polygon in space
+                cycle = [verts[i] for i in inner.boundary_cycle]
         hs: list[Halfspace] = []
         for m in rel:
             lift = [0] * d
@@ -309,7 +325,12 @@ class Polytope:
         for w in comp:
             c = dot(w, base)
             hs += [(w, c), (tuple(-x for x in w), -c)]
-        return Polytope(d, tuple(sorted(verts)), tuple(sorted(hs)))
+        out = Polytope(d, tuple(sorted(verts)), tuple(sorted(hs)))
+        if cycle is not None:
+            # the cycle is read back against the sorted vertices, so it
+            # does not rest on the chart keeping their order
+            out.__dict__["boundary_cycle"] = _reindexed(cycle, out.vertices)
+        return out
 
     @staticmethod
     def from_halfspaces(
@@ -403,7 +424,10 @@ class Polytope:
 
     @cached_property
     def boundary_cycle(self) -> tuple[int, ...]:
-        """Vertex indices of a 2 dimensional body in cyclic order."""
+        """Vertex indices of a 2 dimensional body in cyclic order, from
+        the lexicographically smallest vertex, counterclockwise in the
+        chart of the body's plane.  construct hands it over; any other
+        body derives it here."""
         if self.intrinsic_dim != 2:
             raise GeometryError("boundary cycle needs a 2 dimensional body")
         cols = _chart([m for m, _ in self.equality_planes], self.ambient_dim)

@@ -91,6 +91,11 @@ class DualAtomMeasure:
             raise ValueError(f"measure n must be a JSON integer, got {n!r}")
         if not isinstance(atoms, list):
             raise ValueError("measure atoms must be a JSON array")
+        for a in atoms:
+            # a string would be read one character per coordinate
+            if not isinstance(a["x"], list) or len(a["x"]) != n:
+                raise ValueError("measure atom x must be a JSON array of "
+                                 f"length {n}, got {a['x']!r}")
         return DualAtomMeasure(n, tuple((a["x"], a["w"]) for a in atoms))
 
 

@@ -61,19 +61,19 @@ MAX_ITER = 200
 
 
 def _merged_atoms(mu: SphereMeasure):
-    units: list[np.ndarray] = []
-    raw: list[float] = []
-    for n, w in mu.atoms:
-        n = np.asarray(n, dtype=float)
-        nn = math.sqrt(n @ n)
-        if nn < MIN_NORMAL_LENGTH:
-            raise DegenerateNormals("zero direction atom")
-        units.append(n / nn)
-        raw.append(float(w))
+    if not mu.atoms:
+        return [], []
+    N = np.array([n for n, _ in mu.atoms], dtype=float)
+    # vecdot takes one dot per row, so the bits match math.sqrt(n @ n)
+    norms = np.sqrt(np.vecdot(N, N))
+    if np.any(norms < MIN_NORMAL_LENGTH):
+        raise DegenerateNormals("zero direction atom")
+    units = N / norms[:, None]
+    raw = [float(w) for _, w in mu.atoms]
     # lexicographic sort so duplicates land next to each other; a short
     # backward scan over entries with a close leading coordinate then
     # merges them without the quadratic all-pairs comparison
-    keys = [tuple(u.tolist()) for u in units]
+    keys = list(map(tuple, units.tolist()))
     order = sorted(range(len(units)), key=keys.__getitem__)
     normals: list[np.ndarray] = []
     kept: list[tuple] = []
@@ -141,15 +141,18 @@ def _edge_walk(normals, weights) -> np.ndarray:
     if len(normals) < 3:
         raise DegenerateNormals("need at least three distinct edge normals")
     w = _balance(normals, weights)
-    order = np.argsort([math.atan2(n[1], n[0]) for n in normals])
-    pts = [np.zeros(2)]
-    for k in order:
-        n = normals[k]
-        edge = w[k] * np.array([-n[1], n[0]])
-        pts.append(pts[-1] + edge)
-    gap = pts[-1]
-    m = len(pts) - 1
-    return np.array([p - (i / m) * gap for i, p in enumerate(pts[:-1])])
+    N = np.array(normals)
+    order = np.argsort([math.atan2(y, x) for x, y in N.tolist()])
+    N = N[order]
+    # edge k is w_k times the normal turned a quarter left; the walk
+    # starts at a zero row so that cumsum adds exactly as a loop would
+    pts = np.zeros((len(order) + 1, 2))
+    pts[1:, 0] = -N[:, 1]
+    pts[1:, 1] = N[:, 0]
+    pts[1:] *= w[order, None]
+    np.cumsum(pts, axis=0, out=pts)
+    m = len(order)
+    return pts[:-1] - (np.arange(m) / m)[:, None] * pts[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from epival.bodies import (
     GeometryError,
@@ -317,6 +317,51 @@ def test_chart_construction_matches_gram_solves(data):
     assert P.intrinsic_dim == _affine_rank(list(verts)) < d
     if P.intrinsic_dim == 2:
         assert P.boundary_cycle == gram_boundary_cycle(P)
+
+
+def derived_cycle(P):
+    """boundary_cycle derived from scratch on the same body made without
+    construct, so that nothing is carried: the reference for the cycle
+    construct hands over."""
+    fresh = Polytope(P.ambient_dim, P.vertices, P.halfspaces)
+    assert "boundary_cycle" not in fresh.__dict__
+    return fresh.boundary_cycle
+
+
+@st.composite
+def polygon_inputs(draw):
+    """Points in the plane, or on a plane in space through an integer
+    parametrization: float-derived coordinates at one scale, down to
+    1e-300, with repeated points and points on lines through two
+    others."""
+    scale = draw(st.sampled_from((1.0, 2.0 ** -30, 1e-300)))
+    unit = st.floats(-1.0, 1.0)
+    pts = [(F(x * scale), F(y * scale))
+           for x, y in draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=10))]
+    for i, j, t in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                           st.integers(-8, 16)), max_size=8)):
+        # t = 0 repeats a point; any other t lies on the line through two
+        a, b = pts[i % len(pts)], pts[j % len(pts)]
+        pts.append(tuple(x + F(t, 8) * (y - x) for x, y in zip(a, b)))
+    if draw(st.booleans()):
+        return 2, pts
+    small = st.tuples(*[st.integers(-2, 2)] * 3)
+    u, v = draw(small), draw(small)
+    assume(any(cross3(u, v)))
+    o = tuple(map(F, draw(st.tuples(unit, unit, unit))))
+    return 3, [tuple(o[k] + s * u[k] + t * v[k] for k in range(3)) for s, t in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_inputs())
+def test_construct_carries_the_derived_cycle(data):
+    d, pts = data
+    P = Polytope.construct(pts, d)
+    if P.intrinsic_dim == 2:
+        assert P.__dict__["boundary_cycle"] == derived_cycle(P)
+        assert sorted(P.boundary_cycle) == list(range(len(P.vertices)))
+    else:
+        assert "boundary_cycle" not in P.__dict__
 
 
 def fraction_polygon(points):

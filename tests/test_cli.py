@@ -322,15 +322,24 @@ class TestGw:
         assert str(path) in err and expect in err
         assert not (tmp_path / "gwrep.json").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("n", 1.7), ("n", True), ("n", "1"), ("atoms", {})],
-        ids=["n_float", "n_bool", "n_string", "atoms_object"])
-    def test_measure_schema(self, tmp_path, capsys, key, value):
-        # each of these once read as n = 1 or as the empty measure
+    @pytest.mark.parametrize("n, key, value", [
+        (1, "n", 1.7), (1, "n", True), (1, "n", "1"), (1, "atoms", {}),
+        (2, "atom x", "10"), (1, "atom x", "1")],
+        ids=["n_float", "n_bool", "n_string", "atoms_object", "x_string_n2",
+             "x_string_n1"])
+    def test_measure_schema(self, tmp_path, capsys, n, key, value):
+        # each of these once read as n = 1, as the empty measure, or as
+        # an atom with one coordinate per character: "10" as (1, 0)
         path = tmp_path / "gw.json"
-        gw_input_file(tmp_path)
+        gw_input_file(tmp_path, n=n, atoms=[
+            {"x": ["1"] + ["0"] * (n - 1), "w": "1"},
+            {"x": ["0"] * n, "w": "-2"},
+            {"x": ["-1"] + ["0"] * (n - 1), "w": "1"}])
         payload = json.loads(path.read_text())
-        payload["measure"][key] = value
+        if key == "atom x":
+            payload["measure"]["atoms"][0]["x"] = value
+        else:
+            payload["measure"][key] = value
         path.write_text(json.dumps(payload))
         assert run("gw", "--in", str(path), "--j-list", "2",
                    "--out", str(tmp_path / "gwrep")) == 2

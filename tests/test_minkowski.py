@@ -17,9 +17,13 @@ from hypothesis import given, settings, strategies as st
 from epival import minkowski
 from epival.bodies import GeometryError, Polytope
 from epival.cases import CaseGenerator
+from epival.dual import (DualAtomMeasure, balance_and_discretize, mollify,
+                         plane_to_sphere_density)
 from epival.linalg import primitive
-from epival.measures import SphereMeasure, surface_area_measure
+from epival.measures import (MIN_NORMAL_LENGTH, SphereMeasure,
+                             surface_area_measure)
 from epival.minkowski import (
+    DIRECTION_TOL,
     DegenerateNormals,
     UnbalancedInput,
     _areas_and_jacobian,
@@ -29,6 +33,7 @@ from epival.minkowski import (
     _facet_polygons_at,
     _merged_atoms,
     minkowski_solve,
+    project_closed,
 )
 
 
@@ -102,6 +107,20 @@ atom = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-6.0, 3.0),
                  st.booleans())
 
 
+def closed_measure(draw):
+    """The atoms drawn, each with its twin if asked, and one atom against
+    the resultant; None if the resultant vanishes."""
+    pairs = []
+    for angle, exponent, twin in draw:
+        for a in (angle, angle + 1e-7)[:1 + twin]:
+            pairs.append(((math.cos(a), math.sin(a)), 10.0 ** exponent))
+    r = sum(w * np.array(n) for n, w in pairs)
+    if np.linalg.norm(r) == 0:
+        return None
+    pairs.append((tuple(-r / np.linalg.norm(r)), float(np.linalg.norm(r))))
+    return atoms_measure(2, pairs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(atom, min_size=2, max_size=12))
 def test_polygon_is_the_strict_hull_of_the_walk(draw):
@@ -109,16 +128,9 @@ def test_polygon_is_the_strict_hull_of_the_walk(draw):
     starts at the lexicographically smallest walk point and turns strictly
     left at every vertex, every vertex is a walk point, every walk point is
     in the body, and each halfspace is a primitive edge line."""
-    pairs = []
-    for angle, exponent, twin in draw:
-        for a in (angle, angle + 1e-7)[:1 + twin]:
-            pairs.append(((math.cos(a), math.sin(a)), 10.0 ** exponent))
-    # close the measure with one atom against the resultant
-    r = sum(w * np.array(n) for n, w in pairs)
-    if np.linalg.norm(r) == 0:
+    mu = closed_measure(draw)
+    if mu is None:
         return
-    pairs.append((tuple(-r / np.linalg.norm(r)), float(np.linalg.norm(r))))
-    mu = atoms_measure(2, pairs)
     try:
         P = minkowski_solve(mu)
     except DegenerateNormals:
@@ -135,6 +147,158 @@ def test_polygon_is_the_strict_hull_of_the_walk(draw):
     for m, c in P.halfspaces:
         assert primitive(m) == m
         assert sum(m[0] * v[0] + m[1] * v[1] == c for v in cycle) == 2
+
+
+def merged_atoms_per_atom(mu):
+    """_merged_atoms as it normalized one atom at a time: the reference
+    for the whole-array normalization."""
+    units, raw = [], []
+    for n, w in mu.atoms:
+        n = np.asarray(n, dtype=float)
+        nn = math.sqrt(n @ n)
+        if nn < MIN_NORMAL_LENGTH:
+            raise DegenerateNormals("zero direction atom")
+        units.append(n / nn)
+        raw.append(float(w))
+    keys = [tuple(u.tolist()) for u in units]
+    order = sorted(range(len(units)), key=keys.__getitem__)
+    normals, kept, weights = [], [], []
+    for k in order:
+        n, w = keys[k], raw[k]
+        hit = False
+        for idx in range(len(kept) - 1, -1, -1):
+            if n[0] - kept[idx][0] > DIRECTION_TOL:
+                break
+            if math.dist(kept[idx], n) < DIRECTION_TOL:
+                weights[idx] += w
+                hit = True
+                break
+        if not hit:
+            normals.append(units[k])
+            kept.append(n)
+            weights.append(w)
+    keep = [k for k, w in enumerate(weights) if abs(w) > 1e-14]
+    return [normals[k] for k in keep], [weights[k] for k in keep]
+
+
+def edge_walk_per_edge(normals, weights):
+    """_edge_walk as it laid one edge at a time: the reference for the
+    cumsum walk."""
+    if len(normals) < 3:
+        raise DegenerateNormals("need at least three distinct edge normals")
+    w = minkowski._balance(normals, weights)
+    order = np.argsort([math.atan2(n[1], n[0]) for n in normals])
+    pts = [np.zeros(2)]
+    for k in order:
+        n = normals[k]
+        pts.append(pts[-1] + w[k] * np.array([-n[1], n[0]]))
+    gap = pts[-1]
+    m = len(pts) - 1
+    return np.array([p - (i / m) * gap for i, p in enumerate(pts[:-1])])
+
+
+def same_bits(a, b):
+    """Equal shape and equal bytes: equal floats, signs of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_merge_and_walk_match(mu):
+    """_merged_atoms and, in the plane, _edge_walk give the references'
+    bits, or both raise the same error."""
+    try:
+        want = merged_atoms_per_atom(mu)
+    except DegenerateNormals:
+        with pytest.raises(DegenerateNormals, match="zero direction"):
+            _merged_atoms(mu)
+        return
+    got = _merged_atoms(mu)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    if mu.dim != 2:
+        return
+    try:
+        walk = edge_walk_per_edge(*want)
+    except (DegenerateNormals, UnbalancedInput) as exc:
+        with pytest.raises(type(exc)):
+            _edge_walk(*got)
+        return
+    assert same_bits(_edge_walk(*got), walk)
+
+
+@st.composite
+def sphere_measures(draw):
+    """Atoms in R^2 or R^3 at one scale; an atom may have a twin within
+    DIRECTION_TOL of equal or opposite weight, and a coordinate may be
+    0, so zero and subnormal directions come up too.  The measure may be
+    closed by one atom against the resultant."""
+    dim = draw(st.sampled_from((2, 3)))
+    scale = 10.0 ** draw(st.integers(-12, 8))
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    atoms = []
+    for n, w, twin in draw(st.lists(st.tuples(
+            coords, st.floats(1e-3, 1e3),
+            st.sampled_from(("none", "equal", "cancel"))), max_size=12)):
+        n = scale * np.array(n)
+        atoms.append((n, w))
+        if twin != "none":
+            jitter = np.array(draw(coords))
+            atoms.append((n + 1e-11 * np.linalg.norm(n) * jitter,
+                          -w if twin == "cancel" else w))
+    lengths = [np.linalg.norm(n) for n, _ in atoms]
+    if draw(st.booleans()) and min(lengths, default=0) >= MIN_NORMAL_LENGTH:
+        r = sum(w * n / ell for (n, w), ell in zip(atoms, lengths))
+        if np.any(r):
+            atoms.append((-r, float(np.linalg.norm(r))))
+    return SphereMeasure(dim, tuple(atoms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sphere_measures())
+def test_merged_atoms_match_per_atom_reference(mu):
+    assert_merge_and_walk_match(mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(atom, min_size=2, max_size=12))
+def test_edge_walk_matches_per_edge_reference(draw):
+    mu = closed_measure(draw)
+    if mu is not None:
+        assert_merge_and_walk_match(mu)
+
+
+def test_zero_direction_atom_raises():
+    mu = atoms_measure(2, [((1, 0), 1), ((0, 0), 1), ((-1, 0), 1)])
+    with pytest.raises(DegenerateNormals, match="zero direction"):
+        _merged_atoms(mu)
+    with pytest.raises(DegenerateNormals, match="zero direction"):
+        merged_atoms_per_atom(mu)
+
+
+def gw_sphere_measures(m=64):
+    """Measures like the two gw solves at each level, at m atoms: the
+    discretized density for the measure of data/gw_input.json at j = 2
+    and 4, and a ball of radius 2 on the same nodes."""
+    mu = DualAtomMeasure(1, (((F(-1),), F(1)), ((F(0),), F(-2)),
+                             ((F(1),), F(1))))
+    out = []
+    for j in (2, 4):
+        f = plane_to_sphere_density(mollify(mu, "smooth", j))
+        main = balance_and_discretize(f, m)
+        nodes = np.array([n for n, _ in main.atoms])
+        ball = project_closed(nodes, np.full(m, 2.0 * math.pi / m * 2.0))
+        out += [main, SphereMeasure(2, tuple(zip(nodes, ball.tolist())))]
+    return out
+
+
+def test_gw_polygons_match_references():
+    """On the gw Minkowski measures the merge and the walk keep their bits
+    and the polygon carries the boundary cycle a fresh body derives."""
+    for mu in gw_sphere_measures():
+        assert_merge_and_walk_match(mu)
+        P = minkowski_solve(mu)
+        fresh = Polytope(2, P.vertices, P.halfspaces)
+        assert P.__dict__["boundary_cycle"] == fresh.boundary_cycle
+        assert len(P.boundary_cycle) == len(P.vertices)
 
 
 class TestDim3:

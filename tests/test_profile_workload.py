@@ -1,0 +1,17 @@
+"""Smoke test of scripts/profile_workload.py: one profiled lattice pass."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile_workload.py"
+
+
+def test_profiles_one_lattice_pass():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--workload", "lattice", "--seed", "1",
+         "--sort", "tottime"],
+        capture_output=True, text=True, timeout=600, check=True).stdout
+    assert out.startswith("workload lattice seed 1: 14 cases")
+    assert "Ordered by: internal time" in out
+    assert "bodies.py" in out
