@@ -6,13 +6,25 @@ Vertices are fractions.Fraction tuples in lexicographic order.  Halfspaces
 are pairs (m, c) meaning m . x <= c with m a primitive integer vector; a
 flat body carries equality constraints as opposite halfspace pairs.
 
-Every hull is decided on the integer image of its points, scaled by
-their common denominator: the monotone chain in the plane, one incremental
-hull in space, with no fallback.  A full dimensional body derives its
-facets once, in Polytope._facets: each halfspace with its vertices, in
-cyclic order in 3D.  Edges, volume, clipping and the facet areas of the
-surface area measure all read them.  A plane in space is projected one to
-one by dropping the last coordinate its normal uses (_last_axis).
+construct reads each input coordinate once, as its as_integer_ratio()
+(int, float, Fraction and numpy floats have it; a string or a numpy int
+is read as a Fraction or an int first).  The integer image of the
+points, scaled by their common denominator q, is built from the ratios
+with one q // den per distinct denominator.  Fractions are made only for
+the coordinates of the points the hull keeps, and input Fractions are
+reused.  When the kept coordinates came in as Python floats, construct
+also stores float_vertices in the body, as it stores boundary_cycle
+below: the bodies of minkowski_solve, in the plane and in space, carry
+it.  Every other body derives it from its vertices.
+
+Every hull is decided on the integer image of its points: the monotone
+chain in the plane, one incremental hull in space, with no fallback.
+Offsets come out as integers m . a and become Fraction(m . a, q) once
+the hull is known.  A full dimensional body derives its facets once, in
+Polytope._facets: each halfspace with its vertices, in cyclic order in
+3D.  Edges, volume, clipping and the facet areas of the surface area
+measure all read them.  A plane in space is projected one to one by
+dropping the last coordinate its normal uses (_last_axis).
 
 A flat body (a point, a segment, a polygon in space) is built in one
 coordinate chart of its affine hull (_chart): the same integer hull runs
@@ -49,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,13 +79,6 @@ Halfspace = tuple[tuple[int, ...], Fraction]
 
 class GeometryError(Exception):
     pass
-
-
-def _as_points(points: Iterable[Sequence]) -> list[Vec]:
-    out = []
-    for p in points:
-        out.append(tuple(Fraction(x) for x in p))
-    return out
 
 
 def _canon_halfspace(normal: Sequence[Fraction], offset: Fraction) -> Halfspace:
@@ -94,42 +100,102 @@ def _affine_rank(points: Sequence[Vec]) -> int:
     return len(_affine_basis(points))
 
 
-def _hull_1d(points: list[Vec]) -> list[Vec]:
-    lo = min(points)
-    hi = max(points)
-    return [lo] if lo == hi else [lo, hi]
+def _exact(x) -> int | Fraction:
+    """A coordinate without as_integer_ratio, read exactly: an integral
+    type (a numpy int) through int, since a Fraction of a numpy int keeps
+    its numpy numerator, which overflows in integer products; anything
+    else (a string) through Fraction(x)."""
+    return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
 
 
-def _integer_image(points: Iterable[Vec]) -> tuple[int, dict]:
-    """The common denominator q of the points' coordinates, and a map from
-    each integer point q * p back to p.  Scaling by q > 0 keeps the
+def _ratios(coords: list) -> tuple[list, list[int], list[int]]:
+    """Each coordinate's as_integer_ratio(), read once: coprime integers
+    with a positive denominator.  int, float, Fraction and numpy floats
+    have it; a coordinate of any other type is read by _exact first.
+    Returns the coordinates, those of other types replaced, with their
+    numerators and their denominators."""
+    odd = {t for t in set(map(type, coords)) if not hasattr(t, "as_integer_ratio")}
+    if odd:
+        coords = [_exact(x) if type(x) in odd else x for x in coords]
+    ratios = [x.as_integer_ratio() for x in coords]
+    return coords, list(map(itemgetter(0), ratios)), list(map(itemgetter(1), ratios))
+
+
+def _scaled(nums: list[int], dens: list[int], d: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The common denominator q of the ratios and the integer points
+    q * p, d coordinates each, in input order.  Each coordinate costs one
+    multiplication by q // den, computed once per distinct denominator:
+    a float walk has a few dozen, all powers of two."""
+    distinct = set(dens)
+    q = math.lcm(*distinct)
+    scale = {den: q // den for den in distinct}
+    flat = list(map(mul, nums, map(scale.__getitem__, dens)))
+    return q, list(zip(*[iter(flat)] * d))
+
+
+def _integer_image(points: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """The common denominator q of the points' coordinates and the integer
+    points q * p, in input order.  Scaling by q > 0 keeps the
     lexicographic order and the sign of every turn, so the images decide
     both exactly, in integer instead of Fraction arithmetic."""
-    points = list(points)
-    q = math.lcm(*(x.denominator for p in points for x in p))
-    return q, {tuple(x.numerator * (q // x.denominator) for x in p): p
-               for p in points}
+    _, nums, dens = _ratios(list(itertools.chain.from_iterable(points)))
+    return _scaled(nums, dens, len(points[0]) if points else 1)
+
+
+def _intake(points: Iterable[Sequence], ambient_dim: int | None
+            ) -> tuple[int, list, list[int], list[int]]:
+    """The ambient dimension, checked, and the points' coordinates in one
+    flat list with their numerators and denominators (_ratios)."""
+    rows = [tuple(p) for p in points]
+    coords, nums, dens = _ratios(list(itertools.chain.from_iterable(rows)))
+    if ambient_dim is None:
+        if not rows:
+            raise GeometryError("ambient_dim required for empty input")
+        ambient_dim = len(rows[0])
+    if ambient_dim not in (1, 2, 3):
+        raise GeometryError(f"unsupported ambient dimension {ambient_dim}")
+    if rows and set(map(len, rows)) != {ambient_dim}:
+        raise GeometryError("mixed point dimensions")
+    return ambient_dim, coords, nums, dens
+
+
+def _kept(nums: list[int], dens: list[int], d: int
+          ) -> tuple[int, list[int], list[tuple[tuple[int, ...], int]],
+                     tuple[int, ...] | None, int]:
+    """The hull of points given by their coordinates' ratios, d to a
+    point.  Returns the common denominator q; the position in the flat
+    coordinate list of each coordinate of each kept point, the points in
+    lexicographic order; the integer halfspaces and the cycle of _hull;
+    and the affine rank.  The integer images stay here, so they are freed
+    before construct makes its Fractions."""
+    q, images = _scaled(nums, dens, d)
+    # one input point for each distinct image
+    index = dict(zip(images, range(len(images))))
+    keys = sorted(index)
+    basis = _affine_basis(keys)
+    kept, hs, cycle = _hull(keys, basis)
+    return q, [index[k] * d + j for k in kept for j in range(d)], hs, cycle, len(basis)
+
+
+def _half_chain(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """One half of the monotone chain: the points that turn strictly left."""
+    out: list = []
+    for p in pts:
+        x, y = p
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            out.pop()
+        out.append(p)
+    return out
 
 
 def _chain(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Monotone chain over distinct integer points in lexicographic order,
-    of affine rank 2: the strict hull vertices, counterclockwise from the
-    first point."""
-
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    """Monotone chain (Andrew 1979) over distinct integer points in
+    lexicographic order, of affine rank 2: the strict hull vertices,
+    counterclockwise from the first point."""
+    return _half_chain(pts)[:-1] + _half_chain(pts[::-1])[:-1]
 
 
 def _reindexed(cycle: Sequence, verts: Sequence) -> tuple[int, ...]:
@@ -141,8 +207,10 @@ def _reindexed(cycle: Sequence, verts: Sequence) -> tuple[int, ...]:
 def _hull_2d(points: Iterable[Vec]) -> list[Vec]:
     """Strict hull vertices of rational points of affine rank 2, in
     counterclockwise order from the lexicographically smallest."""
-    _, image = _integer_image(points)
-    return [image[p] for p in _chain(sorted(image))]
+    points = list(points)
+    _, keys = _integer_image(points)
+    image = dict(zip(keys, points))
+    return [image[k] for k in _chain(sorted(image))]
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -233,6 +301,79 @@ def _hull_3d(pts: list[tuple[int, ...]]
     return facets, verts
 
 
+def _hull(keys: list[tuple[int, ...]], basis: list
+          ) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], int]],
+                     tuple[int, ...] | None]:
+    """Hull of distinct integer points in lexicographic order whose affine
+    hull has direction space span(basis).  Returns the kept points in
+    lexicographic order; each halfspace as its primitive normal m with
+    the integer offset m . a; and, for a polygon, its boundary cycle as
+    indices into the kept points, else None."""
+    d = len(keys[0])
+    if len(basis) < d:
+        return _hull_flat(keys, basis)
+    if d == 1:
+        lo, hi = keys[0], keys[-1]
+        return [lo, hi], [((-1,), -lo[0]), ((1,), hi[0])], None
+    if d == 2:
+        cycle = _chain(keys)
+        hs = []
+        for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1]):
+            n0, n1 = by - ay, ax - bx
+            g = math.gcd(n0, n1)
+            m0, m1 = n0 // g, n1 // g
+            hs.append(((m0, m1), m0 * ax + m1 * ay))
+        kept = sorted(cycle)
+        return kept, hs, _reindexed(cycle, kept)
+    facets, idx = _hull_3d(keys)
+    return [keys[i] for i in sorted(idx)], facets, None
+
+
+def _hull_flat(keys: list[tuple[int, ...]], basis: list
+               ) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], int]],
+                          tuple[int, ...] | None]:
+    """_hull for points whose affine hull is flat.  The equality normals,
+    which pin the affine hull, span the orthogonal complement of the
+    basis; a single one (a segment in the plane, a polygon in space) is
+    the basis vector's perpendicular or the basis vectors' cross product,
+    with no Gram-Schmidt.  The hull is decided on the chart; each of its
+    facet normals is lifted into the span by rejecting the equality
+    normals."""
+    d, base = len(keys[0]), keys[0]
+    if len(basis) == d - 1 > 0:
+        # the sign is free: both halfspaces of the plane are kept below
+        u = basis[0]
+        comp = [primitive((-u[1], u[0]) if d == 2 else cross3(*basis))]
+    else:
+        comp = [primitive(w) for w in linalg.orthogonal_complement(basis, d)]
+    cols = _chart(comp, d)
+    kept, rel, cycle = keys, (), None
+    if cols:
+        # the chart is one to one on the affine hull, so the projected
+        # points are distinct and the projected basis is a basis
+        chart = {tuple(p[j] for j in cols): p for p in keys}
+        inner, inner_hs, inner_cycle = _hull(
+            sorted(chart), [tuple(u[j] for j in cols) for u in basis])
+        kept = [chart[y] for y in inner]
+        rel = [m for m, _ in inner_hs]
+        if inner_cycle is not None:  # a polygon in space
+            cycle = [kept[i] for i in inner_cycle]
+    hs = []
+    for m in rel:
+        lift = [0] * d
+        for j, x in zip(cols, m):
+            lift[j] = x
+        n = primitive(linalg.reject(lift, comp))
+        hs.append((n, max(_idot(n, v) for v in kept)))
+    for w in comp:
+        c = _idot(w, base)
+        hs += [(w, c), (tuple(-x for x in w), -c)]
+    kept = sorted(kept)
+    # the cycle is read back against the sorted points, so it does not
+    # rest on the chart keeping their order
+    return kept, hs, None if cycle is None else _reindexed(cycle, kept)
+
+
 @dataclass(frozen=True, eq=False)
 class Polytope:
     ambient_dim: int
@@ -247,89 +388,23 @@ class Polytope:
 
     @staticmethod
     def construct(points: Iterable[Sequence], ambient_dim: int | None = None) -> "Polytope":
-        pts = _as_points(points)
-        if ambient_dim is None:
-            if not pts:
-                raise GeometryError("ambient_dim required for empty input")
-            ambient_dim = len(pts[0])
-        if ambient_dim not in (1, 2, 3):
-            raise GeometryError(f"unsupported ambient dimension {ambient_dim}")
-        if not pts:
-            return Polytope.empty(ambient_dim)
-        if any(len(p) != ambient_dim for p in pts):
-            raise GeometryError("mixed point dimensions")
-        q, image = _integer_image(pts)
-        keys = sorted(image)
-        pts = [image[k] for k in keys]
-        basis = _affine_basis(keys)
-        if len(basis) < ambient_dim:
-            out = Polytope._construct_flat(pts, basis)
-        elif ambient_dim == 1:
-            verts = _hull_1d(pts)
-            hs = [
-                _canon_halfspace((Fraction(-1),), -verts[0][0]),
-                _canon_halfspace((Fraction(1),), verts[-1][0]),
-            ]
-            out = Polytope(1, tuple(verts), tuple(sorted(hs)))
-        elif ambient_dim == 2:
-            # edges of the integer image: primitive normal m, offset m . a / q
-            cycle = _chain(keys)
-            hs = []
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                n = (b[1] - a[1], a[0] - b[0])
-                g = math.gcd(*n)
-                m = (n[0] // g, n[1] // g)
-                hs.append((m, Fraction(_idot(m, a), q)))
-            verts = sorted(cycle)
-            out = Polytope(2, tuple(image[k] for k in verts), tuple(sorted(hs)))
-            out.__dict__["boundary_cycle"] = _reindexed(cycle, verts)
-        else:
-            facets, idx = _hull_3d(keys)
-            out = Polytope(3, tuple(pts[i] for i in sorted(idx)),
-                           tuple(sorted((m, Fraction(c, q)) for m, c in facets)))
-        out.__dict__["intrinsic_dim"] = len(basis)
-        return out
-
-    @staticmethod
-    def _construct_flat(pts: list[Vec], basis: list) -> "Polytope":
-        """Hull of distinct points whose affine hull, with direction space
-        span(basis), is flat.  The equality normals, which pin the affine
-        hull, span the orthogonal complement of the basis; a single one (a
-        segment in the plane, a polygon in space) is the basis vector's
-        perpendicular or the basis vectors' cross product, with no
-        Gram-Schmidt.  The hull is decided on the chart; each of its facet
-        normals is lifted into the span by rejecting the equality normals."""
-        d, base = len(pts[0]), pts[0]
-        if len(basis) == d - 1 > 0:
-            # the sign is free: both halfspaces of the plane are kept below
-            u = basis[0]
-            comp = [primitive((-u[1], u[0]) if d == 2 else cross3(*basis))]
-        else:
-            comp = [primitive(w) for w in linalg.orthogonal_complement(basis, d)]
-        cols = _chart(comp, d)
-        image = {tuple(p[j] for j in cols): p for p in pts}
-        verts, rel, cycle = pts, (), None
-        if cols:
-            inner = Polytope.construct(image, len(cols))
-            verts = [image[y] for y in inner.vertices]
-            rel = [m for m, _ in inner.halfspaces]
-            if len(basis) == 2:  # a polygon in space
-                cycle = [verts[i] for i in inner.boundary_cycle]
-        hs: list[Halfspace] = []
-        for m in rel:
-            lift = [0] * d
-            for j, x in zip(cols, m):
-                lift[j] = x
-            n = primitive(linalg.reject(lift, comp))
-            hs.append((n, max(dot(n, v) for v in verts)))
-        for w in comp:
-            c = dot(w, base)
-            hs += [(w, c), (tuple(-x for x in w), -c)]
-        out = Polytope(d, tuple(sorted(verts)), tuple(sorted(hs)))
+        d, coords, nums, dens = _intake(points, ambient_dim)
+        if not coords:
+            return Polytope.empty(d)
+        q, at, hs, cycle, rank = _kept(nums, dens, d)
+        hs = tuple((m, Fraction(c, q)) for m, c in sorted(hs))
+        # Fractions only for the kept points' coordinates: an input
+        # Fraction is reused, anything else is made from its ratio
+        given = [coords[i] for i in at]
+        vals = [x if type(x) is Fraction else Fraction(nums[i], dens[i])
+                for x, i in zip(given, at)]
+        out = Polytope(d, tuple(zip(*[iter(vals)] * d)), hs)
         if cycle is not None:
-            # the cycle is read back against the sorted vertices, so it
-            # does not rest on the chart keeping their order
-            out.__dict__["boundary_cycle"] = _reindexed(cycle, out.vertices)
+            out.__dict__["boundary_cycle"] = cycle
+        out.__dict__["intrinsic_dim"] = rank
+        if set(map(type, given)) == {float}:
+            # adding 0.0 turns -0.0 into 0.0, as float(Fraction(-0.0)) does
+            out.__dict__["float_vertices"] = np.array(given).reshape(-1, d) + 0.0
         return out
 
     @staticmethod
@@ -434,9 +509,9 @@ class Polytope:
         verts = list(map(itemgetter(*cols), self.vertices))
         # the chart is one to one on the vertices, so their images
         # are distinct and keep the vertex order
-        _, image = _integer_image(verts)
-        index = {k: i for i, k in enumerate(image)}
-        return tuple(index[k] for k in _chain(sorted(image)))
+        _, keys = _integer_image(verts)
+        index = dict(zip(keys, range(len(keys))))
+        return tuple(map(index.__getitem__, _chain(sorted(keys))))
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
@@ -457,8 +532,8 @@ class Polytope:
     @cached_property
     def _image(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The vertices' common denominator q and their images q * v."""
-        q, image = _integer_image(self.vertices)
-        return q, tuple(image)
+        q, keys = _integer_image(self.vertices)
+        return q, tuple(keys)
 
     @cached_property
     def _facets(self) -> tuple[tuple[Halfspace, tuple[int, ...]], ...]:
@@ -470,8 +545,8 @@ class Polytope:
         q, ints = self._image
         out = []
         for m, c in self.halfspaces:
-            idx = [i for i, p in enumerate(ints)
-                   if _idot(m, p) * c.denominator == q * c.numerator]
+            num, den = q * c.numerator, c.denominator
+            idx = [i for i, p in enumerate(ints) if _idot(m, p) * den == num]
             if self.ambient_dim == 3:
                 k = _last_axis(m)
                 proj = {(ints[i][:k] + ints[i][k + 1:]): i for i in idx}
@@ -530,7 +605,8 @@ class Polytope:
         m, c = _canon_halfspace([Fraction(v) for v in normal], Fraction(offset))
         # the slack m . v - c of each vertex v, times q * c.denominator > 0
         q, ints = self._image
-        vals = [_idot(m, p) * c.denominator - q * c.numerator for p in ints]
+        num, den = q * c.numerator, c.denominator
+        vals = [_idot(m, p) * den - num for p in ints]
         if all(v <= 0 for v in vals):
             return self
         keep = [v for v, s in zip(self.vertices, vals) if s <= 0]

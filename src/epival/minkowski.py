@@ -29,7 +29,6 @@ modes get their own exception.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +57,26 @@ DIRECTION_TOL = 1e-9
 BALANCE_TOL = 1e-6
 AREA_TOL = 1e-9
 MAX_ITER = 200
+# a merged atom whose weight is at most ZERO_WEIGHT in absolute value is
+# dropped; the normals must have numerical rank 3 at RANK_TOL
+ZERO_WEIGHT = 1e-14
+RANK_TOL = 1e-9
+# facet planes: a normal whose in-plane part is shorter than PARALLEL_TOL
+# is parallel to the plane, and its facet empties the plane when the
+# plane lies more than PARALLEL_GAP outside its halfspace; a clipped chain
+# closes a gap longer than CHAIN_GAP with a new edge; an edge shorter
+# than EDGE_TOL adds nothing to the area Jacobian
+PARALLEL_TOL = 1e-12
+PARALLEL_GAP = 1e-9
+CHAIN_GAP = 1e-13
+EDGE_TOL = 1e-12
+# a Newton step that moves f by at most FLAT_TOL * (1 + |f|) counts as
+# flat; polygon corners within MERGE_TOL, scaled by the seed box, are one
+# vertex; a final area residual above STALL_TOL of max(1, largest target
+# area) means the iteration stalled
+FLAT_TOL = 1e-12
+MERGE_TOL = 1e-9
+STALL_TOL = 1e-7
 
 
 def _merged_atoms(mu: SphereMeasure):
@@ -92,7 +111,7 @@ def _merged_atoms(mu: SphereMeasure):
             normals.append(units[k])
             kept.append(n)
             weights.append(w)
-    keep = [k for k, w in enumerate(weights) if abs(w) > 1e-14]
+    keep = [k for k, w in enumerate(weights) if abs(w) > ZERO_WEIGHT]
     return [normals[k] for k in keep], [weights[k] for k in keep]
 
 
@@ -187,7 +206,7 @@ def _clip_chain(edges, a, b, c, tag):
         (P, Q), et = kept[idx]
         out.append(((P, Q), et))
         R = kept[(idx + 1) % k][0][0]
-        if abs(Q[0] - R[0]) + abs(Q[1] - R[1]) > 1e-13:
+        if abs(Q[0] - R[0]) + abs(Q[1] - R[1]) > CHAIN_GAP:
             out.append(((Q, R), tag))
     return out
 
@@ -214,7 +233,7 @@ def _facet_frames(normals: np.ndarray):
             a = float(nj @ e1)
             b = float(nj @ e2)
             s = math.hypot(a, b)
-            if s < 1e-12:
+            if s < PARALLEL_TOL:
                 parallel.append(j)
             else:
                 cuts.append((j, a / s, b / s, s))
@@ -255,7 +274,7 @@ def _facet_polygons_at(normals: np.ndarray, frames, h: np.ndarray,
     polys = []
     for i, (e1, e2, cuts, parallel, sins) in enumerate(frames):
         c = offsets[i]
-        if any(c[j] < -1e-9 for j in parallel):
+        if any(c[j] < -PARALLEL_GAP for j in parallel):
             continue
         edges = box
         for j, a, b, s in cuts:
@@ -280,7 +299,7 @@ def _areas_and_jacobian(normals: np.ndarray, polys):
         for (P, Q), et in edges:
             area2 += P[0] * Q[1] - P[1] * Q[0]
             ell = math.hypot(Q[0] - P[0], Q[1] - P[1])
-            if ell < 1e-12:
+            if ell < EDGE_TOL:
                 continue
             cos = float(normals[i] @ normals[et])
             J[i, et] += ell / sins[et]
@@ -299,7 +318,7 @@ def _facet_geometry(normals: np.ndarray, frames, h: np.ndarray):
 def _vertices(polys, L: float) -> np.ndarray:
     """Float vertices of the body: the polygon corners in space, merged
     when they lie within a tolerance scaled by the seed box."""
-    tol = 1e-9 * max(1.0, L / 100.0)
+    tol = MERGE_TOL * max(1.0, L / 100.0)
     clusters: list[list[np.ndarray]] = []
     for _, p0, e1, e2, edges, _ in polys:
         for (P, _), _ in edges:
@@ -315,7 +334,7 @@ def _vertices(polys, L: float) -> np.ndarray:
 
 def _solve_3d(normals, weights) -> Polytope:
     N = np.array(normals)
-    if len(normals) < 4 or np.linalg.matrix_rank(N, tol=1e-9) < 3:
+    if len(normals) < 4 or np.linalg.matrix_rank(N, tol=RANK_TOL) < 3:
         raise DegenerateNormals("normals do not span space")
     target = _balance(normals, weights)
     scale = float(np.max(target))
@@ -359,7 +378,7 @@ def _solve_3d(normals, weights) -> Polytope:
         # accept a decrease of f, or, where f is flat in float near the
         # minimum, a decrease of the residual
         if new is not None and (new[0] < f or (
-                new[0] <= f + 1e-12 * (1.0 + abs(f)) and new[4] < res)):
+                new[0] <= f + FLAT_TOL * (1.0 + abs(f)) and new[4] < res)):
             h = trial
             f, areas, J, vol, res = new
             mu /= 10.0
@@ -372,11 +391,10 @@ def _solve_3d(normals, weights) -> Polytope:
         raise GeometryError("area iteration collapsed")
     areas, _ = _areas_and_jacobian(N, polys)
     final = float(np.max(np.abs(areas - target)))
-    if final > 1e-7 * max(1.0, scale):
+    if final > STALL_TOL * max(1.0, scale):
         raise GeometryError(
             f"area iteration stalled at residual {final:.3e} after "
             f"{steps} Newton steps and {steps + 1} facet-geometry "
             "evaluations")
 
-    return Polytope.construct(
-        [tuple(Fraction(float(x)) for x in v) for v in _vertices(polys, L)], 3)
+    return Polytope.construct(_vertices(polys, L).tolist(), 3)

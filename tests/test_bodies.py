@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from epival.bodies import (
     GeometryError,
@@ -12,6 +13,7 @@ from epival.bodies import (
     _affine_rank,
     _canon_halfspace,
     _chart,
+    _integer_image,
     _last_axis,
 )
 from epival.linalg import (
@@ -362,6 +364,131 @@ def test_construct_carries_the_derived_cycle(data):
         assert sorted(P.boundary_cycle) == list(range(len(P.vertices)))
     else:
         assert "boundary_cycle" not in P.__dict__
+
+
+def as_points_reference(points):
+    """The intake construct had before it read ratios: every coordinate
+    made a Fraction up front.  One change: a numpy int is read through
+    int, because F(np.int64(k)) keeps a numpy numerator, and the integer
+    image then overflowed (OverflowError) or wrapped."""
+    out = []
+    for p in points:
+        out.append(tuple(F(int(x) if isinstance(x, np.integer) else x) for x in p))
+    return out
+
+
+def integer_image_reference(points):
+    """The integer image on Fraction points before the ratio reading: the
+    common denominator q of the points' coordinates, and a map from each
+    integer point q * p back to p."""
+    points = list(points)
+    q = math.lcm(*(x.denominator for p in points for x in p))
+    return q, {tuple(x.numerator * (q // x.denominator) for x in p): p
+               for p in points}
+
+
+# a column of coordinates shares one unit, so that the affine dependencies
+# of the small integers survive wherever the unit is exact: ones, thirds,
+# the smallest subnormal, scales 1e-300 and 1e300, and tenths
+UNITS = (F(1), F(1, 3), 5e-324, 1e-300, 1e300, 0.1)
+ENCODINGS = ("float", "numpy float", "Fraction", "str", "int", "numpy int")
+
+
+def encode(k, unit, how, negative_zero):
+    """The value k * unit as a coordinate of the given type: ints only at
+    unit 1 (a float otherwise), a float zero signed as drawn."""
+    exact = F(k) * F(unit)
+    if how in ("int", "numpy int") and unit == 1:
+        return k if how == "int" else np.int64(k)
+    if how == "Fraction":
+        return exact
+    if how == "str":
+        return str(exact)
+    x = k * float(unit)
+    if x == 0 and negative_zero:
+        x = -0.0
+    return np.float64(x) if how == "numpy float" else x
+
+
+@st.composite
+def intake_inputs(draw):
+    """Points in R^1, R^2 and R^3 of every affine rank (b + A t for small
+    integer t and A), with repeats, encoded per coordinate: all as Python
+    floats, or in types mixed within one point."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    rank = draw(st.integers(0, d))
+    small = st.integers(-2, 2)
+    A = draw(st.lists(st.lists(small, min_size=rank, max_size=rank),
+                      min_size=d, max_size=d))
+    b = draw(st.lists(small, min_size=d, max_size=d))
+    ts = draw(st.lists(st.lists(small, min_size=rank, max_size=rank),
+                       min_size=1, max_size=8))
+    ks = [[b[i] + sum(a * t for a, t in zip(A[i], tt)) for i in range(d)] for tt in ts]
+    ks += draw(st.lists(st.sampled_from(ks), max_size=3))
+    units = draw(st.lists(st.sampled_from(UNITS), min_size=d, max_size=d))
+    floats = draw(st.booleans())
+    pts = []
+    for k in ks:
+        kinds = ["float"] * d if floats else draw(
+            st.lists(st.sampled_from(ENCODINGS), min_size=d, max_size=d))
+        signs = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        pts.append(tuple(encode(x, u, how, neg)
+                         for x, u, how, neg in zip(k, units, kinds, signs)))
+    return d, pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(intake_inputs())
+@example((2, [(-0.0, 0.0), (1.0, -0.0), (0.0, 1.0)]))
+@example((1, [(-0.0,), (0.5,), (0.25,)]))
+@example((3, [(-0.0, 1e-300, 5e-324), (1e300, -0.0, 0.1), (0.1, 0.2, 0.3),
+              (-0.0, -0.0, 1.0)]))
+@example((2, [("1/3", 0.5), (F(2, 3), np.int64(1)), (1, np.float64(0.75)),
+              (0.25, 3), ("1/3", 0.5)]))
+# a numpy int beside a float with a large denominator overflowed in int64
+@example((2, [(np.int64(3), 0.1), (0, 0), (1, 1)]))
+def test_construct_intake_matches_fraction_intake(data):
+    d, pts = data
+    ref = as_points_reference(pts)
+    P = Polytope.construct(pts, d)
+    R = Polytope.construct(ref, d)
+    assert P.vertices == R.vertices
+    assert P.halfspaces == R.halfspaces
+    assert P.intrinsic_dim == R.intrinsic_dim == _affine_rank(sorted(set(ref)))
+    if P.intrinsic_dim == 2:
+        assert P.boundary_cycle == R.boundary_cycle == derived_cycle(P)
+    assert all(type(x) is F for v in P.vertices for x in v)
+    # the integer image read off the ratios is the Fraction one
+    q, image = integer_image_reference(ref)
+    q_new, keys = _integer_image(pts)
+    assert q_new == q
+    assert list(dict(zip(keys, ref)).items()) == list(image.items())
+    assert _integer_image(ref) == (q, keys)
+    assert set(P.vertices) <= set(image.values())
+    assert all(dot(m, p) <= c for m, c in P.halfspaces for p in ref)
+    # the float view construct carries is the one derived from the vertices
+    derived = np.array([[float(x) for x in v] for v in P.vertices], dtype=float)
+    carried = P.__dict__.get("float_vertices")
+    if all(type(x) is float for p in pts for x in p):
+        assert carried is not None
+    if not any(type(x) is float for p in pts for x in p):
+        assert carried is None
+    if carried is not None:
+        assert carried.dtype == derived.dtype and carried.shape == derived.shape
+        assert carried.tobytes() == derived.tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [(float("nan"), ValueError),
+                                        (float("inf"), OverflowError),
+                                        (-float("inf"), OverflowError),
+                                        (None, TypeError)])
+def test_construct_rejects_what_fraction_rejects(bad, error):
+    for d in (1, 2, 3):
+        pts = [(0.5,) * d, (1,) * (d - 1) + (bad,)]
+        with pytest.raises(error):
+            as_points_reference(pts)
+        with pytest.raises(error):
+            Polytope.construct(pts, d)
 
 
 def fraction_polygon(points):
