@@ -204,15 +204,6 @@ def _reindexed(cycle: Sequence, verts: Sequence) -> tuple[int, ...]:
     return tuple(index[p] for p in cycle)
 
 
-def _hull_2d(points: Iterable[Vec]) -> list[Vec]:
-    """Strict hull vertices of rational points of affine rank 2, in
-    counterclockwise order from the lexicographically smallest."""
-    points = list(points)
-    _, keys = _integer_image(points)
-    image = dict(zip(keys, points))
-    return [image[k] for k in _chain(sorted(image))]
-
-
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
     """Dot product of integer vectors, in integer arithmetic."""
     return sum(map(mul, a, b))
@@ -481,13 +472,13 @@ class Polytope:
     def contains(self, point: Sequence) -> bool:
         if self.is_empty:
             return False
-        x = tuple(Fraction(v) for v in point)
+        x = tuple(map(_exact, point))
         return all(dot(m, x) <= c for m, c in self.halfspaces)
 
     def support(self, direction: Sequence) -> Fraction:
         if self.is_empty:
             raise GeometryError("support of empty body")
-        y = tuple(Fraction(v) for v in direction)
+        y = tuple(map(_exact, direction))
         return max(dot(y, v) for v in self.vertices)
 
     @cached_property
@@ -559,7 +550,7 @@ class Polytope:
     def translate(self, shift: Sequence) -> "Polytope":
         if self.is_empty:
             return self
-        t = tuple(Fraction(v) for v in shift)
+        t = tuple(map(_exact, shift))
         verts = tuple(sorted(linalg.add(v, t) for v in self.vertices))
         hs = tuple(
             sorted((m, c + dot(m, t)) for m, c in self.halfspaces)
@@ -600,9 +591,10 @@ class Polytope:
         """Intersect with the halfspace normal . x <= offset."""
         if self.is_empty:
             return self
-        if all(Fraction(v) == 0 for v in normal):
-            return self if Fraction(offset) >= 0 else Polytope.empty(self.ambient_dim)
-        m, c = _canon_halfspace([Fraction(v) for v in normal], Fraction(offset))
+        normal, offset = list(map(_exact, normal)), _exact(offset)
+        if not any(normal):
+            return self if offset >= 0 else Polytope.empty(self.ambient_dim)
+        m, c = _canon_halfspace(normal, offset)
         # the slack m . v - c of each vertex v, times q * c.denominator > 0
         q, ints = self._image
         num, den = q * c.numerator, c.denominator

@@ -542,14 +542,16 @@ def _polygon_edges(P: Polytope):
     return N, lens[keep], V[keep], V
 
 
+# a strict sign test would let reconstruction noise classify an
+# equatorial edge differently for the two bodies; any fixed cut
+# inside the density's support margin keeps the split identical on
+# both, and the band it drops cancels between them anyway
+LOWER_EDGE_CUT = 1e-3
+
+
 def _lower_facet_pairing(N: np.ndarray, lens: np.ndarray,
-                         body_vertices: np.ndarray,
-                         cut: float = 1e-3) -> float:
-    # a strict sign test would let reconstruction noise classify an
-    # equatorial edge differently for the two bodies; any fixed cut
-    # inside the density's support margin keeps the split identical on
-    # both, and the band it drops cancels between them anyway
-    mask = N[:, -1] < -cut
+                         body_vertices: np.ndarray) -> float:
+    mask = N[:, -1] < -LOWER_EDGE_CUT
     if not mask.any():
         return 0.0
     H = np.max(N[mask] @ body_vertices.T, axis=1)

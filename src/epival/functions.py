@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .bodies import GeometryError, Polytope, _affine_basis, _affine_rank
+from .bodies import GeometryError, Polytope, _affine_basis, _affine_rank, _exact
 from .linalg import Vec, dot, sub
 
 Piece = tuple[Vec, Fraction]
@@ -215,7 +215,7 @@ class PLConvexFunction:
         """Exact value, or None outside the domain."""
         if self.is_empty:
             return None
-        p = tuple(Fraction(v) for v in x)
+        p = tuple(map(_exact, x))
         if not self.domain.contains(p):
             return None
         return max(dot(g, p) + b for g, b in self.pieces)
@@ -259,8 +259,8 @@ class PLConvexFunction:
         """u(x - shift) + c."""
         if self.is_empty:
             return self
-        t = tuple(Fraction(v) for v in shift)
-        c = Fraction(c)
+        t = tuple(map(_exact, shift))
+        c = _exact(c)
         dom = self.domain.translate(t)
         pieces = [(g, b - dot(g, t) + c) for g, b in self.pieces]
         return PLConvexFunction(dom, tuple(sorted(pieces)))
@@ -344,7 +344,7 @@ class MaxAffine:
     pieces: tuple[Piece, ...]
 
     def evaluate(self, y: Sequence) -> Fraction:
-        p = tuple(Fraction(v) for v in y)
+        p = tuple(map(_exact, y))
         return max(dot(g, p) + b for g, b in self.pieces)
 
     def __eq__(self, other) -> bool:

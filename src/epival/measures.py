@@ -24,7 +24,7 @@ import numpy as np
 from .bodies import GeometryError, Polytope, _face_measure, nearest_points
 from .functions import PLConvexFunction
 from .linalg import Vec, dot, primitive, norm_sq, sub
-from .spherical import SphericalPatch, _adaptive_1d, _adaptive_tri
+from .spherical import SphericalPatch, _adaptive_1d, _adaptive_tri, _fan
 
 
 def density_constant(d: int, i: int) -> Fraction:
@@ -109,15 +109,10 @@ def surface_area_measure(P: Polytope) -> SphereMeasure:
 
 
 def _cone_generators(P: Polytope, face_vertices: Sequence[Vec]) -> list[Vec]:
-    gens: list[Vec] = []
-    for m, c in P.proper_halfspaces:
-        mm = tuple(Fraction(x) for x in m)
-        if all(dot(mm, v) == c for v in face_vertices):
-            gens.append(mm)
-    for m, c in P.equality_planes:
-        mm = tuple(Fraction(x) for x in m)
-        gens.append(mm)
-        gens.append(tuple(-x for x in mm))
+    gens: list[Vec] = [m for m, c in P.proper_halfspaces
+                       if all(dot(m, v) == c for v in face_vertices)]
+    for m, _ in P.equality_planes:
+        gens += [m, tuple(-x for x in m)]
     return gens
 
 
@@ -176,16 +171,11 @@ class FaceMeasure:
 
     def integrate(self, f: Callable[[np.ndarray, np.ndarray], float],
                   tol: float = 1e-7) -> float:
-        total = 0.0
-        piece_tol = tol / max(1, len(self.pieces))
-        for p in self.pieces:
-            patch = p.normal_region
-
-            def outer(x, patch=patch):
-                return patch.integrate(lambda nu: f(x, nu), piece_tol)
-
-            total += p.density_constant * integrate_over_face(p.face, outer, piece_tol)
-        return total
+        return _product_integral(
+            [(p.density_constant, p.face,
+              lambda x, tol, patch=p.normal_region:
+                  patch.integrate(lambda nu: f(x, nu), tol))
+             for p in self.pieces], tol)
 
 
 def support_measure(P: Polytope, i: int) -> FaceMeasure:
@@ -236,28 +226,67 @@ def integrate_over_face(face: Polytope, g: Callable[[np.ndarray], float],
         length = np.linalg.norm(b - a)
         return _adaptive_1d(lambda s: length * g(a + s * (b - a)), 0.0, 1.0, tol)
     if k == 2:
-        cyc = face.boundary_cycle
-        verts = face.float_vertices
-        total = 0.0
-
         def g_rows(pts):
             return [g(x) for x in pts]
 
-        for j in range(1, len(cyc) - 1):
-            total += _adaptive_tri(
-                verts[cyc[0]], verts[cyc[j]], verts[cyc[j + 1]], g_rows,
-                tol / max(1, len(cyc) - 2), 6)
-        return total
+        return _fan(face.float_vertices[list(face.boundary_cycle)],
+                    lambda a, b, c, tol: _adaptive_tri(a, b, c, g_rows, tol, 6), tol)
     raise GeometryError("face integration supports dimension <= 2")
 
 
+def _product_integral(pieces: Sequence[tuple[float, Polytope, Optional[Callable]]],
+                      tol: float) -> float:
+    """Sum over the pieces (weight, face, inner) of weight times the
+    integral over the face of x -> inner(x, piece_tol), in piece order,
+    with tol split evenly over all the pieces.  A piece whose inner is
+    None adds nothing but keeps its share of the split."""
+    total = 0.0
+    piece_tol = tol / max(1, len(pieces))
+    for weight, face, inner in pieces:
+        if inner is not None:
+            total += weight * integrate_over_face(
+                face, lambda x, inner=inner: inner(x, piece_tol), piece_tol)
+    return total
+
+
 # ---------------------------------------------------------------------------
-# the parallel-volume Monte Carlo oracle
+# Monte Carlo volumes and the parallel-volume oracle
 
 # the Monte Carlo oracles' float slack: a sample at distance up to this
 # from the body counts as in it, and a subgradient up to this past the
 # gradient bound counts as within it
 MC_TOL = 1e-12
+# a face of the lifted body whose spatial part is shorter than this is
+# vertical: the support route to the Hessian integral skips it
+VERTICAL_FACE_TOL = 1e-15
+
+
+def _mc_volume(verts: np.ndarray, t: float, pad: float, samples: int, seed: int,
+               hits: Callable, region: Optional[Callable]) -> tuple[float, float]:
+    """The estimate and standard error of the volume of a set, from
+    uniform samples of the box around verts widened by pad on every side;
+    t is the oracle's time, checked positive like samples.  hits(X) gives
+    the samples' hit mask and a map from the index of a hit to its
+    (point, direction) pair; a hit counts if region is None or accepts
+    its pair, asked in index order."""
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    if t <= 0:
+        raise ValueError("t must be positive")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    lo = verts.min(axis=0) - pad
+    hi = verts.max(axis=0) + pad
+    vol_box = float(np.prod(hi - lo))
+    X = rng.uniform(lo, hi, size=(samples, verts.shape[1]))
+    hit, pair = hits(X)
+    if region is not None:
+        for k in np.nonzero(hit)[0]:
+            if not region(*pair(k)):
+                hit[k] = False
+    p = float(np.mean(hit))
+    est = vol_box * p
+    se = vol_box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+    return est, se
 
 
 def local_parallel_volume_mc(
@@ -273,53 +302,24 @@ def local_parallel_volume_mc(
     maps the rest through the nearest point projection and keeps those
     whose support element lies in the region.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    verts = P.float_vertices
-    lo = verts.min(axis=0) - t
-    hi = verts.max(axis=0) + t
-    vol_box = float(np.prod(hi - lo))
-    X = rng.uniform(lo, hi, size=(samples, P.ambient_dim))
-    dist, proj = nearest_points(P, X)
-    hit = (dist > MC_TOL) & (dist <= t)
-    if region is not None:
-        idx = np.nonzero(hit)[0]
-        for k in idx:
-            u = (X[k] - proj[k]) / dist[k]
-            if not region(proj[k], u):
-                hit[k] = False
-    p = float(np.mean(hit))
-    est = vol_box * p
-    se = vol_box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return est, se
+    def hits(X):
+        dist, proj = nearest_points(P, X)
+        return ((dist > MC_TOL) & (dist <= t),
+                lambda k: (proj[k], (X[k] - proj[k]) / dist[k]))
+
+    return _mc_volume(P.float_vertices, t, t, samples, seed, hits, region)
 
 
 # ---------------------------------------------------------------------------
 # the cell complex of a PL function and its Hessian measures
 
 
-def _on_segment(v: Vec, a: Vec, b: Vec) -> bool:
-    d = len(a)
-    ab = sub(b, a)
-    av = sub(v, a)
-    for p, q in itertools.combinations(range(d), 2):
-        if ab[p] * av[q] != ab[q] * av[p]:
-            return False
-    t = None
-    for k in range(d):
-        if ab[k] != 0:
-            t = av[k] / ab[k]
-            break
-    if t is None:
-        return all(x == 0 for x in av)
-    return 0 <= t <= 1
-
-
 def complex_faces(u: PLConvexFunction, i: int) -> list[Polytope]:
-    """The i-faces of the gradient cell complex, T-junctions split."""
+    """The i-faces of the gradient cell complex.  The cells are the
+    projected lower facets of one polytope, the epigraph, so they form a
+    regular subdivision, and those meet face to face (De Loera, Rambau and
+    Santos, Triangulations, 2010, ch. 2): every cell edge is an edge of
+    the complex, with no complex vertex inside it to split it at."""
     n = u.n
     if not 0 <= i <= n:
         raise ValueError(f"face dimension {i} outside 0..{n}")
@@ -327,20 +327,10 @@ def complex_faces(u: PLConvexFunction, i: int) -> list[Polytope]:
         return [region for _, _, region in u.cells]
     if i == 0:
         return [Polytope.construct([v], n) for v in u.complex_vertices]
-    # i == 1, n == 2: refine cell edges by all complex vertices lying on them
-    segs = set()
-    for _, _, region in u.cells:
-        vs = region.vertices
-        for a, b in region.edge_list:
-            segs.add(tuple(sorted((vs[a], vs[b]))))
-    verts = u.complex_vertices
-    refined = set()
-    for a, b in segs:
-        on = sorted(v for v in verts if _on_segment(v, a, b))
-        for p, q in zip(on, on[1:]):
-            if p != q:
-                refined.add((p, q))
-    return [Polytope.construct([p, q], n) for p, q in sorted(refined)]
+    # i == 1, n == 2: the distinct cell edges
+    segs = {tuple(sorted((region.vertices[a], region.vertices[b])))
+            for _, _, region in u.cells for a, b in region.edge_list}
+    return [Polytope.construct(seg, n) for seg in sorted(segs)]
 
 
 def _gradient_region(u: PLConvexFunction, face: Polytope,
@@ -376,10 +366,9 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
         cands.append((-perp[0], -perp[1]))
     seen = set()
     for m in cands:
-        mm = tuple(Fraction(x) for x in m)
-        if all(x == 0 for x in mm):
+        if not any(m):
             continue
-        pm = primitive(mm)
+        pm = primitive(m)
         if pm in seen:
             continue
         seen.add(pm)
@@ -433,18 +422,12 @@ class HessianMeasure:
 
     def integrate(self, f: Callable[[np.ndarray, np.ndarray], float],
                   tol: float = 1e-8) -> float:
-        out = 0.0
-        piece_tol = tol / max(1, len(self.pieces))
-        for p in self.pieces:
-            if p.gradient_region.is_empty:
-                continue
-            grad = p.gradient_region
-
-            def outer(x, grad=grad):
-                return integrate_over_face(grad, lambda y: f(x, y), piece_tol)
-
-            out += float(p.density) * integrate_over_face(p.face, outer, piece_tol)
-        return out
+        return _product_integral(
+            [(float(p.density), p.face,
+              None if p.gradient_region.is_empty else
+              lambda x, tol, grad=p.gradient_region:
+                  integrate_over_face(grad, lambda y: f(x, y), tol))
+             for p in self.pieces], tol)
 
 
 def hessian_measure(u: PLConvexFunction, i: int,
@@ -542,13 +525,9 @@ def hessian_integrate(u: PLConvexFunction, i: int,
     if not 0 <= i <= n:
         raise ValueError(f"order {i} outside 0..{n}")
     if i == n:
-        out = 0.0
-        cells = u.cells
-        cell_tol = tol / max(1, len(cells))
-        for g, _, region in cells:
-            gf = np.array([float(x) for x in g])
-            out += integrate_over_face(region, lambda x, gf=gf: f(x, gf), cell_tol)
-        return out
+        return _product_integral(
+            [(1.0, region, lambda x, tol, gf=np.array([float(y) for y in g]): f(x, gf))
+             for g, _, region in u.cells], tol)
     return hessian_integrate_via_support(u, i, f, tol, gradient_bound)
 
 
@@ -575,40 +554,34 @@ def hessian_integrate_via_support(
     K = u.body_of()
     fm = support_measure(K, i)
     bound = Fraction(gradient_bound) if gradient_bound is not None else None
-    total = 0.0
-    kept = []
+
+    def integrand(X, N, u_dir):
+        gt = -N[-1]
+        y = N[:-1] / gt
+        y2 = float(y @ y)
+        yu2 = 0.0 if u_dir is None else float(y @ u_dir) ** 2
+        corr = (n + 1) * (1.0 + y2) ** (0.5 * (n - i + 1)) / (1.0 + yu2)
+        return f(X[:-1], y) * corr
+
+    pieces = []
     for piece in fm.pieces:
         patch = _lower_clip(piece.normal_region, n, bound)
-        if patch is not None:
-            kept.append((piece, patch))
-    piece_tol = tol / max(1, len(kept))
-    for piece, patch in kept:
-        face = piece.face
+        if patch is None:
+            continue
         u_dir = None
         if i == 1 and n == 2:
-            w = sub(face.vertices[-1], face.vertices[0])
+            w = sub(piece.face.vertices[-1], piece.face.vertices[0])
             sp = np.array([float(w[0]), float(w[1])])
             nsp = np.linalg.norm(sp)
-            if nsp < 1e-15:
+            # a vertical face is a null set of the pushforward
+            if nsp < VERTICAL_FACE_TOL:
+                pieces.append((0.0, piece.face, None))
                 continue
             u_dir = sp / nsp
-
-        def integrand(X, N):
-            gt = -N[-1]
-            y = N[:-1] / gt
-            y2 = float(y @ y)
-            if u_dir is None:
-                yu2 = 0.0
-            else:
-                yu2 = float(y @ u_dir) ** 2
-            corr = (n + 1) * (1.0 + y2) ** (0.5 * (n - i + 1)) / (1.0 + yu2)
-            return f(X[:-1], y) * corr
-
-        def outer(X, patch=patch):
-            return patch.integrate(lambda N: integrand(X, N), piece_tol)
-
-        total += float(piece.density) * integrate_over_face(face, outer, piece_tol)
-    return total
+        pieces.append((float(piece.density), piece.face,
+                       lambda X, tol, patch=patch, u_dir=u_dir:
+                           patch.integrate(lambda N: integrand(X, N, u_dir), tol)))
+    return _product_integral(pieces, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -629,35 +602,20 @@ def p_t_volume_mc(
     quadratic is minimized in closed form via metric projection, the best
     cell wins, and the subgradient is read off as (z - x*) / t.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    n = u.n
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dverts = u.domain.float_vertices
-    lo = dverts.min(axis=0) - t * gradient_bound
-    hi = dverts.max(axis=0) + t * gradient_bound
-    vol_box = float(np.prod(hi - lo))
-    Z = rng.uniform(lo, hi, size=(samples, n))
-    best_val = np.full(samples, np.inf)
-    best_x = np.zeros((samples, n))
-    for g, b, region_poly in u.cells:
-        gf = np.array([float(x) for x in g])
-        shifted = Z - t * gf
-        _, xs = nearest_points(region_poly, shifted)
-        vals = xs @ gf + float(b) + np.sum((Z - xs) ** 2, axis=1) / (2.0 * t)
-        better = vals < best_val
-        best_val = np.where(better, vals, best_val)
-        best_x[better] = xs[better]
-    Y = (Z - best_x) / t
-    hit = np.all(np.abs(Y) <= gradient_bound + MC_TOL, axis=1)
-    if region is not None:
-        idx = np.nonzero(hit)[0]
-        for k in idx:
-            if not region(best_x[k], Y[k]):
-                hit[k] = False
-    p = float(np.mean(hit))
-    est = vol_box * p
-    se = vol_box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return est, se
+    def hits(Z):
+        best_val = np.full(len(Z), np.inf)
+        best_x = np.zeros(Z.shape)
+        for g, b, region_poly in u.cells:
+            gf = np.array([float(x) for x in g])
+            shifted = Z - t * gf
+            _, xs = nearest_points(region_poly, shifted)
+            vals = xs @ gf + float(b) + np.sum((Z - xs) ** 2, axis=1) / (2.0 * t)
+            better = vals < best_val
+            best_val = np.where(better, vals, best_val)
+            best_x[better] = xs[better]
+        Y = (Z - best_x) / t
+        return (np.all(np.abs(Y) <= gradient_bound + MC_TOL, axis=1),
+                lambda k: (best_x[k], Y[k]))
+
+    return _mc_volume(u.domain.float_vertices, t, t * gradient_bound, samples, seed,
+                      hits, region)

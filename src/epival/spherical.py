@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .bodies import GeometryError, Polytope, _hull_2d
+from .bodies import GeometryError, Polytope
 from .linalg import Vec, dot, primitive
 
 _GL_NODES = {}
@@ -98,9 +98,9 @@ def _extreme_cycle_3d(pointed: list[Vec], bounding: list[tuple[int, ...]]) -> li
         section.append(tuple(x / t for x in g))
     basis = linalg.orthogonal_complement([w], 3)
     coords = [(dot(basis[0], q), dot(basis[1], q)) for q in section]
-    cyc = _hull_2d(coords)
+    hull = Polytope.construct(coords, 2)
     lookup = {c: pointed[i] for i, c in enumerate(coords)}
-    return [lookup[c] for c in cyc]
+    return [lookup[hull.vertices[j]] for j in hull.boundary_cycle]
 
 
 @dataclass(frozen=True)
@@ -192,13 +192,8 @@ class SphericalPatch:
             axis, e1, e2, psi, theta = self.data
             return _sphere_band(f, axis, e1, e2, 0.0, psi, 0.0, theta, tol)
         if self.kind == "polygon":
-            verts = self.data
-            total = 0.0
-            for i in range(1, len(verts) - 1):
-                total += _spherical_tri_integral(
-                    verts[0], verts[i], verts[i + 1], f, tol / max(1, len(verts) - 2)
-                )
-            return total
+            return _fan(self.data,
+                        lambda a, b, c, tol: _spherical_tri_integral(a, b, c, f, tol), tol)
         raise GeometryError(f"unknown patch kind {self.kind}")
 
 
@@ -306,6 +301,17 @@ def _adaptive_tri(v0, v1, v2, g_rows, tol: float, order: int, depth: int = 0,
         return fine
     return sum(_adaptive_tri(*t, g_rows, tol / 4, order, depth + 1, p)
                for t, p in zip(subs, parts))
+
+
+def _fan(verts: Sequence[np.ndarray], tri: Callable, tol: float) -> float:
+    """Sum of tri(verts[0], verts[j], verts[j+1], tri_tol) over the fan of
+    a convex polygon from its first vertex, with tol split evenly over the
+    triangles."""
+    total = 0.0
+    tri_tol = tol / max(1, len(verts) - 2)
+    for j in range(1, len(verts) - 1):
+        total += tri(verts[0], verts[j], verts[j + 1], tri_tol)
+    return total
 
 
 def _spherical_tri_integral(v0, v1, v2, f, tol: float) -> float:

@@ -1,6 +1,8 @@
 import random
+import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -450,3 +452,35 @@ def test_prism_records_the_rank_of_its_vertices():
             assert prism.__dict__["intrinsic_dim"] == _affine_rank(list(prism.vertices))
         epi = _epigraph(u.domain, u.pieces, level)
         assert epi.intrinsic_dim == _affine_rank(list(epi.vertices))
+
+
+def test_numpy_int_vectors_read_as_python_ints():
+    # a Fraction keeps a numpy int as its numerator, whose products wrap
+    # around at 2**63; the exact readers take it through int instead, so
+    # every result equals the Python-int call's, with no overflow warning
+    tri = Polytope.construct([(0, 0), (1, 0), (0, 1)], 2)
+    u = PLConvexFunction.from_pieces(tri, [((1, 0), 0), ((0, 1), 0)])
+    big = 2 ** 62
+    far_tri = tri.translate((big, big))
+    far_u = u.epi_translate((big, big), big)
+    conj = u.fenchel_conjugate()
+
+    def body(P):
+        return P.vertices, P.halfspaces
+
+    calls = {
+        "translate": lambda a, b: body(tri.translate((a, b))),
+        "contains": lambda a, b: far_tri.contains((a, b)),
+        "support": lambda a, b: far_tri.support((a, b)),
+        "clip": lambda a, b: body(far_tri.clip((a, 3), b)),
+        "evaluate": lambda a, b: far_u.evaluate((a, b)),
+        "epi_translate": lambda a, b: (lambda w: (body(w.domain), w.pieces))(
+            u.epi_translate((a, b), a)),
+        "MaxAffine.evaluate": lambda a, b: conj.evaluate((a, b)),
+    }
+    for name, call in calls.items():
+        want = call(big, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = call(np.int64(big), np.int64(big))
+        assert got == want, name

@@ -18,6 +18,7 @@ is 1/2.  Hessian totals for the three interval examples (R = 1):
     indicator of {0}           : order 1 -> 0, order 0 -> 2, flowout -> 2
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 from math import comb
@@ -31,12 +32,14 @@ from epival import bodies
 from epival.bodies import FACET_TOL, INSIDE_TOL, GeometryError, Polytope
 from epival.cases import CaseGenerator
 from epival.functions import PLConvexFunction
-from epival.linalg import dot
+from epival.linalg import dot, sub
 from epival.measures import (
+    MC_TOL,
     FaceMeasure,
     FacePiece,
     SphereMeasure,
     _gradient_region,
+    _lower_clip,
     complex_faces,
     density_constant,
     faces_with_cones,
@@ -54,7 +57,12 @@ from epival.measures import (
     support_measure,
     surface_area_measure,
 )
-from epival.spherical import SphericalPatch
+from epival.spherical import (
+    SphericalPatch,
+    _adaptive_1d,
+    _adaptive_tri,
+    _spherical_tri_integral,
+)
 
 
 def square():
@@ -573,6 +581,14 @@ class TestFlowoutMC:
             est, se = p_t_volume_mc(u, None, t, 100_000, 31)
             assert abs(est - want) < 3.5 * se + 1e-12
 
+    def test_vee_splits_evenly_between_the_gradient_signs(self):
+        # |x| on [-1, 1] is symmetric under x -> -x, which flips the
+        # gradient, so the region y > 0 holds half of the flow-out volume
+        u = vee_interval()
+        want = float(hessian_steiner(u, F(1), F(1))) / 2
+        est, se = p_t_volume_mc(u, lambda x, y: y[0] > 0, 1.0, 100_000, 5)
+        assert abs(est - want) < 3 * se
+
 
 class TestPushforwardConsistency:
     def test_order0_dim1(self):
@@ -648,3 +664,297 @@ def test_support_totals_scale_correctly(seed):
     Q = scale(P, 3)
     assert support_measure(Q, 1).total == pytest.approx(
         3 * support_measure(P, 1).total, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one routine per job: the copies each shared routine replaced, kept as
+# references that the routine must match float for float and face for face
+
+
+def ref_integrate_over_face(face, g, tol=1e-9):
+    """integrate_over_face with its own triangle fan."""
+    k = face.intrinsic_dim
+    if k < 0:
+        return 0.0
+    if k == 0:
+        return g(face.float_vertices[0])
+    if k == 1:
+        a, b = face.float_vertices[0], face.float_vertices[-1]
+        length = np.linalg.norm(b - a)
+        return _adaptive_1d(lambda s: length * g(a + s * (b - a)), 0.0, 1.0, tol)
+    cyc = face.boundary_cycle
+    verts = face.float_vertices
+    total = 0.0
+
+    def g_rows(pts):
+        return [g(x) for x in pts]
+
+    for j in range(1, len(cyc) - 1):
+        total += _adaptive_tri(
+            verts[cyc[0]], verts[cyc[j]], verts[cyc[j + 1]], g_rows,
+            tol / max(1, len(cyc) - 2), 6)
+    return total
+
+
+def ref_patch_integrate(patch, f, tol=1e-11):
+    """SphericalPatch.integrate with its own spherical polygon fan."""
+    if patch.kind != "polygon":
+        return patch.integrate(f, tol)
+    verts = patch.data
+    total = 0.0
+    for i in range(1, len(verts) - 1):
+        total += _spherical_tri_integral(
+            verts[0], verts[i], verts[i + 1], f, tol / max(1, len(verts) - 2))
+    return total
+
+
+def ref_face_measure_integrate(fm, f, tol=1e-7):
+    total = 0.0
+    piece_tol = tol / max(1, len(fm.pieces))
+    for p in fm.pieces:
+        patch = p.normal_region
+
+        def outer(x, patch=patch):
+            return ref_patch_integrate(patch, lambda nu: f(x, nu), piece_tol)
+
+        total += p.density_constant * ref_integrate_over_face(p.face, outer, piece_tol)
+    return total
+
+
+def ref_hessian_measure_integrate(hm, f, tol=1e-8):
+    out = 0.0
+    piece_tol = tol / max(1, len(hm.pieces))
+    for p in hm.pieces:
+        if p.gradient_region.is_empty:
+            continue
+        grad = p.gradient_region
+
+        def outer(x, grad=grad):
+            return ref_integrate_over_face(grad, lambda y: f(x, y), piece_tol)
+
+        out += float(p.density) * ref_integrate_over_face(p.face, outer, piece_tol)
+    return out
+
+
+def ref_hessian_top_order(u, f, tol=1e-8):
+    out = 0.0
+    cells = u.cells
+    cell_tol = tol / max(1, len(cells))
+    for g, _, region in cells:
+        gf = np.array([float(x) for x in g])
+        out += ref_integrate_over_face(region, lambda x, gf=gf: f(x, gf), cell_tol)
+    return out
+
+
+def ref_integrate_via_support(u, i, f, tol=1e-8, gradient_bound=None):
+    n = u.n
+    fm = support_measure(u.body_of(), i)
+    bound = F(gradient_bound) if gradient_bound is not None else None
+    total = 0.0
+    kept = []
+    for piece in fm.pieces:
+        patch = _lower_clip(piece.normal_region, n, bound)
+        if patch is not None:
+            kept.append((piece, patch))
+    piece_tol = tol / max(1, len(kept))
+    for piece, patch in kept:
+        face = piece.face
+        u_dir = None
+        if i == 1 and n == 2:
+            w = sub(face.vertices[-1], face.vertices[0])
+            sp = np.array([float(w[0]), float(w[1])])
+            nsp = np.linalg.norm(sp)
+            if nsp < 1e-15:
+                continue
+            u_dir = sp / nsp
+
+        def integrand(X, N, u_dir=u_dir):
+            gt = -N[-1]
+            y = N[:-1] / gt
+            y2 = float(y @ y)
+            yu2 = 0.0 if u_dir is None else float(y @ u_dir) ** 2
+            corr = (n + 1) * (1.0 + y2) ** (0.5 * (n - i + 1)) / (1.0 + yu2)
+            return f(X[:-1], y) * corr
+
+        def outer(X, patch=patch, integrand=integrand):
+            return ref_patch_integrate(patch, lambda N: integrand(X, N), piece_tol)
+
+        total += float(piece.density) * ref_integrate_over_face(face, outer, piece_tol)
+    return total
+
+
+def ref_local_parallel_volume_mc(P, region, t, samples, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    verts = P.float_vertices
+    lo = verts.min(axis=0) - t
+    hi = verts.max(axis=0) + t
+    vol_box = float(np.prod(hi - lo))
+    X = rng.uniform(lo, hi, size=(samples, P.ambient_dim))
+    dist, proj = nearest_points(P, X)
+    hit = (dist > MC_TOL) & (dist <= t)
+    if region is not None:
+        for k in np.nonzero(hit)[0]:
+            u = (X[k] - proj[k]) / dist[k]
+            if not region(proj[k], u):
+                hit[k] = False
+    p = float(np.mean(hit))
+    return vol_box * p, vol_box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+
+
+def ref_p_t_volume_mc(u, region, t, samples, seed, gradient_bound=1.0):
+    n = u.n
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    dverts = u.domain.float_vertices
+    lo = dverts.min(axis=0) - t * gradient_bound
+    hi = dverts.max(axis=0) + t * gradient_bound
+    vol_box = float(np.prod(hi - lo))
+    Z = rng.uniform(lo, hi, size=(samples, n))
+    best_val = np.full(samples, np.inf)
+    best_x = np.zeros((samples, n))
+    for g, b, region_poly in u.cells:
+        gf = np.array([float(x) for x in g])
+        _, xs = nearest_points(region_poly, Z - t * gf)
+        vals = xs @ gf + float(b) + np.sum((Z - xs) ** 2, axis=1) / (2.0 * t)
+        better = vals < best_val
+        best_val = np.where(better, vals, best_val)
+        best_x[better] = xs[better]
+    Y = (Z - best_x) / t
+    hit = np.all(np.abs(Y) <= gradient_bound + MC_TOL, axis=1)
+    if region is not None:
+        for k in np.nonzero(hit)[0]:
+            if not region(best_x[k], Y[k]):
+                hit[k] = False
+    p = float(np.mean(hit))
+    return vol_box * p, vol_box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+
+
+def ref_on_segment(v, a, b):
+    ab, av = sub(b, a), sub(v, a)
+    for p, q in itertools.combinations(range(len(a)), 2):
+        if ab[p] * av[q] != ab[q] * av[p]:
+            return False
+    t = next((av[k] / ab[k] for k in range(len(a)) if ab[k] != 0), None)
+    if t is None:
+        return all(x == 0 for x in av)
+    return 0 <= t <= 1
+
+
+def ref_refined_edges(u):
+    """The edges of an n = 2 complex with every cell edge split at the
+    complex vertices on it, as endpoint pairs."""
+    segs = set()
+    for _, _, region in u.cells:
+        vs = region.vertices
+        for a, b in region.edge_list:
+            segs.add(tuple(sorted((vs[a], vs[b]))))
+    refined = set()
+    for a, b in segs:
+        on = sorted(v for v in u.complex_vertices if ref_on_segment(v, a, b))
+        refined |= {(p, q) for p, q in zip(on, on[1:]) if p != q}
+    return refined
+
+
+def moment(x, v):
+    # the peak at v[0] = 0.1 makes the quadrature's depth depend on tol
+    return (1.0 + 0.3 * float(x[0]) - 0.1 * float(x[-1])) * math.exp(
+        0.4 * v[-1] - 0.2 * v[0] - 0.1 * float(v @ v)) / (1.0 + 10.0 * (v[0] - 0.1) ** 2)
+
+
+def recording(accept):
+    """A region that accepts by the predicate and records each pair it
+    was asked about."""
+    calls = []
+
+    def region(x, v):
+        calls.append((x.copy(), v.copy()))
+        return accept(x, v)
+
+    return region, calls
+
+
+def same_calls(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) and np.array_equal(v, w) for (x, v), (y, w) in zip(a, b))
+
+
+class TestOneRoutinePerJob:
+    def test_support_measure_integral(self):
+        for d in (2, 3):
+            for k in range(2):
+                P = CaseGenerator(7, d).body(k)
+                for i in range(d):
+                    fm = support_measure(P, i)
+                    assert fm.integrate(moment, 1e-5) == \
+                        ref_face_measure_integrate(fm, moment, 1e-5)
+
+    def test_face_and_patch_fans(self):
+        P = CaseGenerator(7, 3).body(0)
+        g = lambda x: math.cos(float(x[0])) / (1.0 + 10.0 * (float(x[1]) - 0.1) ** 2)
+        for face, gens in faces_with_cones(P, 2) + faces_with_cones(P, 0):
+            assert integrate_over_face(face, g, 1e-6) == ref_integrate_over_face(face, g, 1e-6)
+            patch = SphericalPatch.from_generators(gens, 3)
+            assert patch.integrate(g, 1e-6) == ref_patch_integrate(patch, g, 1e-6)
+
+    def test_hessian_measure_integral(self):
+        fns = [vee_interval()] + [CaseGenerator(7, n).pl_function(k)
+                                  for n in (1, 2) for k in range(3)]
+        empty = 0
+        for u in fns:
+            for R in (F(1, 2), F(2)):
+                for i in range(u.n + 1):
+                    hm = hessian_measure(u, i, R)
+                    empty += sum(p.gradient_region.is_empty for p in hm.pieces)
+                    assert hm.integrate(moment, 1e-6) == \
+                        ref_hessian_measure_integrate(hm, moment, 1e-6)
+        assert empty > 0
+
+    def test_hessian_integral_top_order(self):
+        for n in (1, 2):
+            for k in range(3):
+                u = CaseGenerator(7, n).pl_function(k)
+                assert hessian_integrate(u, n, moment, 1e-6) == \
+                    ref_hessian_top_order(u, moment, 1e-6)
+
+    def test_hessian_integral_via_support(self):
+        fns = [vee_interval(), indicator_origin(), CaseGenerator(7, 1).pl_function(0),
+               CaseGenerator(7, 2).pl_function(0)]
+        for u in fns:
+            for i in range(u.n):
+                for R in (None, F(2)):
+                    got = hessian_integrate_via_support(u, i, moment, 1e-4, R)
+                    assert got == ref_integrate_via_support(u, i, moment, 1e-4, R)
+
+    def test_parallel_volume_oracle(self):
+        for d in (2, 3):
+            P = CaseGenerator(7, d).body(1)
+            region, calls = recording(lambda x, v: v[0] < 0.5)
+            ref_region, ref_calls = recording(lambda x, v: v[0] < 0.5)
+            got = local_parallel_volume_mc(P, region, 0.5, 4000, 11)
+            assert got == ref_local_parallel_volume_mc(P, ref_region, 0.5, 4000, 11)
+            assert same_calls(calls, ref_calls)
+            assert got[0] < local_parallel_volume_mc(P, None, 0.5, 4000, 11)[0]
+
+    def test_flowout_oracle(self):
+        for n in (1, 2):
+            u = CaseGenerator(7, n).pl_function(1)
+            for R in (1.0, 0.5):
+                region, calls = recording(lambda x, y: y[0] > 0)
+                ref_region, ref_calls = recording(lambda x, y: y[0] > 0)
+                got = p_t_volume_mc(u, region, 0.75, 4000, 13, R)
+                assert got == ref_p_t_volume_mc(u, ref_region, 0.75, 4000, 13, R)
+                assert same_calls(calls, ref_calls)
+                assert got[0] < p_t_volume_mc(u, None, 0.75, 4000, 13, R)[0]
+                assert p_t_volume_mc(u, None, 0.75, 4000, 13, R) == \
+                    ref_p_t_volume_mc(u, None, 0.75, 4000, 13, R)
+
+    def test_cell_edges_need_no_splitting(self):
+        for k in range(10):
+            u = CaseGenerator(7, 2).pl_function(k)
+            assert {f.vertices for f in complex_faces(u, 1)} == ref_refined_edges(u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=0, max_value=24))
+def test_cell_edges_are_complex_edges(seed, index):
+    u = CaseGenerator(seed, 2).pl_function(index)
+    assert {f.vertices for f in complex_faces(u, 1)} == ref_refined_edges(u)
