@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import GeometryError, Polytope
+from .bodies import Polytope
 from .functions import PLConvexFunction
 from .measures import SphereMeasure
 from .minkowski import minkowski_solve, project_closed
@@ -134,11 +134,14 @@ class GridDensity:
         return tuple(out)
 
     def _points(self) -> np.ndarray:
-        axes = self.centers()
-        if self.n == 1:
-            return axes[0][:, None]
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = np.meshgrid(*self.centers(), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
+
+    def _inhabited(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and values of the nonzero cells, in raveled order."""
+        vals = self.values.ravel()
+        mask = vals != 0.0
+        return self._points()[mask], vals[mask]
 
     def moments(self) -> tuple[float, np.ndarray]:
         hn = float(self.h) ** self.n
@@ -152,19 +155,14 @@ class GridDensity:
         return abs(m0), float(np.linalg.norm(m1))
 
     def support_radius(self) -> float:
-        mask = self.values.ravel() != 0.0
-        if not mask.any():
-            return 0.0
-        pts = self._points()[mask]
-        return float(np.max(np.linalg.norm(pts, axis=1)))
+        pts, _ = self._inhabited()
+        return float(np.max(np.linalg.norm(pts, axis=1), initial=0.0))
 
     def outer_radius(self) -> float:
         """Distance to the farthest corner of any inhabited cell."""
-        mask = self.values.ravel() != 0.0
-        if not mask.any():
-            return 0.0
-        pts = np.abs(self._points()[mask]) + 0.5 * float(self.h)
-        return float(np.max(np.linalg.norm(pts, axis=1)))
+        pts, _ = self._inhabited()
+        far = np.linalg.norm(np.abs(pts) + 0.5 * float(self.h), axis=1)
+        return float(np.max(far, initial=0.0))
 
     def value_at(self, y: Sequence) -> float:
         y = np.asarray([float(v) for v in y], dtype=float)
@@ -184,14 +182,6 @@ class GridDensity:
             "shape": list(self.values.shape),
             "values": [float(v) for v in self.values.ravel()],
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "GridDensity":
-        vals = np.array(data["values"], dtype=float).reshape(data["shape"])
-        return GridDensity(
-            int(data["n"]),
-            tuple(Fraction(v) for v in data["lo"]),
-            Fraction(data["h"]), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +265,13 @@ def mollify(mu: DualAtomMeasure, bump: str, j: int) -> GridDensity:
         center = np.array([float(c) for c in x])
         vals += float(w) * j ** n * kernel(j * (center - pts))
 
+    grid.values = vals.reshape(shape)  # a view: the shift below lands in it
     mask = vals != 0.0
     if mask.any():
-        hn = float(h) ** n
-        m0 = float(np.sum(vals)) * hn
-        m1 = (vals[:, None] * pts).sum(axis=0) * hn
-        C = np.vstack([np.ones(mask.sum()), pts[mask].T]) * hn
-        resid = np.concatenate([[m0], m1])
-        shift = -C.T @ np.linalg.solve(C @ C.T, resid)
+        m0, m1 = grid.moments()
+        C = np.vstack([np.ones(mask.sum()), pts[mask].T]) * float(h) ** n
+        shift = -C.T @ np.linalg.solve(C @ C.T, np.concatenate([[m0], m1]))
         vals[mask] += shift
-    grid.values = vals.reshape(shape)
     return grid
 
 
@@ -356,8 +343,6 @@ class GridTransferKernel:
 
     grid: GridDensity
 
-    kind = "grid_transfer"
-
     def __call__(self, N: np.ndarray) -> float:
         N = np.asarray(N, dtype=float)
         c = -N[-1]
@@ -374,16 +359,10 @@ class GridTransferKernel:
         factor is radial and increasing, so each cell peaks at its
         farthest corner."""
         g = self.grid
-        mask = g.values.ravel() != 0.0
-        if not mask.any():
-            return 0.0
-        pts = g._points()[mask]
-        vals = np.abs(g.values.ravel()[mask])
+        pts, vals = g._inhabited()
         far = np.linalg.norm(np.abs(pts) + 0.5 * float(g.h), axis=1)
-        return float(np.max(vals * (1.0 + far ** 2) ** (g.n / 2 + 1)))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "grid": self.grid.to_dict()}
+        return float(np.max(np.abs(vals) * (1.0 + far ** 2) ** (g.n / 2 + 1),
+                            initial=0.0))
 
 
 def plane_to_sphere_density(phi: GridDensity) -> SphereDensity:
@@ -460,6 +439,16 @@ def _arc_masses(phi: GridDensity, m: int) -> np.ndarray:
     return out
 
 
+def _closed_measure(N: np.ndarray, w: np.ndarray) -> SphereMeasure:
+    """The positive measure with atoms at the rows of N and the weights w
+    projected onto the closedness constraint."""
+    w = project_closed(N, w)
+    if np.any(w <= 0):
+        raise ValueError("atom count too small to balance the density")
+    return SphereMeasure(N.shape[1], tuple((N[i], float(w[i])) for i in range(len(w))),
+                         signed=False)
+
+
 def balance_and_discretize(f: SphereDensity, m: int) -> SphereMeasure:
     """Quadrature atoms for the density 1 + sup|f| + f, with weights
     projected onto the closedness constraint."""
@@ -467,16 +456,11 @@ def balance_and_discretize(f: SphereDensity, m: int) -> SphereMeasure:
     if m < d + 1:
         raise ValueError("need at least d + 1 atoms")
     sup = _sup_norm(f)
-    if d == 2 and isinstance(f.kernel, GridTransferKernel):
-        N = _circle_nodes(m)
-        w = 2.0 * math.pi / m * (1.0 + sup) + _arc_masses(f.kernel.grid, m)
-        w = project_closed(N, w)
-        if np.any(w <= 0):
-            raise ValueError("atom count too small to balance the density")
-        return SphereMeasure(
-            2, tuple((N[i], float(w[i])) for i in range(m)), signed=False)
     if d == 2:
         N = _circle_nodes(m)
+        if isinstance(f.kernel, GridTransferKernel):
+            return _closed_measure(
+                N, 2.0 * math.pi / m * (1.0 + sup) + _arc_masses(f.kernel.grid, m))
         q = np.full(m, 2.0 * math.pi / m)
     elif d == 3:
         nz = max(2, math.isqrt(m // 2))
@@ -493,13 +477,7 @@ def balance_and_discretize(f: SphereDensity, m: int) -> SphereMeasure:
         q = np.array(qs)
     else:
         raise ValueError("sphere discretization handles d in {2, 3}")
-    dens = np.array([1.0 + sup + f(row) for row in N])
-    w = q * dens
-    w = project_closed(N, w)
-    if np.any(w <= 0):
-        raise ValueError("atom count too small to balance the density")
-    return SphereMeasure(d, tuple((N[i], float(w[i])) for i in range(len(w))),
-                         signed=False)
+    return _closed_measure(N, q * np.array([1.0 + sup + f(row) for row in N]))
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +563,8 @@ def gw_pipeline(mu: DualAtomMeasure, bump: str, j_list: Sequence[int],
         f = plane_to_sphere_density(phi)
         sup = _sup_norm(f)
         mu_j = balance_and_discretize(f, m)
-        nodes = _circle_nodes(m)
-        w_ball = project_closed(nodes, np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
-        if np.any(w_ball <= 0):
-            raise GeometryError("balanced weights lost positivity")
-        ball_j = SphereMeasure(
-            2, tuple((nodes[i], float(w_ball[i])) for i in range(m)), False)
+        ball_j = _closed_measure(_circle_nodes(m),
+                                 np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
         LN, Llen, _, _ = _polygon_edges(minkowski_solve(mu_j))
         WN, Wlen, Wstart, WV = _polygon_edges(minkowski_solve(ball_j))
 

@@ -256,9 +256,6 @@ def _product_integral(pieces: Sequence[tuple[float, Polytope, Optional[Callable]
 # from the body counts as in it, and a subgradient up to this past the
 # gradient bound counts as within it
 MC_TOL = 1e-12
-# a face of the lifted body whose spatial part is shorter than this is
-# vertical: the support route to the Hessian integral skips it
-VERTICAL_FACE_TOL = 1e-15
 
 
 def _mc_volume(verts: np.ndarray, t: float, pad: float, samples: int, seed: int,
@@ -344,26 +341,14 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
     rays = _cone_generators(u.domain, face.vertices)
     if not points:
         raise GeometryError("face lies in no cell of the complex")
-    if n == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        if any(r[0] < 0 for r in rays):
-            lo = -bound
-        if any(r[0] > 0 for r in rays):
-            hi = bound
-        lo = max(lo, -bound)
-        hi = min(hi, bound)
-        if lo > hi:
-            return Polytope.empty(1), points, rays
-        region = Polytope.construct([(lo,), (hi,)], 1)
-        return region, points, rays
     region = Polytope.construct(itertools.product((-bound, bound), repeat=n), n)
     hull = Polytope.construct(points, n)
     cands = [m for m, _ in hull.halfspaces]
-    for r in rays:
-        perp = (-r[1], r[0])
-        cands.append(perp)
-        cands.append((-perp[0], -perp[1]))
+    # in the plane a ray's perpendiculars can bound the region; on the
+    # line the hull's two halfspaces are all the candidates there are
+    if n == 2:
+        for r in rays:
+            cands += [(-r[1], r[0]), (r[1], -r[0])]
     seen = set()
     for m in cands:
         if not any(m):
@@ -572,12 +557,7 @@ def hessian_integrate_via_support(
         if i == 1 and n == 2:
             w = sub(piece.face.vertices[-1], piece.face.vertices[0])
             sp = np.array([float(w[0]), float(w[1])])
-            nsp = np.linalg.norm(sp)
-            # a vertical face is a null set of the pushforward
-            if nsp < VERTICAL_FACE_TOL:
-                pieces.append((0.0, piece.face, None))
-                continue
-            u_dir = sp / nsp
+            u_dir = sp / np.linalg.norm(sp)
         pieces.append((float(piece.density), piece.face,
                        lambda X, tol, patch=patch, u_dir=u_dir:
                            patch.integrate(lambda N: integrand(X, N, u_dir), tol)))

@@ -286,7 +286,7 @@ class Skip:
 
 SKIP = Skip()
 
-FORMS = ("gradient", "sphere", "dual_density", "external")
+FORMS = ("gradient", "sphere", "dual_density")
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,6 @@ class ValuationSpec:
     gradient     : plane density paired with gradient cells
     sphere       : sphere density paired with the lifted body's facets
     dual_density : finite signed atoms paired with the conjugate function
-    external     : arbitrary callable, not serializable
     """
 
     form: str
@@ -304,7 +303,6 @@ class ValuationSpec:
     plane: Optional[PlaneDensity] = None
     sphere: Optional[SphereDensity] = None
     dual_atoms: Optional[tuple[tuple[tuple[float, ...], float], ...]] = None
-    external: Optional[Callable[[PLConvexFunction], float]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -321,18 +319,14 @@ class ValuationSpec:
             if u.is_empty:
                 return 0.0
             return eval_sphere_valuation(u.body_of(), self.sphere)
-        if self.form == "dual_density":
-            if u.is_empty:
-                return 0.0
-            conj = u.fenchel_conjugate()
-            return float(sum(
-                w * float(conj.evaluate(tuple(Fraction(v) for v in x)))
-                for x, w in self.dual_atoms))
-        return float(self.external(u))
+        if u.is_empty:
+            return 0.0
+        conj = u.fenchel_conjugate()
+        return float(sum(
+            w * float(conj.evaluate(tuple(Fraction(v) for v in x)))
+            for x, w in self.dual_atoms))
 
     def to_dict(self) -> dict:
-        if self.form == "external":
-            raise ValueError("external valuations cannot be serialized")
         out = {"form": self.form, "n": self.n, "name": self.name}
         if self.form == "gradient":
             out["plane"] = self.plane.to_dict()
@@ -345,8 +339,6 @@ class ValuationSpec:
     @staticmethod
     def from_dict(data: dict) -> "ValuationSpec":
         form = data["form"]
-        if form == "external":
-            raise ValueError("external valuations cannot be deserialized")
         n = int(data["n"])
         name = data.get("name", "")
         if form == "gradient":
@@ -444,7 +436,7 @@ def cylinder_identity_check(eta: SphereDensity, K: Polytope, length,
     lhs = eval_sphere_valuation(prism, eta)
     down = np.zeros(d)
     down[-1] = -1.0
-    base = float(K.volume) if K.intrinsic_dim == K.ambient_dim else K.relative_volume_float
+    base = K.relative_volume_float
     side = 0.0
     for nu, w in surface_area_measure(K).atoms:
         side += w * float(eta(np.append(nu, 0.0)))

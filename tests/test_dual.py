@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from hypothesis import example, given, settings, strategies as st
 from epival.bodies import Polytope
 from epival.cases import CaseGenerator
 from epival.functions import PLConvexFunction
+from epival.measures import SphereMeasure
+from epival.minkowski import project_closed
 from epival.valuations import ConstKernel, SphereDensity
 from epival.dual import (
     DualAtomMeasure,
@@ -50,8 +53,14 @@ from epival.dual import (
     mollify,
     plane_to_sphere_density,
     _PROFILES,
+    _arc_masses,
+    _circle_nodes,
+    _closed_measure,
     _profile_constant,
+    _sup_norm,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def seg(a, b):
@@ -574,3 +583,125 @@ class TestPipeline:
         mu = mu_second()
         zs = [dual_pairing(mu, u) for u in family3()]
         assert zs == [2.0, 0.0, 2.0]
+
+    def test_shipped_input_is_the_fixture(self):
+        """data/gw_input.json, the refinement study's input, holds the
+        measure and family this class runs on."""
+        payload = json.loads((DATA / "gw_input.json").read_text())
+        assert set(payload) == {"measure", "family", "bump"}
+        assert DualAtomMeasure.from_dict(payload["measure"]) == mu_second()
+        assert [PLConvexFunction.from_dict(d) for d in payload["family"]] == family3()
+        assert payload["bump"] == "smooth"
+
+
+# ---------------------------------------------------------------------------
+# the shared builders against the copies they replaced
+
+
+def ref_grid_branch(f, m):
+    """balance_and_discretize on a grid transfer density, as it was
+    written out before the closed measure had one builder."""
+    N = _circle_nodes(m)
+    w = 2.0 * math.pi / m * (1.0 + _sup_norm(f)) + _arc_masses(f.kernel.grid, m)
+    w = project_closed(N, w)
+    if np.any(w <= 0):
+        raise ValueError("atom count too small to balance the density")
+    return SphereMeasure(
+        2, tuple((N[i], float(w[i])) for i in range(m)), signed=False)
+
+
+def ref_inline_ball(m, sup):
+    """The reference ball as gw_pipeline built it inline."""
+    nodes = _circle_nodes(m)
+    w_ball = project_closed(nodes, np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
+    assert np.all(w_ball > 0)
+    return SphereMeasure(
+        2, tuple((nodes[i], float(w_ball[i])) for i in range(m)), False)
+
+
+def assert_same_atoms(a, b):
+    assert (a.dim, a.signed, len(a.atoms)) == (b.dim, b.signed, len(b.atoms))
+    for (na, wa), (nb, wb) in zip(a.atoms, b.atoms):
+        assert na.tobytes() == nb.tobytes()
+        assert np.float64(wa).tobytes() == np.float64(wb).tobytes()
+
+
+@pytest.mark.parametrize("m", [64, 4096])
+@pytest.mark.parametrize("j", [2, 4])
+def test_closed_measures_match_references(j, m):
+    f = plane_to_sphere_density(mollify(mu_second(), "smooth", j))
+    assert_same_atoms(balance_and_discretize(f, m), ref_grid_branch(f, m))
+    sup = _sup_norm(f)
+    ball = _closed_measure(_circle_nodes(m), np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
+    assert_same_atoms(ball, ref_inline_ball(m, sup))
+
+
+def ref_points(phi):
+    axes = phi.centers()
+    if phi.n == 1:
+        return axes[0][:, None]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def ref_radii(phi):
+    """support_radius, outer_radius and the transfer kernel's sup_bound,
+    each with its own mask over the cells."""
+    mask = phi.values.ravel() != 0.0
+    if not mask.any():
+        return 0.0, 0.0, 0.0
+    pts = ref_points(phi)[mask]
+    vals = np.abs(phi.values.ravel()[mask])
+    far = np.linalg.norm(np.abs(pts) + 0.5 * float(phi.h), axis=1)
+    return (float(np.max(np.linalg.norm(pts, axis=1))), float(np.max(far)),
+            float(np.max(vals * (1.0 + far ** 2) ** (phi.n / 2 + 1))))
+
+
+def ref_moment_correction(phi):
+    """mollify's moment correction with the moments written out, applied
+    to a copy of the raw samples."""
+    pts = ref_points(phi)
+    vals = phi.values.ravel().copy()
+    mask = vals != 0.0
+    if mask.any():
+        hn = float(phi.h) ** phi.n
+        m0 = float(np.sum(vals)) * hn
+        m1 = (vals[:, None] * pts).sum(axis=0) * hn
+        C = np.vstack([np.ones(mask.sum()), pts[mask].T]) * hn
+        resid = np.concatenate([[m0], m1])
+        vals[mask] += -C.T @ np.linalg.solve(C @ C.T, resid)
+    return vals.reshape(phi.values.shape)
+
+
+def raw_mollified(mu, bump, j):
+    """mollify with the moment correction switched off: the same grid,
+    the raw kernel samples."""
+    kernel = mollifier_kernel(bump, mu.n)
+    grid = mollify(mu, bump, j)
+    pts = ref_points(grid)
+    vals = np.zeros(len(pts))
+    for x, w in mu.atoms:
+        center = np.array([float(c) for c in x])
+        vals += float(w) * j ** mu.n * kernel(j * (center - pts))
+    return GridDensity(grid.n, grid.lo, grid.h, vals.reshape(grid.values.shape))
+
+
+def mu_plane():
+    return DualAtomMeasure(2, (
+        ((F(-1), F(0)), F(1)), ((F(1), F(0)), F(1)), ((F(0), F(0)), F(-2)),
+        ((F(0), F(1, 2)), F(1, 2)), ((F(0), F(-1, 2)), F(1, 2)),
+        ((F(0), F(0)), F(-1))))
+
+
+@pytest.mark.parametrize("mu", [mu_second(), mu_plane(), DualAtomMeasure(1, ())])
+@pytest.mark.parametrize("bump", sorted(_PROFILES))
+def test_inhabited_cells_and_moments_keep_their_bits(mu, bump):
+    for j in (1, 2, 4):
+        raw = raw_mollified(mu, bump, j)
+        phi = mollify(mu, bump, j)
+        assert phi.values.tobytes() == ref_moment_correction(raw).tobytes()
+        assert phi._points().tobytes() == ref_points(phi).tobytes()
+        for grid in (raw, phi):
+            kernel = plane_to_sphere_density(grid).kernel
+            got = (grid.support_radius(), grid.outer_radius(), kernel.sup_bound())
+            assert got == ref_radii(grid)

@@ -38,6 +38,7 @@ from epival.measures import (
     FaceMeasure,
     FacePiece,
     SphereMeasure,
+    _cone_generators,
     _gradient_region,
     _lower_clip,
     complex_faces,
@@ -958,3 +959,56 @@ class TestOneRoutinePerJob:
 def test_cell_edges_are_complex_edges(seed, index):
     u = CaseGenerator(seed, 2).pl_function(index)
     assert {f.vertices for f in complex_faces(u, 1)} == ref_refined_edges(u)
+
+
+def ref_gradient_region_interval(u, face, bound):
+    """_gradient_region in one variable as it was written before the box
+    clip served both dimensions: the interval spanned by the gradients,
+    opened to the box along the rays and cut to it."""
+    points = [g for g, _, region in u.cells if region.contains(face.centroid)]
+    rays = _cone_generators(u.domain, face.vertices)
+    lo = min(p[0] for p in points)
+    hi = max(p[0] for p in points)
+    if any(r[0] < 0 for r in rays):
+        lo = -bound
+    if any(r[0] > 0 for r in rays):
+        hi = bound
+    lo = max(lo, -bound)
+    hi = min(hi, bound)
+    if lo > hi:
+        return Polytope.empty(1), points, rays
+    return Polytope.construct([(lo,), (hi,)], 1), points, rays
+
+
+@pytest.mark.parametrize("seed", [7, 1, 2])
+def test_interval_gradient_regions_are_box_clips(seed):
+    gen = CaseGenerator(seed, 1)
+    for k in range(15):
+        u = gen.pl_function(k)
+        for R in (F(0), F(1, 3), F(1, 2), F(1), F(2), F(5)):
+            for i in range(2):
+                for face in complex_faces(u, i):
+                    region, points, rays = _gradient_region(u, face, R)
+                    want, want_points, want_rays = ref_gradient_region_interval(u, face, R)
+                    assert region.vertices == want.vertices
+                    assert region.halfspaces == want.halfspaces
+                    assert (points, rays) == (want_points, want_rays)
+                with mock.patch("epival.measures._gradient_region",
+                                ref_gradient_region_interval):
+                    want_total = hessian_measure(u, i, R).total_exact
+                assert hessian_measure(u, i, R).total_exact == want_total
+
+
+def test_vertical_edges_of_lifted_bodies_have_no_lower_patch():
+    """A vertical edge of the lifted body has a horizontal normal cone,
+    so the support route to the order-1 Hessian integral never sees one."""
+    vertical = 0
+    gen = CaseGenerator(7, 2)
+    for k in range(10):
+        for piece in support_measure(gen.pl_function(k).body_of(), 1).pieces:
+            w = sub(piece.face.vertices[-1], piece.face.vertices[0])
+            if w[0] == w[1] == 0:
+                vertical += 1
+                for bound in (None, F(2)):
+                    assert _lower_clip(piece.normal_region, 2, bound) is None
+    assert vertical > 0

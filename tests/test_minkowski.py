@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from epival import minkowski
 from epival.bodies import GeometryError, Polytope
 from epival.cases import CaseGenerator
-from epival.dual import (DualAtomMeasure, balance_and_discretize, mollify,
-                         plane_to_sphere_density)
+from epival.dual import (DualAtomMeasure, _closed_measure, balance_and_discretize,
+                         mollify, plane_to_sphere_density)
 from epival.linalg import primitive
 from epival.measures import (MIN_NORMAL_LENGTH, SphereMeasure,
                              surface_area_measure)
@@ -33,7 +33,6 @@ from epival.minkowski import (
     _facet_polygons_at,
     _merged_atoms,
     minkowski_solve,
-    project_closed,
 )
 
 
@@ -285,8 +284,7 @@ def gw_sphere_measures(m=64):
         f = plane_to_sphere_density(mollify(mu, "smooth", j))
         main = balance_and_discretize(f, m)
         nodes = np.array([n for n, _ in main.atoms])
-        ball = project_closed(nodes, np.full(m, 2.0 * math.pi / m * 2.0))
-        out += [main, SphereMeasure(2, tuple(zip(nodes, ball.tolist())))]
+        out += [main, _closed_measure(nodes, np.full(m, 2.0 * math.pi / m * 2.0))]
     return out
 
 

@@ -259,13 +259,18 @@ class TestValuationSpec:
         assert vs(u) == pytest.approx(2.0 * 0.5 - 2.0 * 1.0)
 
     def test_external_not_serializable(self):
-        vs = ValuationSpec("external", 1, external=lambda u: 0.0)
-        with pytest.raises(ValueError):
-            vs.to_dict()
+        # plain callables serve where a valuation need not be serialized,
+        # so "external" is no form: neither built nor read back
+        with pytest.raises(ValueError, match="unknown form"):
+            ValuationSpec("external", 1)
+        with pytest.raises(ValueError, match="unknown form"):
+            ValuationSpec.from_dict({"form": "external", "n": 1})
 
     def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown form"):
             ValuationSpec("mixed", 1)
+        with pytest.raises(ValueError, match="unknown form"):
+            ValuationSpec.from_dict({"form": "mixed", "n": 1})
 
 
 class TestResidualAndDecomposition:
