@@ -6,21 +6,38 @@ Vertices are fractions.Fraction tuples in lexicographic order.  Halfspaces
 are pairs (m, c) meaning m . x <= c with m a primitive integer vector; a
 flat body carries equality constraints as opposite halfspace pairs.
 
-construct reads each input coordinate once, as its as_integer_ratio()
-(int, float, Fraction and numpy floats have it; a string or a numpy int
-is read as a Fraction or an int first).  The integer image of the
-points, scaled by their common denominator q, is built from the ratios
-with one q // den per distinct denominator.  Fractions are made only for
-the coordinates of the points the hull keeps, and input Fractions are
-reused.  When the kept coordinates came in as Python floats, construct
-also stores float_vertices in the body, as it stores boundary_cycle
-below: the bodies of minkowski_solve, in the plane and in space, carry
-it.  Every other body derives it from its vertices.
+Points in the plane given as finite Python floats, not all collinear
+(the edge walks of minkowski_solve), are decided on the floats
+themselves (_float_polygon).  Float equality is equality of the exact
+values (0.0 == -0.0) and the float order is their order, so the
+deduplicated, sorted tuples are the points the exact path would hull.
+The monotone chain then decides each turn with Shewchuk's static
+orientation filter: a float turn whose size exceeds the filter's error
+bound has the exact turn's sign, and every turn the filter cannot
+certify, or whose products leave the range where the bound holds
+(subnormal or near-overflow coordinates), is decided exactly
+(_exact_left).  So the kept points and the cycle are the exact ones.
+Such a polygon, a _FloatPolygon, stores float_vertices, boundary_cycle
+and intrinsic_dim; its vertices (each kept float as a Fraction) and
+halfspaces (from the integer image of those vertices) are made on first
+read.
 
-Every hull is decided on the integer image of its points: the monotone
-chain in the plane, one incremental hull in space, with no fallback.
-Offsets come out as integers m . a and become Fraction(m . a, q) once
-the hull is known.  A full dimensional body derives its facets once, in
+Every other input goes the exact way.  construct reads each input
+coordinate once, as its as_integer_ratio() (int, float, Fraction and
+numpy floats have it; a string or a numpy int is read as a Fraction or
+an int first).  The integer image of the points, scaled by their common
+denominator q, is built from the ratios with one q // den per distinct
+denominator.  Fractions are made only for the coordinates of the points
+the hull keeps, and input Fractions are reused.  When the kept
+coordinates came in as Python floats, construct also stores
+float_vertices in the body, as it stores boundary_cycle below: the
+bodies of minkowski_solve in space carry it.  Every other body derives
+it from its vertices.
+
+The hull of the integer image is the monotone chain in the plane and one
+incremental hull in space, in integer arithmetic.  Offsets come out as
+integers m . a and become Fraction(m . a, q) once the hull is known.  A
+full dimensional body derives its facets once, in
 Polytope._facets: each halfspace with its vertices, in cyclic order in
 3D.  Edges, volume, clipping and the facet areas of the surface area
 measure all read them.  A plane in space is projected one to one by
@@ -41,9 +58,11 @@ stays full dimensional, translate, scale, reflect_last, the prism of an
 epigraph) derive it on first use from the integer image of their
 vertices.
 
-All predicates and constructions in this module are exact.  Floating
-point enters only through the float_* views, relative_volume_float, and
-the metric routines nearest_points, distances_to and hausdorff_distance.
+All predicates and constructions in this module are exact: the one
+float predicate, the filtered turn above, is used only where its sign is
+certified to be the exact one.  Floating point otherwise enters only
+through the float_* views, relative_volume_float, and the metric
+routines nearest_points, distances_to and hausdorff_distance.
 
 nearest_points reads a point x outside a full dimensional body off its
 max-slack facet, the halfspace with the largest normalized slack.  In
@@ -63,7 +82,6 @@ import itertools
 import math
 import numbers
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
@@ -142,11 +160,10 @@ def _integer_image(points: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...
     return _scaled(nums, dens, len(points[0]) if points else 1)
 
 
-def _intake(points: Iterable[Sequence], ambient_dim: int | None
+def _intake(rows: list[tuple], ambient_dim: int | None
             ) -> tuple[int, list, list[int], list[int]]:
     """The ambient dimension, checked, and the points' coordinates in one
     flat list with their numerators and denominators (_ratios)."""
-    rows = [tuple(p) for p in points]
     coords, nums, dens = _ratios(list(itertools.chain.from_iterable(rows)))
     if ambient_dim is None:
         if not rows:
@@ -177,25 +194,99 @@ def _kept(nums: list[int], dens: list[int], d: int
     return q, [index[k] * d + j for k in kept for j in range(d)], hs, cycle, len(basis)
 
 
-def _half_chain(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """One half of the monotone chain: the points that turn strictly left."""
+# Shewchuk's static orientation filter ("Adaptive precision floating-point
+# arithmetic and fast robust geometric predicates", Discrete Comput. Geom.
+# 18, 1997): the float turn l - r of three float points, l and r the two
+# rounded products, has the sign of the exact turn when
+# |l - r| > TURN_ERR (|l| + |r|).  The bound assumes that no difference or
+# product overflowed and that none underflowed by more than the 16 eps^2
+# term absorbs, which holds for |l| + |r| in [TURN_MIN, TURN_MAX].
+TURN_ERR = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
+TURN_MIN, TURN_MAX = 2.0 ** -960, 2.0 ** 960
+
+
+def _exact_left(o: tuple[float, float], a: tuple[float, float],
+                b: tuple[float, float]) -> bool:
+    """Whether the float point b lies strictly left of the line from o
+    through a, decided exactly on the three points' integer image: the
+    turn the filtered chain falls back on when the filter cannot certify
+    the float one."""
+    ratios = [x.as_integer_ratio() for p in (o, a, b) for x in p]
+    # a float's denominator is a power of two: the largest is the lcm
+    q = max(den for _, den in ratios)
+    ox, oy, ax, ay, bx, by = [num * (q // den) for num, den in ratios]
+    return (ax - ox) * (by - oy) > (ay - oy) * (bx - ox)
+
+
+def _half_chain(pts: Sequence[tuple], filtered: bool = False) -> list[tuple]:
+    """One half of the monotone chain: the points that turn strictly left.
+    Integer points take the exact integer turn.  Float points (filtered)
+    take the float turn where Shewchuk's filter certifies its sign, and
+    _exact_left where it does not."""
     out: list = []
     for p in pts:
         x, y = p
         while len(out) >= 2:
             (ox, oy), (ax, ay) = out[-2], out[-1]
-            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+            l, r = (ax - ox) * (y - oy), (ay - oy) * (x - ox)
+            left = l > r
+            if filtered:
+                s = abs(l) + abs(r)
+                # a nan or an infinity fails every comparison
+                if not (TURN_MIN <= s <= TURN_MAX and abs(l - r) > TURN_ERR * s):
+                    left = _exact_left(out[-2], out[-1], p)
+            if left:
                 break
             out.pop()
         out.append(p)
     return out
 
 
-def _chain(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Monotone chain (Andrew 1979) over distinct integer points in
-    lexicographic order, of affine rank 2: the strict hull vertices,
-    counterclockwise from the first point."""
-    return _half_chain(pts)[:-1] + _half_chain(pts[::-1])[:-1]
+def _chain(pts: list[tuple], filtered: bool = False) -> list[tuple]:
+    """Monotone chain (Andrew 1979) over distinct points in lexicographic
+    order: the strict hull vertices, counterclockwise from the first point;
+    fewer than three iff the points are collinear.  The points are integer
+    ones, or finite float ones with filtered set (_half_chain)."""
+    return _half_chain(pts, filtered)[:-1] + _half_chain(pts[::-1], filtered)[:-1]
+
+
+def _edge_halfspaces(cycle: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], int]]:
+    """The edges of an integer polygon given counterclockwise, each as its
+    primitive outer normal m with the integer offset m . a."""
+    hs = []
+    for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1]):
+        n0, n1 = by - ay, ax - bx
+        g = math.gcd(n0, n1)
+        m0, m1 = n0 // g, n1 // g
+        hs.append(((m0, m1), m0 * ax + m1 * ay))
+    return hs
+
+
+def _exact_offsets(hs: Iterable[tuple[tuple[int, ...], int]], q: int
+                   ) -> tuple[Halfspace, ...]:
+    """Integer halfspaces (m, m . a) of the integer image q * P, sorted, as
+    the halfspaces (m, Fraction(m . a, q)) of P."""
+    return tuple((m, Fraction(c, q)) for m, c in sorted(hs))
+
+
+def _float_polygon(rows: list[tuple]) -> "Polytope | None":
+    """The hull of points in the plane given as Python floats, decided on
+    the floats themselves, or None if a coordinate is not a finite Python
+    float or the points are collinear: construct's general path then
+    decides them (and rejects a nan or an infinity).  Float equality is
+    image equality (0.0 == -0.0) and scaling by q > 0 keeps the order, so
+    deduplicating and sorting the tuples does what construct does on the
+    integer image, and the filtered chain decides every turn exactly."""
+    flat = list(itertools.chain.from_iterable(rows))
+    if (set(map(type, flat)) != {float} or set(map(len, rows)) != {2}
+            or not all(map(math.isfinite, flat))):
+        return None
+    cycle = _chain(sorted(set(rows)), filtered=True)
+    if len(cycle) < 3:
+        return None
+    kept = sorted(cycle)
+    # adding 0.0 turns -0.0 into 0.0, as float(Fraction(-0.0)) does
+    return _FloatPolygon(np.array(kept) + 0.0, _reindexed(cycle, kept))
 
 
 def _reindexed(cycle: Sequence, verts: Sequence) -> tuple[int, ...]:
@@ -308,14 +399,8 @@ def _hull(keys: list[tuple[int, ...]], basis: list
         return [lo, hi], [((-1,), -lo[0]), ((1,), hi[0])], None
     if d == 2:
         cycle = _chain(keys)
-        hs = []
-        for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1]):
-            n0, n1 = by - ay, ax - bx
-            g = math.gcd(n0, n1)
-            m0, m1 = n0 // g, n1 // g
-            hs.append(((m0, m1), m0 * ax + m1 * ay))
         kept = sorted(cycle)
-        return kept, hs, _reindexed(cycle, kept)
+        return kept, _edge_halfspaces(cycle), _reindexed(cycle, kept)
     facets, idx = _hull_3d(keys)
     return [keys[i] for i in sorted(idx)], facets, None
 
@@ -365,11 +450,17 @@ def _hull_flat(keys: list[tuple[int, ...]], basis: list
     return kept, hs, None if cycle is None else _reindexed(cycle, kept)
 
 
-@dataclass(frozen=True, eq=False)
 class Polytope:
-    ambient_dim: int
-    vertices: tuple[Vec, ...]
-    halfspaces: tuple[Halfspace, ...] = field(repr=False)
+    """A body given by its ambient dimension, its vertices and its
+    halfspaces.  A polygon that construct decided in floats is a
+    _FloatPolygon, which makes its vertices and halfspaces on first
+    read."""
+
+    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...],
+                 halfspaces: tuple[Halfspace, ...]):
+        self.ambient_dim = ambient_dim
+        self.vertices = vertices
+        self.halfspaces = halfspaces
 
     # ---- constructors -------------------------------------------------
 
@@ -379,11 +470,16 @@ class Polytope:
 
     @staticmethod
     def construct(points: Iterable[Sequence], ambient_dim: int | None = None) -> "Polytope":
-        d, coords, nums, dens = _intake(points, ambient_dim)
+        rows = [tuple(p) for p in points]
+        if rows and ambient_dim in (None, 2):
+            out = _float_polygon(rows)
+            if out is not None:
+                return out
+        d, coords, nums, dens = _intake(rows, ambient_dim)
         if not coords:
             return Polytope.empty(d)
         q, at, hs, cycle, rank = _kept(nums, dens, d)
-        hs = tuple((m, Fraction(c, q)) for m, c in sorted(hs))
+        hs = _exact_offsets(hs, q)
         # Fractions only for the kept points' coordinates: an input
         # Fraction is reused, anything else is made from its ratio
         given = [coords[i] for i in at]
@@ -741,6 +837,31 @@ class Polytope:
         if not pts:
             return Polytope.empty(d)
         return Polytope.construct(pts, d)
+
+
+class _FloatPolygon(Polytope):
+    """A polygon whose hull construct decided on float points
+    (_float_polygon).  It keeps the float view of its vertices and its
+    boundary cycle; its exact vertices, each kept float as a Fraction, and
+    its halfspaces, from the integer image of those vertices, are made on
+    first read.  Only this class has them as cached properties: a class
+    attribute named like an instance attribute makes every read of that
+    attribute slower, on every body."""
+
+    def __init__(self, float_vertices: np.ndarray, boundary_cycle: tuple[int, ...]):
+        self.ambient_dim = 2
+        self.intrinsic_dim = 2
+        self.float_vertices = float_vertices
+        self.boundary_cycle = boundary_cycle
+
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple(tuple(map(Fraction, v)) for v in self.float_vertices.tolist())
+
+    @cached_property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        q, ints = self._image
+        return _exact_offsets(_edge_halfspaces([ints[i] for i in self.boundary_cycle]), q)
 
 
 # a facet-plane projection counts as lying on the facet within FACET_TOL,

@@ -349,10 +349,16 @@ def _cmd_decompose(args) -> int:
 def _parse_family(payload, infile: str) -> list[PLConvexFunction]:
     if not isinstance(payload, list):
         raise CliUsageError(f"{infile}: family must be a JSON array of functions")
-    try:
-        return [PLConvexFunction.from_dict(d) for d in payload]
-    except (KeyError, TypeError, ValueError, OverflowError, GeometryError) as exc:
-        raise CliUsageError(f"{infile}: bad family entry: {exc}")
+    family = []
+    for i, d in enumerate(payload):
+        try:
+            family.append(PLConvexFunction.from_dict(d))
+        except (KeyError, TypeError, ValueError, OverflowError, GeometryError) as exc:
+            raise CliUsageError(f"{infile}: bad family entry {i}: {exc}")
+        except ZeroDivisionError:
+            raise CliUsageError(f"{infile}: bad family entry {i}: "
+                                "a rational with a zero denominator")
+    return family
 
 
 def _check_float_range(numbers, where: str) -> None:

@@ -279,20 +279,46 @@ def mollify(mu: DualAtomMeasure, bump: str, j: int) -> GridDensity:
 # exact pairing with conjugates
 
 
-def _integrate_envelope(env, a: Fraction, b: Fraction) -> Fraction:
-    """Exact integral over [a, b] of a piecewise linear function given as
-    (start, slope, intercept) rows sorted by start, the first starting at
-    or before a; the walk goes left from b, row by row."""
-    total = Fraction(0)
-    idx = len(env) - 1
-    hi = b
-    while hi > a:
-        start, s, c = env[idx]
-        if start < hi:
-            lo = start if start > a else a
-            total += (hi - lo) * (s * (lo + hi) / 2 + c)
-            hi = lo
-        idx -= 1
+def _on_integers(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A common denominator D of the rationals and the integers D * x."""
+    D = math.lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
+
+
+def _grid_pairing_1d(env, lo: Fraction, h: Fraction, values: np.ndarray) -> float:
+    """Sum over the cells [lo + k h, lo + (k + 1) h] of values[k] times the
+    exact integral over the cell of a piecewise linear function given as
+    (start, slope, intercept) rows sorted by start, the first at lo.
+
+    Points are scaled by D, slopes by Ds and intercepts by Dc, common
+    denominators, so the integral of the row (s, c) over [p, r] is
+    (r - p)(S Dc (p + r) + 2 C D Ds) / (2 D^2 Ds Dc) in integers.  Each
+    cell's numerator goes through one integer division, which rounds
+    correctly, as float() of the exact Fraction does."""
+    starts, slopes, offsets = zip(*env)
+    D, xs = _on_integers((lo, h) + starts)
+    Ds, S = _on_integers(slopes)
+    Dc, C = _on_integers(offsets)
+    # the rows' starts, with no row after the last
+    x0, w, xs = xs[0], xs[1], xs[2:] + [math.inf]
+    S = [s * Dc for s in S]
+    C = [2 * c * D * Ds for c in C]
+    den = 2 * D * D * Ds * Dc
+    total, k = 0.0, 0
+    for i, v in enumerate(values.tolist()):
+        if v == 0.0:
+            continue
+        p = x0 + i * w
+        b = p + w
+        # the row that holds p, and the rows after it up to b
+        while xs[k + 1] <= p:
+            k += 1
+        num, j = 0, k
+        while p < b:
+            r = min(b, xs[j + 1])
+            num += (r - p) * (S[j] * (p + r) + C[j])
+            p, j = r, j + 1
+        total += v * (num / den)
     return total
 
 
@@ -311,13 +337,7 @@ def eval_dual(phi: GridDensity, u: PLConvexFunction) -> float:
         span = Polytope.construct([lo, (lo[0] + len(phi.values) * h,)], 1)
         env = sorted((cell.vertices[0][0], g[0], b) for g, b, cell in
                      PLConvexFunction.from_pieces(span, conj.pieces).cells)
-        a = lo[0]
-        for v in phi.values:
-            b = a + h
-            if v != 0.0:
-                total += float(v) * float(_integrate_envelope(env, a, b))
-            a = b
-        return total
+        return _grid_pairing_1d(env, lo[0], h, phi.values)
     if phi.n != 2:
         raise ValueError("pairing implemented for one or two variables")
     it = np.nditer(phi.values, flags=["multi_index"])

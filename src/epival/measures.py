@@ -67,9 +67,12 @@ class SphereMeasure:
     @staticmethod
     def from_dict(data: dict) -> "SphereMeasure":
         dim = int(data["dim"])
-        atoms = tuple(
-            (np.asarray(a["n"], dtype=float), float(a["w"])) for a in data["atoms"]
-        )
+        try:
+            atoms = tuple(
+                (np.asarray(a["n"], dtype=float), float(a["w"])) for a in data["atoms"]
+            )
+        except OverflowError:
+            raise ValueError("atom normals and weights must be within float range") from None
         if any(n.shape != (dim,) for n, _ in atoms):
             raise ValueError(f"atom normals must have dim = {dim} coordinates")
         if not all(np.all(np.isfinite(n)) and math.isfinite(w) for n, w in atoms):

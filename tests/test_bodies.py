@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from epival import bodies
 from epival.bodies import (
     GeometryError,
     Polytope,
@@ -489,6 +490,90 @@ def test_construct_rejects_what_fraction_rejects(bad, error):
             as_points_reference(pts)
         with pytest.raises(error):
             Polytope.construct(pts, d)
+
+
+# a subnormal scale keeps a few bits of each coordinate; 1e-300 and 1e300
+# put the turns' products outside the range of the orientation filter
+FLOAT_SCALES = (1.0, 2.0 ** -30, 1e-300, 5e-318, 1e300)
+
+
+@st.composite
+def float_point_sets(draw):
+    """Points in the plane as Python floats at one of FLOAT_SCALES: an
+    edge walk like minkowski_solve's, whose atoms may have a twin 1e-7 rad
+    on (near-collinear triples), or collinear points; with repeats and
+    zeros signed as drawn."""
+    scale = draw(st.sampled_from(FLOAT_SCALES))
+    kind = draw(st.sampled_from(["walk", "walk", "line", "axis"]))
+    if kind == "walk":
+        angles, weights = [], []
+        for angle, exponent, twin in draw(st.lists(st.tuples(
+                st.floats(0.0, 2 * math.pi), st.floats(-3.0, 1.0), st.booleans()),
+                min_size=1, max_size=10)):
+            for a in (angle, angle + 1e-7)[:1 + twin]:
+                angles.append(a)
+                weights.append(10.0 ** exponent)
+        order = np.argsort(angles)
+        edges = np.array([(-math.sin(angles[k]), math.cos(angles[k])) for k in order])
+        walk = np.zeros((len(order) + 1, 2))
+        walk[1:] = edges * np.array(weights)[order, None]
+        np.cumsum(walk, axis=0, out=walk)
+        m = len(order)
+        pts = (walk[:-1] - (np.arange(m) / m)[:, None] * walk[-1]) * scale
+    else:
+        ks = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8))
+        a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]))
+        c = draw(st.integers(-2, 2)) if kind == "axis" else 0
+        pts = np.array([(k * a + c * b, k * b - c * a) for k in ks], dtype=float) * scale
+    pts = [tuple(p) for p in pts.tolist()]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    flips = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+    return [tuple(-0.0 if x == 0 and f else x for x in p) for p, f in zip(pts, flips)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_point_sets())
+@example([(0.0, -0.0), (-0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, -0.0)])
+@example([(1e-300, 1e-300), (-1e-300, 3e-300), (2e-300, 2e-300), (0.0, 1e-300)])
+@example([(1e300, 0.0), (0.0, 1e300), (-1e300, -1e300), (5e299, 5e299)])
+@example([(5e-324, 0.0), (0.0, 5e-324), (1e-323, 1e-323), (0.0, 0.0)])
+@example([(0.5, 0.5), (1.0, 1.0), (-2.0, -2.0), (1.0, 1.0)])
+def test_float_decided_polygon_is_the_integer_decided_one(pts):
+    """construct decides all-float plane input on the floats with the
+    filtered turn; the body, and the vertices and halfspaces it makes on
+    first read, are those construct decides on the same points as
+    Fractions.  Collinear input goes the Fraction way too."""
+    P = Polytope.construct(pts, 2)
+    R = Polytope.construct([tuple(map(F, p)) for p in pts], 2)
+    assert P.intrinsic_dim == R.intrinsic_dim
+    if R.intrinsic_dim == 2:
+        assert "vertices" not in P.__dict__ and "halfspaces" not in P.__dict__
+        assert P.boundary_cycle == R.boundary_cycle
+    carried = P.float_vertices
+    assert carried.dtype == R.float_vertices.dtype
+    assert carried.tobytes() == R.float_vertices.tobytes()
+    assert P.vertices == R.vertices
+    assert P.halfspaces == R.halfspaces
+    assert all(type(x) is F for v in P.vertices for x in v)
+    assert all(type(c) is F and all(type(x) is int for x in m) for m, c in P.halfspaces)
+
+
+def test_filter_falls_back_outside_its_range(monkeypatch):
+    """Subnormal and 1e+-300 coordinates put the turns' products outside
+    [TURN_MIN, TURN_MAX], so the chain decides them with the exact turn;
+    at scale 1 the filter decides every turn of the same polygon."""
+    calls = []
+    exact = bodies._exact_left
+    monkeypatch.setattr(bodies, "_exact_left", lambda *a: calls.append(a) or exact(*a))
+    base = [(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 6.0, 40)]
+    base += [(0.0, 0.0), (0.25, -0.5)]
+    for scale in (1.0, 5e-318, 1e-300, 1e300):
+        calls.clear()
+        pts = [(x * scale, y * scale) for x, y in base]
+        P = Polytope.construct(pts, 2)
+        assert "vertices" not in P.__dict__
+        assert (len(calls) > 0) == (scale != 1.0), scale
+        assert P.vertices == Polytope.construct([tuple(map(F, p)) for p in pts], 2).vertices
 
 
 def fraction_polygon(points):

@@ -170,6 +170,19 @@ class TestMinkowski:
         assert (tmp_path / "merged_body.json").read_text() == \
             (tmp_path / "square_body.json").read_text()
 
+    @pytest.mark.parametrize("key", ["n", "w"])
+    def test_number_beyond_float_range(self, tmp_path, capsys, key):
+        # an integer JSON number too large for a float, read exactly by json
+        payload = json.loads(SQUARE_MEASURE.read_text())
+        atom = payload["atoms"][0]
+        atom[key] = [10 ** 400, 0] if key == "n" else 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert run("minkowski", "--in", str(path), "--out", str(out)) == 2
+        assert "within float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unsupported_dim(self, tmp_path, capsys):
         path = tmp_path / "measure4.json"
         atoms = [{"n": [float(s * (k == j)) for j in range(4)], "w": 1.0}
@@ -277,7 +290,14 @@ class TestGw:
          "family entry 0 has n=2, the measure has n=1"),
         ([empty_domain], "family entry 0 has an empty domain"),
         ([], "family needs at least one function"),
-    ], ids=["other_n", "empty_domain", "no_functions"])
+        ([{**empty_domain, "domain": {"dim": 1, "vertices": [["1/0"], ["1"]]}}],
+         "bad family entry 0: a rational with a zero denominator"),
+        ([PLConvexFunction.constant(square, 0).to_dict(),
+          {**empty_domain, "domain": {"dim": 1, "vertices": [["-1"], ["1"]]},
+           "pieces": [{"a": ["0"], "b": "1/0"}]}],
+         "bad family entry 1: a rational with a zero denominator"),
+    ], ids=["other_n", "empty_domain", "no_functions", "vertex_zero_denominator",
+            "offset_zero_denominator"])
     def test_bad_family(self, tmp_path, capsys, family, message):
         path = tmp_path / "gw.json"
         gw_input_file(tmp_path)

@@ -27,9 +27,11 @@ Frozen oracles, derived by hand before the implementation existed:
   the origin, with unit transfer factor.
 """
 
+import importlib.util
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -37,6 +39,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from epival import bodies, dual
 from epival.bodies import Polytope
 from epival.cases import CaseGenerator
 from epival.functions import PLConvexFunction
@@ -61,6 +64,18 @@ from epival.dual import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PERFBENCH = DATA.parent / "perfbench"
+
+
+def perfbench_workloads():
+    """The benchmark's workload module, for the gw cases it runs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def seg(a, b):
@@ -300,6 +315,91 @@ def ref_integrate_envelope(env, a, b):
         hi = lo
         idx -= 1
     return total
+
+
+def _integrate_envelope(env, a, b):
+    """Exact integral over [a, b] of a piecewise linear function given as
+    (start, slope, intercept) rows sorted by start, the first starting at
+    or before a; the walk goes left from b, row by row."""
+    total = F(0)
+    idx = len(env) - 1
+    hi = b
+    while hi > a:
+        start, s, c = env[idx]
+        if start < hi:
+            lo = start if start > a else a
+            total += (hi - lo) * (s * (lo + hi) / 2 + c)
+            hi = lo
+        idx -= 1
+    return total
+
+
+def fraction_pairing_1d(phi, u):
+    """eval_dual in one variable as it integrated each inhabited cell in
+    Fraction arithmetic: the reference for the integer pairing."""
+    conj = u.fenchel_conjugate()
+    lo, h = phi.lo, phi.h
+    span = Polytope.construct([lo, (lo[0] + len(phi.values) * h,)], 1)
+    env = sorted((cell.vertices[0][0], g[0], b) for g, b, cell in
+                 PLConvexFunction.from_pieces(span, conj.pieces).cells)
+    total = 0.0
+    a = lo[0]
+    for v in phi.values:
+        b = a + h
+        if v != 0.0:
+            total += float(v) * float(_integrate_envelope(env, a, b))
+        a = b
+    return total
+
+
+def recorded_pairings(monkeypatch, runs):
+    """The (grid, function) pairs eval_dual sees in the gw runs given as
+    (measure, bump, levels, family, m)."""
+    pairs = []
+    pair = dual.eval_dual
+    monkeypatch.setattr(dual, "eval_dual",
+                        lambda phi, u: pairs.append((phi, u)) or pair(phi, u))
+    for mu, bump, j_list, family, m in runs:
+        gw_pipeline(mu, bump, j_list, family, m)
+    monkeypatch.undo()
+    return pairs
+
+
+def test_grid_pairing_matches_fraction_pairing(monkeypatch):
+    """Every pairing of the TestPipeline fixture and of the benchmark's
+    warm-up (m = 64) gives the float the Fraction pairing gives, bit for
+    bit."""
+    workloads = perfbench_workloads()
+    runs = [(mu_second(), "smooth", (2, 4, 8, 16), family3(), 64)]
+    for case in workloads.gw_build(0, DATA.parent):
+        atoms, bump, j, family = case.data
+        runs.append((DualAtomMeasure(1, atoms), bump, (j,),
+                     [PLConvexFunction.from_dict(d) for d in family], 64))
+    pairs = recorded_pairings(monkeypatch, runs)
+    assert len(pairs) == 4 * 3 + 2 * 3
+    for phi, u in pairs:
+        got, want = eval_dual(phi, u), fraction_pairing_1d(phi, u)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_gw_polygons_are_decided_in_floats(monkeypatch):
+    """The four Minkowski polygons of one benchmark gw pass at seed 1
+    (m = 4096) are built on the float path, every turn decided by the
+    filter: no exact fallback turn, and no exact vertices made."""
+    workloads = perfbench_workloads()
+    turns, polygons = [], []
+    exact, solve = bodies._exact_left, dual.minkowski_solve
+    monkeypatch.setattr(bodies, "_exact_left",
+                        lambda *a: turns.append(a) or exact(*a))
+    monkeypatch.setattr(dual, "minkowski_solve",
+                        lambda mu: polygons.append(solve(mu)) or polygons[-1])
+    for case in workloads.gw_build(1, DATA.parent):
+        workloads._gw_report(case, workloads.GW_SPHERE_ATOMS)
+    assert len(polygons) == 4
+    for P in polygons:
+        assert "vertices" not in P.__dict__ and "halfspaces" not in P.__dict__
+        assert len(P.boundary_cycle) > 1000
+    assert turns == []
 
 
 def ref_clip_polygon(poly, a0, a1, rhs):
