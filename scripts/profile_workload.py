@@ -2,13 +2,15 @@
 """Profile one warm pass of a benchmark workload under cProfile.
 
     python3 scripts/profile_workload.py --workload gw --seed 1 --sort tottime
+    python3 scripts/profile_workload.py --workload numerics --seed 1 --case steiner/body3/3
 
 Run from anywhere in a checkout: the package is imported from ``src/``
 and the workloads from ``perfbench/``, which this script only reads.  The
 workload's cases are built and its warm-up runs first, unprofiled, with
 the BLAS thread pools capped at one thread as in the benchmark.  Then
-every case runs once under cProfile, and the 40 heaviest functions by
-the chosen sort key are printed.  A case that fails its check raises.
+every case runs once under cProfile, or only the case named by --case,
+and the 40 heaviest functions by the chosen sort key are printed.  A case
+that fails its check raises.
 """
 
 from __future__ import annotations
@@ -35,10 +37,17 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
+    ap.add_argument("--case", help="profile only the case of this name")
     args = ap.parse_args(argv)
 
     workload = workloads.WORKLOADS[args.workload]
     cases = workload.build(args.seed, ROOT)
+    if args.case is not None:
+        names = [case.name for case in cases]
+        if args.case not in names:
+            ap.error(f"no case {args.case!r} in workload {args.workload}; "
+                     f"cases: {' '.join(names)}")
+        cases = [cases[names.index(args.case)]]
     workload.warm(ROOT)
     state: dict = {}
     prof = cProfile.Profile()

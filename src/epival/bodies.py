@@ -8,15 +8,18 @@ flat body carries equality constraints as opposite halfspace pairs.
 
 Points in the plane given as finite Python floats, not all collinear
 (the edge walks of minkowski_solve), are decided on the floats
-themselves (_float_polygon).  Float equality is equality of the exact
-values (0.0 == -0.0) and the float order is their order, so the
-deduplicated, sorted tuples are the points the exact path would hull.
-The monotone chain then decides each turn with Shewchuk's static
-orientation filter: a float turn whose size exceeds the filter's error
-bound has the exact turn's sign, and every turn the filter cannot
-certify, or whose products leave the range where the bound holds
-(subnormal or near-overflow coordinates), is decided exactly
-(_exact_left).  So the kept points and the cycle are the exact ones.
+themselves (_float_polygon), scaled by a power of two so that their
+turns' products stay in the range of Shewchuk's static orientation
+filter: a float turn whose size exceeds the filter's error bound has the
+exact turn's sign.  An edge walk is mostly its own hull, counterclockwise;
+one whole-array pass certifies that (_convex_order) and takes the cycle
+as given.  Other input is deduplicated and sorted: float equality is
+equality of the exact values (0.0 == -0.0) and the float order is their
+order, so these are the points the exact path would hull.  The monotone
+chain then decides each turn with the filter, and every turn the filter
+cannot certify, or whose products leave the range where the bound holds,
+is decided exactly (_exact_left).  So the kept points and the cycle are
+the exact ones.
 Such a polygon, a _FloatPolygon, stores float_vertices, boundary_cycle
 and intrinsic_dim; its vertices (each kept float as a Fraction) and
 halfspaces (from the integer image of those vertices) are made on first
@@ -273,20 +276,70 @@ def _float_polygon(rows: list[tuple]) -> "Polytope | None":
     """The hull of points in the plane given as Python floats, decided on
     the floats themselves, or None if a coordinate is not a finite Python
     float or the points are collinear: construct's general path then
-    decides them (and rejects a nan or an infinity).  Float equality is
-    image equality (0.0 == -0.0) and scaling by q > 0 keeps the order, so
-    deduplicating and sorting the tuples does what construct does on the
-    integer image, and the filtered chain decides every turn exactly."""
+    decides them (and rejects a nan or an infinity).
+
+    The points are first scaled by the power of two that puts their
+    largest magnitude in [0.5, 1), unless that would round a coordinate
+    (an input spanning more than the float exponent range): the scaling is
+    then exact, keeps every order and every turn's sign, and keeps the
+    turns' products inside the filter's range.  Input that is already its
+    hull, counterclockwise (_convex_order), is taken as it stands.  Any
+    other input is deduplicated and sorted, which does what construct does
+    on the integer image (float equality is image equality, 0.0 == -0.0,
+    and scaling by q > 0 keeps the order), and the filtered chain decides
+    every turn exactly.  The body keeps the input floats."""
     flat = list(itertools.chain.from_iterable(rows))
-    if (set(map(type, flat)) != {float} or set(map(len, rows)) != {2}
-            or not all(map(math.isfinite, flat))):
+    if set(map(type, flat)) != {float} or set(map(len, rows)) != {2}:
         return None
-    cycle = _chain(sorted(set(rows)), filtered=True)
+    pts = np.array(flat).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        return None
+    e = math.frexp(float(np.max(np.abs(pts))))[1]
+    scaled = np.ldexp(pts, -e)
+    if not np.array_equal(np.ldexp(scaled, e), pts):
+        scaled, e = pts, 0
+    convex = _convex_order(scaled)
+    if convex is not None:
+        order, rank = convex
+        # adding 0.0 turns -0.0 into 0.0, as float(Fraction(-0.0)) does
+        return _FloatPolygon(pts[order] + 0.0, tuple(np.roll(rank, -order[0]).tolist()))
+    cycle = _chain(sorted(set(map(tuple, scaled.tolist()))), filtered=True)
     if len(cycle) < 3:
         return None
     kept = sorted(cycle)
-    # adding 0.0 turns -0.0 into 0.0, as float(Fraction(-0.0)) does
-    return _FloatPolygon(np.array(kept) + 0.0, _reindexed(cycle, kept))
+    return _FloatPolygon(np.ldexp(np.array(kept), e) + 0.0, _reindexed(cycle, kept))
+
+
+def _convex_order(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """For float points in the order given, their lexicographic order and
+    each point's rank in it, if the points are a strictly convex polygon
+    counterclockwise; None if that is not certified.  Every cyclic turn
+    must be certified strictly left by the filter of _half_chain, and the
+    ranks must rise once and fall once around the cycle.  An edge rises
+    in rank when its direction lies in one half-turn of angles (x up, or
+    x equal and y up), and each left turn is less than a half-turn, so
+    the ranks change direction twice per full turn of the edges: twice
+    means the polygon turns once (a pentagram turns left everywhere too,
+    but twice).  Such a polygon is its own hull, every point a strict
+    vertex: the chain's cycle is the input started at the lexicographic
+    minimum."""
+    if len(pts) < 3:
+        return None
+    a, b = np.roll(pts, -1, axis=0) - pts, np.roll(pts, -2, axis=0) - pts
+    # a product that overflows is an inf, whose s fails the range test
+    with np.errstate(all="ignore"):
+        left, right = a[:, 0] * b[:, 1], a[:, 1] * b[:, 0]
+        s = np.abs(left) + np.abs(right)
+        certified = (s >= TURN_MIN) & (s <= TURN_MAX) & (left - right > TURN_ERR * s)
+    if not certified.all():
+        return None
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    rank = np.empty(len(pts), dtype=np.intp)
+    rank[order] = np.arange(len(pts))
+    rising = np.roll(rank, -1) > rank
+    if np.count_nonzero(rising != np.roll(rising, 1)) != 2:
+        return None
+    return order, rank
 
 
 def _reindexed(cycle: Sequence, verts: Sequence) -> tuple[int, ...]:

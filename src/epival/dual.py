@@ -465,8 +465,7 @@ def _closed_measure(N: np.ndarray, w: np.ndarray) -> SphereMeasure:
     w = project_closed(N, w)
     if np.any(w <= 0):
         raise ValueError("atom count too small to balance the density")
-    return SphereMeasure(N.shape[1], tuple((N[i], float(w[i])) for i in range(len(w))),
-                         signed=False)
+    return SphereMeasure(N.shape[1], tuple(zip(N, w.tolist())), signed=False)
 
 
 def balance_and_discretize(f: SphereDensity, m: int) -> SphereMeasure:

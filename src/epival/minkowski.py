@@ -28,6 +28,7 @@ modes get their own exception.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -79,25 +80,39 @@ MERGE_TOL = 1e-9
 STALL_TOL = 1e-7
 
 
-def _merged_atoms(mu: SphereMeasure):
+def _merged_atoms(mu: SphereMeasure) -> tuple[np.ndarray, list[float]]:
+    """The atoms at unit normals in lexicographic order of the normals,
+    the normals as the rows of an array: atoms whose normals lie within
+    DIRECTION_TOL are merged into the first, and merged weights of at
+    most ZERO_WEIGHT are dropped.  Without such twins (_has_twins) the
+    sorted atoms are the answer, and the scan runs only with them."""
     if not mu.atoms:
-        return [], []
-    N = np.array([n for n, _ in mu.atoms], dtype=float)
+        return np.empty((0, mu.dim)), []
+    ns, ws = zip(*mu.atoms)
+    N = np.array(ns, dtype=float)
     # vecdot takes one dot per row, so the bits match math.sqrt(n @ n)
     norms = np.sqrt(np.vecdot(N, N))
     if np.any(norms < MIN_NORMAL_LENGTH):
         raise DegenerateNormals("zero direction atom")
     units = N / norms[:, None]
-    raw = [float(w) for _, w in mu.atoms]
+    raw = np.array(ws, dtype=float)
+    # lexsort is stable and has -0.0 == 0.0, so it orders the rows as
+    # sorted() orders their tuples
+    order = np.lexsort(units.T[::-1])
+    rows = units[order]
+    if np.isfinite(rows).all() and not _has_twins(rows):
+        w = raw[order]
+        keep = np.abs(w) > ZERO_WEIGHT
+        return rows[keep], w[keep].tolist()
     # lexicographic sort so duplicates land next to each other; a short
     # backward scan over entries with a close leading coordinate then
     # merges them without the quadratic all-pairs comparison
     keys = list(map(tuple, units.tolist()))
-    order = sorted(range(len(units)), key=keys.__getitem__)
-    normals: list[np.ndarray] = []
+    raw = raw.tolist()
+    first: list[int] = []
     kept: list[tuple] = []
     weights: list[float] = []
-    for k in order:
+    for k in sorted(range(len(units)), key=keys.__getitem__):
         n, w = keys[k], raw[k]
         hit = False
         for idx in range(len(kept) - 1, -1, -1):
@@ -108,11 +123,33 @@ def _merged_atoms(mu: SphereMeasure):
                 hit = True
                 break
         if not hit:
-            normals.append(units[k])
+            first.append(k)
             kept.append(n)
             weights.append(w)
     keep = [k for k, w in enumerate(weights) if abs(w) > ZERO_WEIGHT]
-    return [normals[k] for k in keep], [weights[k] for k in keep]
+    return units[[first[k] for k in keep]], [weights[k] for k in keep]
+
+
+def _has_twins(rows: np.ndarray) -> bool:
+    """Whether the merge scan would merge two of these finite unit rows,
+    given in lexicographic order: whether a pair whose leading
+    coordinates lie within DIRECTION_TOL, the pairs the scan compares,
+    lies within DIRECTION_TOL.  Such pairs are found offset by offset;
+    a row whose next row at offset k is too far in the leading
+    coordinate has every later row too far as well.  math.dist is at
+    least the largest coordinate difference, so only pairs where that is
+    below DIRECTION_TOL take the scan's math.dist test."""
+    x = rows[:, 0]
+    near = np.arange(len(rows))
+    for k in itertools.count(1):
+        near = near[near < len(rows) - k]
+        near = near[x[near + k] - x[near] <= DIRECTION_TOL]
+        if not near.size:
+            return False
+        close = near[np.max(np.abs(rows[near + k] - rows[near]), axis=1) < DIRECTION_TOL]
+        if any(math.dist(rows[i].tolist(), rows[i + k].tolist()) < DIRECTION_TOL
+               for i in close.tolist()):
+            return True
 
 
 def project_closed(normals: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -159,9 +196,11 @@ def _edge_walk(normals, weights) -> np.ndarray:
     evenly over the vertices."""
     if len(normals) < 3:
         raise DegenerateNormals("need at least three distinct edge normals")
-    w = _balance(normals, weights)
     N = np.array(normals)
-    order = np.argsort([math.atan2(y, x) for x, y in N.tolist()])
+    w = _balance(N, weights)
+    # merged normals lie DIRECTION_TOL apart, far more than the ulp by
+    # which np.arctan2 may differ from math.atan2
+    order = np.argsort(np.arctan2(N[:, 1], N[:, 0]))
     N = N[order]
     # edge k is w_k times the normal turned a quarter left; the walk
     # starts at a zero row so that cumsum adds exactly as a loop would
@@ -336,7 +375,7 @@ def _solve_3d(normals, weights) -> Polytope:
     N = np.array(normals)
     if len(normals) < 4 or np.linalg.matrix_rank(N, tol=RANK_TOL) < 3:
         raise DegenerateNormals("normals do not span space")
-    target = _balance(normals, weights)
+    target = _balance(N, weights)
     scale = float(np.max(target))
     unit = target / scale  # iterate at a scale-free size, h of order 1
     m = len(normals)

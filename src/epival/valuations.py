@@ -110,17 +110,30 @@ class ConstKernel:
         return {"kind": self.kind, "value": self.value}
 
 
+def _finite(x) -> float:
+    """A number read from a registry, as a float; a ValueError if it is
+    beyond float range, infinite or nan."""
+    try:
+        v = float(x)
+    except OverflowError:
+        raise ValueError("registry numbers must be within float range") from None
+    if not math.isfinite(v):
+        raise ValueError(f"registry numbers must be finite, got {x!r}")
+    return v
+
+
 def kernel_from_dict(data: dict):
     kind = data["kind"]
     if kind == "bump":
-        return BumpKernel(tuple(data["center"]), float(data["width"]),
-                          float(data.get("height", 1.0)))
+        return BumpKernel(tuple(map(_finite, data["center"])), _finite(data["width"]),
+                          _finite(data.get("height", 1.0)))
     if kind == "poly":
-        return PolyKernel(tuple((tuple(e), float(c)) for e, c in data["terms"]))
+        return PolyKernel(tuple((tuple(e), _finite(c)) for e, c in data["terms"]))
     if kind == "zonal":
-        return ZonalKernel(tuple(data["axis"]), tuple(data["coeffs"]))
+        return ZonalKernel(tuple(map(_finite, data["axis"])),
+                           tuple(map(_finite, data["coeffs"])))
     if kind == "const":
-        return ConstKernel(float(data.get("value", 1.0)))
+        return ConstKernel(_finite(data.get("value", 1.0)))
     if kind == "lifted_plane":
         return LiftedPlaneKernel(PlaneDensity.from_dict(data["plane"]))
     if kind == "dropped_sphere":
@@ -159,7 +172,7 @@ class PlaneDensity:
     @staticmethod
     def from_dict(data: dict) -> "PlaneDensity":
         return PlaneDensity(int(data["n"]), kernel_from_dict(data["kernel"]),
-                            float(data["support_radius"]))
+                            _finite(data["support_radius"]))
 
 
 @dataclass(frozen=True)
@@ -186,7 +199,7 @@ class SphereDensity:
     def from_dict(data: dict) -> "SphereDensity":
         m = data.get("margin")
         return SphereDensity(int(data["d"]), kernel_from_dict(data["kernel"]),
-                             None if m is None else float(m))
+                             None if m is None else _finite(m))
 
 
 @dataclass(frozen=True)
@@ -348,7 +361,7 @@ class ValuationSpec:
             return ValuationSpec(form, n, sphere=SphereDensity.from_dict(data["sphere"]),
                                  name=name)
         if form == "dual_density":
-            atoms = tuple((tuple(float(v) for v in a["x"]), float(a["w"]))
+            atoms = tuple((tuple(map(_finite, a["x"])), _finite(a["w"]))
                           for a in data["atoms"])
             return ValuationSpec(form, n, dual_atoms=atoms, name=name)
         raise ValueError(f"unknown form {form!r}")

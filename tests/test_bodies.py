@@ -559,21 +559,134 @@ def test_float_decided_polygon_is_the_integer_decided_one(pts):
 
 
 def test_filter_falls_back_outside_its_range(monkeypatch):
-    """Subnormal and 1e+-300 coordinates put the turns' products outside
-    [TURN_MIN, TURN_MAX], so the chain decides them with the exact turn;
-    at scale 1 the filter decides every turn of the same polygon."""
+    """Subnormal and 1e+-300 coordinates are scaled by a power of two into
+    the range of the filter, which then decides every turn, as at scale
+    1.  Points at 1e-300 and 1e300 together cannot be scaled without
+    rounding: their turns' products leave [TURN_MIN, TURN_MAX], and the
+    chain decides them with the exact turn."""
     calls = []
     exact = bodies._exact_left
     monkeypatch.setattr(bodies, "_exact_left", lambda *a: calls.append(a) or exact(*a))
     base = [(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 6.0, 40)]
     base += [(0.0, 0.0), (0.25, -0.5)]
-    for scale in (1.0, 5e-318, 1e-300, 1e300):
+    mixed = [(x * 1e300, y * 1e300) for x, y in base] + [(1e-300, 2e-300), (-3e-300, 1e-300)]
+    for scale in (1.0, 5e-318, 1e-300, 1e300, None):
         calls.clear()
-        pts = [(x * scale, y * scale) for x, y in base]
+        pts = mixed if scale is None else [(x * scale, y * scale) for x, y in base]
         P = Polytope.construct(pts, 2)
         assert "vertices" not in P.__dict__
-        assert (len(calls) > 0) == (scale != 1.0), scale
+        assert (len(calls) > 0) == (scale is None), scale
         assert P.vertices == Polytope.construct([tuple(map(F, p)) for p in pts], 2).vertices
+
+
+@st.composite
+def polygon_orders(draw):
+    """Points in the plane as Python floats at one of FLOAT_SCALES: a
+    convex polygon on an ellipse, counterclockwise from any vertex, whose
+    vertices may have a twin 1e-7 rad on; then one change: none,
+    clockwise order, one vertex dented inwards, the float midpoint of an
+    edge (a near-collinear triple), or a vertex repeated.  Or an odd
+    regular polygon visited every second vertex (a pentagram), which
+    turns left at every vertex and around twice."""
+    scale = draw(st.sampled_from(FLOAT_SCALES))
+    kind = draw(st.sampled_from(["convex", "clockwise", "dent", "midpoint", "repeat",
+                                 "star"]))
+    if kind == "star":
+        k = draw(st.sampled_from([5, 7, 9]))
+        angles = [2 * math.pi * (2 * j % k) / k for j in range(k)]
+        a = b = 1.0
+    else:
+        angles = []
+        for angle, twin in draw(st.lists(st.tuples(
+                st.floats(0.0, 2 * math.pi, exclude_max=True), st.booleans()),
+                min_size=3, max_size=12, unique_by=lambda t: t[0])):
+            angles += [angle, angle + 1e-7][:1 + twin]
+        angles.sort()
+        a, b = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    pts = [(a * math.cos(t) * scale, b * math.sin(t) * scale) for t in angles]
+    i = draw(st.integers(0, len(pts) - 1))
+    if kind == "clockwise":
+        pts.reverse()
+    elif kind == "dent":
+        cx, cy = np.mean(pts, axis=0).tolist()
+        t = draw(st.floats(0.01, 1.0))
+        pts[i] = (pts[i][0] + t * (cx - pts[i][0]), pts[i][1] + t * (cy - pts[i][1]))
+    elif kind == "midpoint":
+        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % len(pts)]
+        pts.insert(i + 1, (x0 + (x1 - x0) / 2, y0 + (y1 - y0) / 2))
+    elif kind == "repeat":
+        pts.insert(draw(st.integers(0, len(pts))), pts[i])
+    start = draw(st.integers(0, len(pts) - 1))
+    return pts[start:] + pts[:start]
+
+
+def assert_is_fraction_polygon(P, pts):
+    """P, decided on the floats pts, is the hull construct decides on the
+    same points as Fractions: the kept points, the cycle and the float
+    view's bytes."""
+    R = Polytope.construct([tuple(map(F, p)) for p in pts], 2)
+    if R.intrinsic_dim < 2:
+        assert P is None
+        return
+    assert P.boundary_cycle == R.boundary_cycle
+    assert P.float_vertices.tobytes() == R.float_vertices.tobytes()
+    assert P.vertices == R.vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_orders())
+def test_float_polygon_in_any_order_is_the_fraction_polygon(pts):
+    """_float_polygon takes a counterclockwise convex cycle as it stands
+    and sends every other order to the chain; either way the result is
+    the hull decided in Fractions."""
+    assert_is_fraction_polygon(bodies._float_polygon(pts), pts)
+
+
+@pytest.mark.parametrize("scale", FLOAT_SCALES)
+def test_convex_cycle_takes_the_certificate(monkeypatch, scale):
+    """A regular 12-gon counterclockwise from any vertex is certified
+    without the chain; the same points clockwise, and a pentagram, go to
+    the chain; the results are the Fraction hulls."""
+    calls = []
+    chain = bodies._half_chain
+    monkeypatch.setattr(bodies, "_half_chain",
+                        lambda *a, **k: calls.append(a) or chain(*a, **k))
+    gon = [(math.cos(t) * scale, math.sin(t) * scale)
+           for t in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
+    star = [(math.cos(4 * math.pi * j / 5) * scale, math.sin(4 * math.pi * j / 5) * scale)
+            for j in range(5)]
+    cases = [(gon[k:] + gon[:k], 0) for k in range(12)] + [(gon[::-1], 2), (star, 2)]
+    for pts, chain_calls in cases:
+        calls.clear()
+        P = bodies._float_polygon(pts)
+        assert len(calls) == chain_calls
+        assert_is_fraction_polygon(P, pts)
+
+
+def test_certificate_refuses_a_turn_on_the_filter_bound(monkeypatch):
+    """At a, the float turn of (o, a, b) is l - r with l - r equal to
+    TURN_ERR * (|l| + |r|) exactly, where the filter certifies nothing:
+    the chain decides the polygon, with the exact turn there."""
+    turns = []
+    exact = bodies._exact_left
+    monkeypatch.setattr(bodies, "_exact_left", lambda *a: turns.append(a) or exact(*a))
+    l, r = float.fromhex("0x1.5555555555554p+0"), float.fromhex("0x1.5555555555550p+0")
+    assert l - r == bodies.TURN_ERR * (abs(l) + abs(r))
+    pts = [(0.0, 0.0), (1.0, 1.0), (r, l), (0.0, 2.0)]
+    assert_is_fraction_polygon(bodies._float_polygon(pts), pts)
+    assert len(turns) >= 1
+
+
+def test_certificate_refuses_a_float_turn_of_the_wrong_sign():
+    """The float turn of (p, q, r) is left, the exact one right (-21/2^51):
+    q lies inside the triangle p, r, s and is not a vertex."""
+    u = 2.0 ** -53
+    pts = [(0.5 + 48 * u, 0.5 + 41 * u), (12.0, 12.0), (24.0, 24.0), (0.0, 30.0)]
+    (px, py), (qx, qy), (rx, ry) = pts[:3]
+    assert (qx - px) * (ry - py) > (qy - py) * (rx - px)
+    P = bodies._float_polygon(pts)
+    assert_is_fraction_polygon(P, pts)
+    assert len(P.boundary_cycle) == 3
 
 
 def fraction_polygon(points):

@@ -407,6 +407,24 @@ class TestDecompose:
         path.write_text("{}")
         assert run("decompose", "--in", str(path)) == 2
 
+    @pytest.mark.parametrize("path, value", [
+        (("dual-atoms", "atoms", 0, "x"), ["1e999"]),
+        (("dual-atoms", "atoms", 0, "w"), 10 ** 400),
+        (("grad-bump", "plane", "kernel", "height"), "1e999"),
+        (("grad-bump", "plane", "kernel", "height"), 10 ** 400),
+        (("grad-bump", "plane", "kernel", "center"), [{}]),
+    ], ids=["x-inf", "w-huge", "height-inf", "height-huge", "center-object"])
+    def test_registry_number_not_a_finite_float(self, tmp_path, capsys, path, value):
+        payload = json.loads(REGISTRY.read_text())
+        entry = payload
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps(payload))
+        assert run("decompose", "--in", str(reg), "--cases", "1") == 2
+        assert "bad registry" in capsys.readouterr().err
+
     def test_non_positive_tolerance(self, tmp_path, capsys):
         from epival.valuations import ValuationSpec, save_registry
         path = tmp_path / "reg.json"

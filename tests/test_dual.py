@@ -384,21 +384,31 @@ def test_grid_pairing_matches_fraction_pairing(monkeypatch):
 
 def test_gw_polygons_are_decided_in_floats(monkeypatch):
     """The four Minkowski polygons of one benchmark gw pass at seed 1
-    (m = 4096) are built on the float path, every turn decided by the
-    filter: no exact fallback turn, and no exact vertices made."""
+    (m = 4096) are built on the float path, each edge walk certified as
+    its own hull: no chain, no exact fallback turn, and no exact vertices
+    made."""
     workloads = perfbench_workloads()
-    turns, polygons = [], []
-    exact, solve = bodies._exact_left, dual.minkowski_solve
+    turns, chains, polygons = [], [], []
+    exact, chain, solve = bodies._exact_left, bodies._half_chain, dual.minkowski_solve
     monkeypatch.setattr(bodies, "_exact_left",
                         lambda *a: turns.append(a) or exact(*a))
-    monkeypatch.setattr(dual, "minkowski_solve",
-                        lambda mu: polygons.append(solve(mu)) or polygons[-1])
+    monkeypatch.setattr(bodies, "_half_chain",
+                        lambda *a, **k: chains.append(a) or chain(*a, **k))
+
+    def solve_counting_chains(mu):
+        # the exact bodies of the pass run the chain too; count the solve's
+        before = len(chains)
+        polygons.append((solve(mu), len(chains) - before))
+        return polygons[-1][0]
+
+    monkeypatch.setattr(dual, "minkowski_solve", solve_counting_chains)
     for case in workloads.gw_build(1, DATA.parent):
         workloads._gw_report(case, workloads.GW_SPHERE_ATOMS)
     assert len(polygons) == 4
-    for P in polygons:
+    for P, chain_calls in polygons:
         assert "vertices" not in P.__dict__ and "halfspaces" not in P.__dict__
         assert len(P.boundary_cycle) > 1000
+        assert chain_calls == 0
     assert turns == []
 
 

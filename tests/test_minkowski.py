@@ -177,7 +177,7 @@ def merged_atoms_per_atom(mu):
             kept.append(n)
             weights.append(w)
     keep = [k for k, w in enumerate(weights) if abs(w) > 1e-14]
-    return [normals[k] for k in keep], [weights[k] for k in keep]
+    return np.reshape([normals[k] for k in keep], (-1, mu.dim)), [weights[k] for k in keep]
 
 
 def edge_walk_per_edge(normals, weights):
@@ -286,6 +286,14 @@ def gw_sphere_measures(m=64):
         nodes = np.array([n for n, _ in main.atoms])
         out += [main, _closed_measure(nodes, np.full(m, 2.0 * math.pi / m * 2.0))]
     return out
+
+
+def test_merged_atoms_match_per_atom_reference_at_gw_size():
+    """The merge (no twins: one sort, no scan) and the walk keep their
+    bits on the gw measures at the benchmark's m = 4096, where mirrored
+    nodes share their leading coordinate."""
+    for mu in gw_sphere_measures(4096):
+        assert_merge_and_walk_match(mu)
 
 
 def test_gw_polygons_match_references():

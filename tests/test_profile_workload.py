@@ -15,3 +15,16 @@ def test_profiles_one_lattice_pass():
     assert out.startswith("workload lattice seed 1: 14 cases")
     assert "Ordered by: internal time" in out
     assert "bodies.py" in out
+
+
+def test_profiles_only_the_named_case():
+    run = [sys.executable, str(SCRIPT), "--workload", "numerics", "--seed", "1",
+           "--case", "minkowski3/0"]
+    out = subprocess.run(run, capture_output=True, text=True, timeout=600,
+                         check=True).stdout
+    assert out.startswith("workload numerics seed 1: 1 cases")
+    assert "minkowski.py" in out and "spherical.py" not in out
+    bad = subprocess.run(run[:-1] + ["steiner/none"], capture_output=True,
+                         text=True, timeout=600)
+    assert bad.returncode == 2
+    assert "no case 'steiner/none'" in bad.stderr and "minkowski3/0" in bad.stderr
