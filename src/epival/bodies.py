@@ -77,6 +77,9 @@ farther from x - v and has a negative offset at v, so the max-slack edge
 ends at v.  In space x keeps its projection onto the max-slack facet
 plane when that lies in the facet; otherwise it takes the nearest of all
 edges, since its projection may lie on an edge of another facet.
+The max-slack facet's slack is also a lower bound on the distance, since
+its halfspace contains the body, so a caller that only needs the points
+within some reach can skip every row whose slack already exceeds it.
 """
 
 from __future__ import annotations
@@ -677,22 +680,43 @@ class Polytope:
 
     @cached_property
     def _facets(self) -> tuple[tuple[Halfspace, tuple[int, ...]], ...]:
-        """Each halfspace of a full dimensional body with the indices of
-        its vertices, found by integer dot products on the integer images.
-        In 3D the indices are in cyclic order: the monotone chain on the
-        projection that drops the last coordinate the normal uses, which
-        is one to one on the facet."""
+        """Each halfspace of the body with the indices of its vertices,
+        found by integer dot products on the integer images.  In 3D the
+        indices of a polygon facet are in cyclic order: the monotone chain
+        on the projection that drops the last coordinate the normal uses,
+        which is one to one on the facet.  A flat body's halfspace may hold
+        one or two vertices; those keep their index order."""
         q, ints = self._image
         out = []
         for m, c in self.halfspaces:
             num, den = q * c.numerator, c.denominator
             idx = [i for i, p in enumerate(ints) if _idot(m, p) * den == num]
-            if self.ambient_dim == 3:
+            if self.ambient_dim == 3 and len(idx) > 2:
                 k = _last_axis(m)
                 proj = {(ints[i][:k] + ints[i][k + 1:]): i for i in idx}
                 idx = [proj[p] for p in _chain(sorted(proj))]
             out.append(((m, c), tuple(idx)))
         return tuple(out)
+
+    def face(self, idx: Sequence[int]) -> "Polytope":
+        """The face of the body on the vertex indices idx (a vertex, an
+        edge or a 2-face), as construct builds it from those vertices.  It
+        is read off the body's integer image: no three vertices of a face
+        are collinear, so its first three span its affine hull, and
+        _hull_flat's halfspaces, with their offsets over the body's common
+        denominator, keep their values at any positive scale."""
+        idx = sorted(idx)
+        q, ints = self._image
+        keys = [ints[i] for i in idx]
+        basis = [sub(p, keys[0]) for p in keys[1:3]]
+        _, hs, cycle = _hull_flat(keys, basis)
+        out = Polytope(self.ambient_dim, tuple(self.vertices[i] for i in idx),
+                       _exact_offsets(hs, q))
+        if cycle is not None:
+            out.__dict__["boundary_cycle"] = cycle
+        out.__dict__["intrinsic_dim"] = len(basis)
+        out.__dict__["float_vertices"] = self.float_vertices[idx]
+        return out
 
     # ---- transforms ---------------------------------------------------
 
@@ -927,7 +951,8 @@ INSIDE_TOL = 1e-12
 NEAREST_BLOCK = 4096
 
 
-def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest_points(P: Polytope, points: np.ndarray, *, reach: float = math.inf
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and metric projections onto the body, vectorized, float.
 
     A point inside a full dimensional body is its own projection.  A point
@@ -944,7 +969,12 @@ def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     on that facet.  A flat body takes the nearest of its edges (its vertex,
     if it is a point), and a polygon in space its affine-hull plane where
     that projection is feasible within FACET_TOL.  In R^1 the projection
-    is a clip onto the interval."""
+    is a clip onto the interval.
+
+    On a full dimensional body in R^2 or R^3, a row whose max-slack facet
+    slack exceeds reach is certified farther than reach: it gets distance
+    inf and projection NaN and is not projected.  Every other row, and
+    every row of any other body, gets the bits it gets without reach."""
     if P.is_empty:
         raise GeometryError("projection onto empty body")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -955,11 +985,12 @@ def nearest_points(P: Polytope, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     dist, proj = np.empty(len(pts)), np.empty_like(pts)
     for lo in range(0, len(pts), NEAREST_BLOCK):
         rows = slice(lo, lo + NEAREST_BLOCK)
-        dist[rows], proj[rows] = _nearest_block(P, pts[rows])
+        dist[rows], proj[rows] = _nearest_block(P, pts[rows], reach=reach)
     return dist, proj
 
 
-def _nearest_block(P: Polytope, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_block(P: Polytope, x: np.ndarray, *, reach: float = math.inf
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """One block of rows of nearest_points on a body in R^2 or R^3."""
     A, bvec = P.float_halfspaces
     slack = np.maximum(1.0, np.abs(bvec))
@@ -982,6 +1013,10 @@ def _nearest_block(P: Polytope, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         norms = np.linalg.norm(A, axis=1)
         over = (vals[out] - bvec) / norms
         top = np.argmax(over, axis=1)
+        far = over[np.arange(len(out)), top] > reach
+        if far.any():
+            dist[out[far]], proj[out[far]] = np.inf, np.nan
+            out, over, top = out[~far], over[~far], top[~far]
         if P.ambient_dim == 2:
             verts = P.float_vertices
             ends = np.array([idx for _, idx in P._facets])[top]

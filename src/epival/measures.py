@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable, Optional, Sequence
 
@@ -120,7 +122,10 @@ def _cone_generators(P: Polytope, face_vertices: Sequence[Vec]) -> list[Vec]:
 
 
 def faces_with_cones(P: Polytope, i: int) -> list[tuple[Polytope, list[Vec]]]:
-    """All i-faces of P with generators of their outer normal cones."""
+    """All i-faces of P with generators of their outer normal cones.  A
+    face's generators are the normals of the proper halfspaces whose vertex
+    indices in P's facet table contain the face's, in table order, then
+    both normals of each equality plane."""
     d = P.ambient_dim
     k = P.intrinsic_dim
     if k < 0 or i > k:
@@ -129,24 +134,19 @@ def faces_with_cones(P: Polytope, i: int) -> list[tuple[Polytope, list[Vec]]]:
         if k == d:
             return []
         return [(P, _cone_generators(P, P.vertices))]
-    out = []
     if i == 0:
-        for v in P.vertices:
-            face = Polytope.construct([v], d)
-            out.append((face, _cone_generators(P, [v])))
+        faces = [(j,) for j in range(len(P.vertices))]
     elif i == 1:
-        for a, b in P.edge_list:
-            va, vb = P.vertices[a], P.vertices[b]
-            face = Polytope.construct([va, vb], d)
-            out.append((face, _cone_generators(P, [va, vb])))
+        faces = P.edge_list
     elif i == 2:
-        for _, idx in P._facets:
-            verts = [P.vertices[j] for j in idx]
-            face = Polytope.construct(verts, d)
-            out.append((face, _cone_generators(P, verts)))
+        faces = [idx for _, idx in P._facets]
     else:
         raise GeometryError(f"face dimension {i} out of range")
-    return out
+    proper = set(P.proper_halfspaces)
+    table = [(m, set(idx)) for (m, c), idx in P._facets if (m, c) in proper]
+    planes = [g for m, _ in P.equality_planes for g in (m, tuple(-x for x in m))]
+    return [(P.face(f), [m for m, idx in table if idx.issuperset(f)] + planes)
+            for f in faces]
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class FaceMeasure:
         return _product_integral(
             [(p.density_constant, p.face,
               lambda x, tol, patch=p.normal_region:
-                  patch.integrate(lambda nu: f(x, nu), tol))
+                  patch.integrate(partial(f, x), tol))
              for p in self.pieces], tol)
 
 
@@ -259,20 +259,22 @@ def _product_integral(pieces: Sequence[tuple[float, Polytope, Optional[Callable]
 # from the body counts as in it, and a subgradient up to this past the
 # gradient bound counts as within it
 MC_TOL = 1e-12
+# the relative margin of _mc_reach
+REACH_RTOL = 1e-9
 
 
 def _mc_volume(verts: np.ndarray, t: float, pad: float, samples: int, seed: int,
                hits: Callable, region: Optional[Callable]) -> tuple[float, float]:
     """The estimate and standard error of the volume of a set, from
     uniform samples of the box around verts widened by pad on every side;
-    t is the oracle's time, checked positive like samples.  hits(X) gives
-    the samples' hit mask and a map from the index of a hit to its
-    (point, direction) pair; a hit counts if region is None or accepts
-    its pair, asked in index order."""
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t is the oracle's time, checked positive and finite, and samples is
+    checked a positive integer.  hits(X) gives the samples' hit mask and a
+    map from the index of a hit to its (point, direction) pair; a hit
+    counts if region is None or accepts its pair, asked in index order."""
+    if not isinstance(samples, numbers.Integral) or samples <= 0:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     lo = verts.min(axis=0) - pad
     hi = verts.max(axis=0) + pad
@@ -289,6 +291,16 @@ def _mc_volume(verts: np.ndarray, t: float, pad: float, samples: int, seed: int,
     return est, se
 
 
+def _mc_reach(P: Polytope, t: float) -> float:
+    """The reach local_parallel_volume_mc hands nearest_points: t plus
+    REACH_RTOL times t and the body's largest coordinate magnitude.  The
+    margin is above the rounding of both the screen's slack and the
+    projected distance, which is relative to the coordinates as well as
+    to t, so no sample that the unscreened distance counts as a hit is
+    screened."""
+    return t + REACH_RTOL * (t + float(np.max(np.abs(P.float_vertices))))
+
+
 def local_parallel_volume_mc(
     P: Polytope,
     region: Optional[Callable[[np.ndarray, np.ndarray], bool]],
@@ -300,10 +312,12 @@ def local_parallel_volume_mc(
 
     Samples a box around the outer parallel body, rejects points of P,
     maps the rest through the nearest point projection and keeps those
-    whose support element lies in the region.
+    whose support element lies in the region.  Samples that a halfspace
+    of P certifies farther than _mc_reach are misses, and are not
+    projected.
     """
     def hits(X):
-        dist, proj = nearest_points(P, X)
+        dist, proj = nearest_points(P, X, reach=_mc_reach(P, t))
         return ((dist > MC_TOL) & (dist <= t),
                 lambda k: (proj[k], (X[k] - proj[k]) / dist[k]))
 

@@ -326,10 +326,12 @@ def _spherical_tri_integral(v0, v1, v2, f, tol: float) -> float:
         nu = -nu
 
     def g_rows(pts):
-        # per row the bits of norm(pt) and pt @ nu: vecdot is the same dot
+        # per row the bits of norm(pt) and pt @ nu: vecdot is the same dot.
+        # Only f is called per node; float_power gives the bits of the
+        # scalar s ** 3, where the array r ** 3 need not
         r = np.sqrt(np.vecdot(pts, pts))
         h = np.vecdot(pts, nu)
-        return [f(u) * float(c) / s ** 3
-                for u, c, s in zip(pts / r[:, None], h, r)]
+        vals = np.array([f(u) for u in pts / r[:, None]], dtype=float)
+        return vals * h / np.float_power(r, 3)
 
     return _adaptive_tri(v0, v1, v2, g_rows, tol, 8)

@@ -41,6 +41,7 @@ from epival.measures import (
     _cone_generators,
     _gradient_region,
     _lower_clip,
+    _mc_reach,
     complex_faces,
     density_constant,
     faces_with_cones,
@@ -249,6 +250,88 @@ class TestParallelVolumeMC:
         b = local_parallel_volume_mc(square(), None, 0.5, 10_000, 9)
         assert a == b
 
+    @pytest.mark.parametrize("oracle", ["body", "function"])
+    @pytest.mark.parametrize("t, samples, what", [
+        (math.nan, 100, "t"), (math.inf, 100, "t"), (0.5, 10.5, "samples")])
+    def test_rejects_a_bad_time_or_sample_count(self, oracle, t, samples, what):
+        with pytest.raises(ValueError, match=f"^{what} must"):
+            if oracle == "body":
+                local_parallel_volume_mc(square(), None, t, samples, 0)
+            else:
+                p_t_volume_mc(vee_interval(), None, t, samples, 0)
+
+
+# the Steiner times of the numerics benchmark and of criterion 04, and two
+# far from them
+SCREEN_T = (0.25, 0.5, 1.0, 2.0, 1e-6, 50.0)
+
+
+def oracle_hits(dist, t):
+    return (dist > MC_TOL) & (dist <= t)
+
+
+def assert_screen_keeps_every_hit(P, X, t):
+    """nearest_points with the oracle's reach against it without reach:
+    the same hit mask, and the same bits on every row not screened."""
+    dist, proj = nearest_points(P, X)
+    got_dist, got_proj = nearest_points(P, X, reach=_mc_reach(P, t))
+    assert np.array_equal(oracle_hits(got_dist, t), oracle_hits(dist, t))
+    kept = np.isfinite(got_dist)
+    screened = ~kept
+    assert np.all(np.isnan(got_proj[screened])) and np.all(np.isinf(got_dist[screened]))
+    assert got_dist[kept].tobytes() == dist[kept].tobytes()
+    assert got_proj[kept].tobytes() == proj[kept].tobytes()
+    return np.count_nonzero(screened)
+
+
+class TestReachScreen:
+    def test_screen_keeps_every_hit_on_case_bodies(self):
+        # the numerics workload's two bodies are bodies 3 of these families
+        rng = np.random.default_rng(23)
+        screened = 0
+        for d in (2, 3):
+            for i in range(10):
+                P = CaseGenerator(7, d).body(i)
+                v = P.float_vertices
+                for t in SCREEN_T:
+                    # the oracle's box, and a band of rows just outside the
+                    # facets at slack about t
+                    X = rng.uniform(v.min(0) - t, v.max(0) + t, size=(3000, d))
+                    A, b = P.float_halfspaces
+                    unit = A / np.linalg.norm(A, axis=1)[:, None]
+                    mids = np.array([v[list(idx)].mean(axis=0) for _, idx in P._facets])
+                    band = mids + t * unit * (1.0 + rng.uniform(-1e-12, 1e-12, (len(A), 1)))
+                    screened += assert_screen_keeps_every_hit(P, np.vstack([X, band]), t)
+        assert screened > 0
+
+    @pytest.mark.parametrize("t", SCREEN_T)
+    def test_rows_with_slack_exactly_t_are_kept(self, t):
+        # slack exactly t off the facets through the origin of the unit
+        # square and cube: inside each facet, past its corner, along an edge
+        for P in (square(), cube()):
+            d = P.ambient_dim
+            rows = []
+            for k in range(d):
+                e = np.zeros(d)
+                e[k] = t
+                rows += [np.full(d, 0.5) * (e == 0) - e, -e, -e + (e == 0) * 1.0]
+            X = np.array(rows)
+            A, b = P.float_halfspaces
+            assert np.all(np.max((X @ A.T - b) / np.linalg.norm(A, axis=1), axis=1) == t)
+            assert np.all(oracle_hits(nearest_points(P, X)[0], t))
+            assert assert_screen_keeps_every_hit(P, X, t) == 0
+
+    def test_reach_leaves_other_bodies_alone(self):
+        X = np.random.default_rng(2).uniform(-3.0, 3.0, size=(200, 3))
+        for P in (Polytope.construct([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3),
+                  Polytope.construct([(0, 0, 0), (1, 2, 3)], 3),
+                  Polytope.construct([(F(-1),), (F(2),)], 1)):
+            pts = X[:, :P.ambient_dim]
+            dist, proj = nearest_points(P, pts)
+            got = nearest_points(P, pts, reach=0.0)
+            assert got[0].tobytes() == dist.tobytes()
+            assert got[1].tobytes() == proj.tobytes()
+
 
 def search_nearest_points(P, points):
     """nearest_points before the slack screen: every point tries every
@@ -441,6 +524,49 @@ class TestNearestPoints:
                 X = rng.uniform(v.min(0) - 2 * t, v.max(0) + 2 * t,
                                 size=(6000, P.ambient_dim))
                 assert_nearest_matches_search(P, X)
+
+
+def construct_faces_with_cones(P, i):
+    """faces_with_cones as written before it read the facet table: each
+    face rebuilt by construct from its vertices, its generators found by
+    exact dot products."""
+    d, k = P.ambient_dim, P.intrinsic_dim
+    if i == k:
+        return [] if k == d else [(P, _cone_generators(P, P.vertices))]
+    if i == 0:
+        faces = [[v] for v in P.vertices]
+    elif i == 1:
+        faces = [[P.vertices[a], P.vertices[b]] for a, b in P.edge_list]
+    else:
+        faces = [[P.vertices[j] for j in idx] for _, idx in P._facets]
+    return [(Polytope.construct(f, d), _cone_generators(P, f)) for f in faces]
+
+
+class TestFacesFromTheFacetTable:
+    def test_faces_match_construct(self):
+        flat = [Polytope.construct([(0, 0, 0), (1, 2, 3), (2, 1, F(1, 3))], 3),
+                Polytope.construct([(0, 0, 0), (1, 2, 3)], 3),
+                Polytope.construct([(0.5, 0.25), (1.5, 0.75)], 2),
+                Polytope.construct([(F(-1),), (F(2),)], 1)]
+        shapes = [CaseGenerator(7, d).body(i) for d in (3, 2) for i in range(10)]
+        shapes += [Polytope.construct([(0.5, 0.25), (1.5, 0.75), (0.1, 2.0)], 2)] + flat
+        checked = 0
+        for P in shapes:
+            for i in range(P.intrinsic_dim + 1):
+                got = faces_with_cones(P, i)
+                want = construct_faces_with_cones(P, i)
+                assert len(got) == len(want)
+                for (face, gens), (ref, ref_gens) in zip(got, want):
+                    assert gens == ref_gens
+                    assert face.vertices == ref.vertices
+                    assert face.halfspaces == ref.halfspaces
+                    assert face.intrinsic_dim == ref.intrinsic_dim
+                    if face.intrinsic_dim == 2:
+                        assert face.boundary_cycle == ref.boundary_cycle
+                    assert face.float_vertices.shape == ref.float_vertices.shape
+                    assert face.float_vertices.tobytes() == ref.float_vertices.tobytes()
+                    checked += 1
+        assert checked > 400
 
 
 def uncached_support_measure(P, i):

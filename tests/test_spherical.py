@@ -2,12 +2,15 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from epival import spherical
 from epival.bodies import Polytope
+from epival.cases import CaseGenerator
 from epival.linalg import (
     dot,
     independent_subset,
@@ -18,7 +21,7 @@ from epival.linalg import (
     reject,
     solve,
 )
-from epival.measures import _lower_clip
+from epival.measures import _lower_clip, _product_integral, support_measure
 from epival.spherical import (
     SphericalPatch,
     _dedupe_rays,
@@ -29,6 +32,7 @@ from epival.spherical import (
     _sphere_band,
     _spherical_tri_integral,
     _tangent_normals,
+    _adaptive_tri,
     _tri_rule,
     _unit,
     in_cone,
@@ -514,3 +518,52 @@ def test_spherical_triangles_match_scalar_rule():
         for f in fs:
             assert _spherical_tri_integral(*v, f, 1e-8) == \
                 scalar_spherical_tri_integral(*v, f, 1e-8)
+
+
+def list_weighted_spherical_tri_integral(v0, v1, v2, f, tol):
+    """_spherical_tri_integral with each node weighted by its own scalar
+    expression in a list, as before the weighting ran on whole arrays: the
+    reference."""
+    nu = np.cross(v1 - v0, v2 - v0)
+    norm = np.linalg.norm(nu)
+    if norm < 1e-30:
+        return 0.0
+    nu = nu / norm
+    if float(nu @ v0) < 0:
+        nu = -nu
+
+    def g_rows(pts):
+        r = np.sqrt(np.vecdot(pts, pts))
+        h = np.vecdot(pts, nu)
+        return [f(u) * float(c) / s ** 3
+                for u, c, s in zip(pts / r[:, None], h, r)]
+
+    return _adaptive_tri(v0, v1, v2, g_rows, tol, 8)
+
+
+def lambda_face_measure_integrate(fm, f, tol):
+    """FaceMeasure.integrate with its per-node lambda, as it was before it
+    handed each patch a partial."""
+    return _product_integral(
+        [(p.density_constant, p.face,
+          lambda x, tol, patch=p.normal_region: patch.integrate(lambda nu: f(x, nu), tol))
+         for p in fm.pieces], tol)
+
+
+def test_array_weighting_keeps_the_list_bits():
+    fs = (lambda x, nu: nu[0] ** 2,
+          lambda x, nu: math.sin(nu[0]) + nu[-1] ** 3,
+          lambda x, nu: x[0] * nu[1] ** 2)
+    polygons = 0
+    for i in range(10):
+        P = CaseGenerator(7, 3).body(i)
+        for order in (0, 1):
+            fm = support_measure(P, order)
+            polygons += sum(p.normal_region.kind == "polygon" for p in fm.pieces)
+            for f in fs:
+                got = fm.integrate(f, 1e-6)
+                with mock.patch.object(spherical, "_spherical_tri_integral",
+                                       list_weighted_spherical_tri_integral):
+                    want = lambda_face_measure_integrate(fm, f, 1e-6)
+                assert got == want
+    assert polygons > 0
