@@ -33,7 +33,7 @@ def axis_square_measure() -> SphereMeasure:
         (np.array(v, dtype=float), 1.0)
         for v in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
     )
-    return SphereMeasure(2, atoms, False)
+    return SphereMeasure(2, atoms)
 
 
 def pipeline_input() -> dict:

@@ -97,11 +97,12 @@ import numpy as np
 
 from . import linalg
 from .linalg import Vec, cross3, dot, primitive, smul, solve, sub
+from .schema import array, field, integer, rational
 
 Halfspace = tuple[tuple[int, ...], Fraction]
 
 
-class GeometryError(Exception):
+class GeometryError(ValueError):
     pass
 
 
@@ -908,9 +909,10 @@ class Polytope:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "Polytope":
-        d = int(data["dim"])
-        pts = [[Fraction(s) for s in v] for v in data["vertices"]]
+    def from_dict(data: dict, where: str = "polytope") -> "Polytope":
+        d = field(data, "dim", where, integer)
+        pts = field(data, "vertices", where, array,
+                    lambda v, name: array(v, name, rational, d, "dim"))
         if not pts:
             return Polytope.empty(d)
         return Polytope.construct(pts, d)

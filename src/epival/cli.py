@@ -13,12 +13,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bodies import GeometryError
 from .cases import CaseGenerator
 from .dual import DualAtomMeasure, gw_pipeline, mollifier_kernel
 from .functions import PLConvexFunction
@@ -29,13 +28,14 @@ from .measures import (
     p_t_volume_mc,
     parallel_volume,
 )
-from .minkowski import NonPositiveMeasure, minkowski_solve
+from .minkowski import minkowski_solve
 from .report import Report, SuiteReport, dumps_canonical
+from .schema import InputError, array, field, prefixed
 from .valuations import (
     eval_gradient_valuation,
     eval_sphere_valuation,
     homogeneous_components,
-    load_registry,
+    registry_from_dict,
     zeta_to_eta,
 )
 
@@ -45,14 +45,17 @@ MC_SAMPLES = 60_000
 PROBES_PER_CASE = 100
 
 
-class CliUsageError(Exception):
-    pass
-
-
-def _check_tolerances(*tols: float) -> None:
+def _check_run(n: int, cases: int, seed: int, *tols: float) -> None:
+    """The settings that verify and decompose share."""
+    if n not in (1, 2):
+        raise InputError("n must be 1 or 2")
+    if cases <= 0:
+        raise InputError("cases must be positive")
+    if seed < 0:
+        raise InputError("need a nonnegative seed")
     # NaN fails every comparison, so test for the valid range
     if not all(0 < t < math.inf for t in tols):
-        raise CliUsageError("tolerances must be positive and finite")
+        raise InputError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,9 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.suite not in SUITES:
-            raise CliUsageError(
+            raise InputError(
                 f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
-        if self.n not in (1, 2):
-            raise CliUsageError("n must be 1 or 2")
-        if self.cases <= 0:
-            raise CliUsageError("cases must be positive")
-        _check_tolerances(self.tol_geom, self.sigma)
+        _check_run(self.n, self.cases, self.seed, self.tol_geom, self.sigma)
 
 
 def _mc_seed(seed: int, stream: int, index: int) -> int:
@@ -176,8 +175,7 @@ _RUNNERS = {
 
 
 def _cfg_dict(cfg: SuiteConfig) -> dict:
-    return {"suite": cfg.suite, "n": cfg.n, "cases": cfg.cases,
-            "seed": cfg.seed, "tol_geom": cfg.tol_geom, "sigma": cfg.sigma}
+    return {k: v for k, v in asdict(cfg).items() if k != "out"}
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -188,21 +186,24 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 # config file and argument plumbing
 
 
-def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliUsageError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise CliUsageError(f"cannot read config {path}: {exc}")
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not text: {exc}")
+
+
+def _read_config(path: str) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -216,7 +217,7 @@ def _effective(args, key: str, conv, default):
         try:
             return conv(cfgfile[key])
         except ValueError as exc:
-            raise CliUsageError(f"config key {key}: {exc}")
+            raise InputError(f"config key {key}: {exc}")
     return default
 
 
@@ -224,36 +225,38 @@ def _parse_j_list(text: str) -> tuple[int, ...]:
     try:
         js = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise CliUsageError(f"bad j list {text!r}")
+        raise InputError(f"bad j list {text!r}")
     if not js or min(js) <= 0:
-        raise CliUsageError(f"bad j list {text!r}")
+        raise InputError(f"bad j list {text!r}")
     return js
 
 
-def _load_json(path: str):
+def _read_json(path: str, read, what: str = ""):
+    """The JSON file at path, read by read; its errors name the file."""
+    text = _read_text(path)
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliUsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"{path} is not valid JSON: {exc}")
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliUsageError(f"cannot write {path}: {exc}")
+        payload = json.loads(text)
+    except ValueError as exc:  # beyond JSON, an integer of over 4300 digits
+        raise InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{path} nests arrays or objects too deeply")
+    with prefixed(f"{path}: {what}"):
+        return read(payload)
 
 
 def _write_report(report: Report, base: str) -> None:
-    try:
-        jpath, cpath = report.write(base)
-    except OSError as exc:
-        raise CliUsageError(f"cannot write {base}: {exc}")
+    jpath, cpath = report.write(base)
     print(f"wrote {jpath} and {cpath}")
+
+
+def _finish(head: str, report: SuiteReport, out: str | None) -> int:
+    """Print the summary line, write the report if asked, and return the
+    exit code of a suite run."""
+    print(f"{head} pass={report.passed} fail={report.failed} "
+          f"worst_residual={report.worst_residual:.17g}")
+    if out:
+        _write_report(report, out)
+    return 0 if report.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +269,7 @@ _SUITE_CASE_DEFAULTS = {"conjugate": 100, "change-of-vars": 50, "steiner": 10}
 def _cmd_verify(args) -> int:
     suite = _effective(args, "suite", str, None)
     if suite is None:
-        raise CliUsageError("verify needs --suite (or a config file entry)")
+        raise InputError("verify needs --suite (or a config file entry)")
     cfg = SuiteConfig(
         suite=suite,
         n=_effective(args, "n", int, 1),
@@ -278,37 +281,25 @@ def _cmd_verify(args) -> int:
         out=_effective(args, "out", str, None),
     )
     report = run_suite(cfg)
-    print(f"suite={report.suite} cases={len(report.rows)} "
-          f"pass={report.passed} fail={report.failed} "
-          f"worst_residual={report.worst_residual:.17g}")
-    if cfg.out:
-        _write_report(report, cfg.out)
-    return 0 if report.all_passed else 1
+    return _finish(f"suite={report.suite} cases={len(report.rows)}", report, cfg.out)
 
 
 def _cmd_decompose(args) -> int:
     infile = _effective(args, "in", str, None)
     if infile is None:
-        raise CliUsageError("decompose needs --in REGISTRY.json")
+        raise InputError("decompose needs --in REGISTRY.json")
     n = _effective(args, "n", int, 1)
     cases = _effective(args, "cases", int, 5)
     seed = _effective(args, "seed", int, 7)
     tol = _effective(args, "tol-quad", float, 1e-6)
     out = _effective(args, "out", str, None)
-    if n not in (1, 2) or cases <= 0:
-        raise CliUsageError("need n in {1,2} and positive cases")
-    _check_tolerances(tol)
-    try:
-        registry = load_registry(infile)
-    except OSError as exc:
-        raise CliUsageError(f"cannot read {infile}: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliUsageError(f"bad registry {infile}: {exc}")
+    _check_run(n, cases, seed, tol)
+    registry = _read_json(infile, registry_from_dict, "bad registry: ")
     if not registry:
-        raise CliUsageError(f"registry {infile} is empty")
+        raise InputError(f"registry {infile} is empty")
     wrong_n = sorted(k for k, spec in registry.items() if spec.n != n)
     if wrong_n:
-        raise CliUsageError(
+        raise InputError(
             f"registry {infile}: {', '.join(wrong_n)} not defined for n={n}")
     targets: list[tuple[str, object]] = sorted(registry.items())
     if len(registry) > 1:
@@ -338,71 +329,37 @@ def _cmd_decompose(args) -> int:
     report = SuiteReport("decompose",
                          {"in": infile, "n": n, "cases": cases,
                           "seed": seed, "tol_quad": tol}, rows)
-    print(f"decompose valuations={len(targets)} cases={cases} "
-          f"pass={report.passed} fail={report.failed} "
-          f"worst_residual={report.worst_residual:.17g}")
-    if out:
-        _write_report(report, out)
-    return 0 if report.all_passed else 1
+    return _finish(f"decompose valuations={len(targets)} cases={cases}", report, out)
 
 
-def _parse_family(payload, infile: str) -> list[PLConvexFunction]:
-    if not isinstance(payload, list):
-        raise CliUsageError(f"{infile}: family must be a JSON array of functions")
+def _gw_input(payload) -> tuple:
+    """The measure, the bump name and the family of a gw input file."""
+    mu = field(payload, "measure", "", DualAtomMeasure.from_dict)
+    if mu.n != 1:
+        raise InputError(f"gw takes a measure in one variable, got n={mu.n}")
     family = []
-    for i, d in enumerate(payload):
-        try:
+    for i, d in enumerate(field(payload, "family", "", array)):
+        with prefixed(f"bad family entry {i}: "):
             family.append(PLConvexFunction.from_dict(d))
-        except (KeyError, TypeError, ValueError, OverflowError, GeometryError) as exc:
-            raise CliUsageError(f"{infile}: bad family entry {i}: {exc}")
-        except ZeroDivisionError:
-            raise CliUsageError(f"{infile}: bad family entry {i}: "
-                                "a rational with a zero denominator")
-    return family
-
-
-def _check_float_range(numbers, where: str) -> None:
-    """The gw pipeline turns its exact input into floats; reject a
-    rational that overflows one before it gets there."""
-    try:
-        for c in numbers:
-            float(c)
-    except OverflowError:
-        raise CliUsageError(f"{where} has a number beyond float range")
+    if not family:
+        raise InputError("family needs at least one function")
+    for i, f in enumerate(family):
+        if f.n != mu.n:
+            raise InputError(f"family entry {i} has n={f.n}, the measure has n={mu.n}")
+        if f.is_empty:
+            raise InputError(f"family entry {i} has an empty domain")
+    bump = payload.get("bump", "smooth")
+    mollifier_kernel(bump, mu.n)  # rejects an unknown bump here
+    return mu, bump, family
 
 
 def _cmd_gw(args) -> int:
     infile = _effective(args, "in", str, None)
     out = _effective(args, "out", str, None)
     if infile is None or out is None:
-        raise CliUsageError("gw needs --in INPUT.json and --out BASE")
+        raise InputError("gw needs --in INPUT.json and --out BASE")
     j_list = _parse_j_list(_effective(args, "j-list", str, "2,4,8,16"))
-    payload = _load_json(infile)
-    try:
-        mu = DualAtomMeasure.from_dict(payload["measure"])
-        if mu.n != 1:
-            raise CliUsageError(
-                f"{infile}: gw takes a measure in one variable, got n={mu.n}")
-        _check_float_range((c for x, w in mu.atoms for c in x + (w,)),
-                           f"{infile}: measure")
-        family = _parse_family(payload["family"], infile)
-        if not family:
-            raise CliUsageError(f"{infile}: family needs at least one function")
-        for i, f in enumerate(family):
-            if f.n != mu.n:
-                raise CliUsageError(f"{infile}: family entry {i} has n={f.n}, "
-                                    f"the measure has n={mu.n}")
-            if f.is_empty:
-                raise CliUsageError(f"{infile}: family entry {i} has an empty domain")
-            _check_float_range(
-                (c for row in f.domain.vertices + tuple(g + (b,) for g, b in f.pieces)
-                 for c in row), f"{infile}: family entry {i}")
-        bump = payload.get("bump", "smooth")
-        mollifier_kernel(bump, mu.n)  # rejects an unknown bump here
-    except (KeyError, TypeError) as exc:
-        raise CliUsageError(f"{infile}: expected measure/family keys: {exc}")
-    except (ValueError, OverflowError) as exc:
-        raise CliUsageError(f"{infile}: {exc}")
+    mu, bump, family = _read_json(infile, _gw_input)
     report = gw_pipeline(mu, bump, j_list, family)
     for row in report.rows:
         print(f"j={row.j} sup_error={row.sup_error:.17g} "
@@ -415,19 +372,14 @@ def _cmd_minkowski(args) -> int:
     infile = _effective(args, "in", str, None)
     out = _effective(args, "out", str, None)
     if infile is None or out is None:
-        raise CliUsageError("minkowski needs --in MEASURE.json and --out BODY.json")
-    payload = _load_json(infile)
-    try:
-        mu = SphereMeasure.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliUsageError(f"{infile}: bad measure: {exc}")
+        raise InputError("minkowski needs --in MEASURE.json and --out BODY.json")
+    mu = _read_json(infile, SphereMeasure.from_dict, "bad measure: ")
     if mu.dim not in (2, 3):
-        raise CliUsageError("minkowski reconstructs bodies in dimension 2 or 3")
-    try:
-        body = minkowski_solve(mu)
-    except NonPositiveMeasure as exc:
-        raise CliUsageError(f"{infile}: bad measure: {exc}")
-    _write_text(out, dumps_canonical(body.to_dict()))
+        raise InputError("minkowski reconstructs bodies in dimension 2 or 3")
+    with prefixed(f"{infile}: bad measure: "):
+        body = minkowski_solve(mu)  # a NonPositiveMeasure is an InputError
+    with open(out, "w") as fh:
+        fh.write(dumps_canonical(body.to_dict()))
     print(f"solved dim={body.ambient_dim} vertices={len(body.vertices)}; "
           f"wrote {out}")
     return 0
@@ -473,22 +425,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.config:
-        try:
-            args._config_values = _read_config(args.config)
-        except CliUsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        args._config_values = {}
     try:
+        args._config_values = _read_config(args.config) if args.config else {}
         return args.func(args)
-    except CliUsageError as exc:
+    except OSError as exc:  # an input that cannot be read, an --out not written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, ValueError) as exc:
+    except ValueError as exc:  # a GeometryError from a solver too
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .functions import PLConvexFunction
 from .measures import SphereMeasure
 from .minkowski import minkowski_solve, project_closed
 from .report import Report, csv_text, dumps_canonical
+from .schema import InputError, array, field, integer, rational
 from .spherical import _adaptive_1d
 from .valuations import SphereDensity
 
@@ -85,18 +86,15 @@ class DualAtomMeasure:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "DualAtomMeasure":
-        n, atoms = data["n"], data["atoms"]
-        if type(n) is not int:
-            raise ValueError(f"measure n must be a JSON integer, got {n!r}")
-        if not isinstance(atoms, list):
-            raise ValueError("measure atoms must be a JSON array")
-        for a in atoms:
-            # a string would be read one character per coordinate
-            if not isinstance(a["x"], list) or len(a["x"]) != n:
-                raise ValueError("measure atom x must be a JSON array of "
-                                 f"length {n}, got {a['x']!r}")
-        return DualAtomMeasure(n, tuple((a["x"], a["w"]) for a in atoms))
+    def from_dict(data: dict, where: str = "measure") -> "DualAtomMeasure":
+        n = field(data, "n", where, integer)
+        atom = f"{where} atom"
+        atoms = tuple((field(a, "x", atom, array, rational, n), field(a, "w", atom, rational))
+                      for a in field(data, "atoms", where, array))
+        try:
+            return DualAtomMeasure(n, atoms)
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +224,8 @@ def _profile_constant(name: str, n: int) -> float:
 def mollifier_kernel(name: str, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Normalized bump supported in the unit ball, as a callable on an
     array of points with one row per point."""
-    if name not in _PROFILES:
-        raise ValueError(f"unknown mollifier {name!r}")
+    if not isinstance(name, str) or name not in _PROFILES:
+        raise InputError(f"unknown mollifier {name!r}")
     c = _profile_constant(name, n)
     profile = _PROFILES[name]
 
@@ -465,7 +463,7 @@ def _closed_measure(N: np.ndarray, w: np.ndarray) -> SphereMeasure:
     w = project_closed(N, w)
     if np.any(w <= 0):
         raise ValueError("atom count too small to balance the density")
-    return SphereMeasure(N.shape[1], tuple(zip(N, w.tolist())), signed=False)
+    return SphereMeasure(N.shape[1], tuple(zip(N, w.tolist())))
 
 
 def balance_and_discretize(f: SphereDensity, m: int) -> SphereMeasure:

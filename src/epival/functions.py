@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .bodies import GeometryError, Polytope, _affine_basis, _affine_rank, _exact
 from .linalg import Vec, dot, sub
+from .schema import InputError, array, field, integer, rational
 
 Piece = tuple[Vec, Fraction]
 
@@ -326,14 +327,16 @@ class PLConvexFunction:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "PLConvexFunction":
-        dom = Polytope.from_dict(data["domain"])
-        pieces = [
-            (tuple(Fraction(s) for s in p["a"]), Fraction(p["b"]))
-            for p in data["pieces"]
-        ]
+    def from_dict(data: dict, where: str = "function") -> "PLConvexFunction":
+        dom = field(data, "domain", where, Polytope.from_dict)
+        n = field(data, "n", where, integer, dom.ambient_dim)
+        piece = f"{where} piece"
+        pieces = [(field(p, "a", piece, array, rational, n), field(p, "b", piece, rational))
+                  for p in field(data, "pieces", where, array)]
         if dom.is_empty:
-            return PLConvexFunction.empty(int(data["n"]))
+            return PLConvexFunction.empty(n)
+        if not pieces:
+            raise InputError(f"{where} pieces must be a nonempty JSON array")
         return PLConvexFunction.from_pieces(dom, pieces)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .bodies import GeometryError, Polytope, _face_measure, nearest_points
 from .functions import PLConvexFunction
 from .linalg import Vec, dot, primitive, norm_sq, sub
+from .schema import InputError, array, field, integer, real
 from .spherical import SphericalPatch, _adaptive_1d, _adaptive_tri, _fan
 
 
@@ -45,7 +46,6 @@ MIN_NORMAL_LENGTH = 1e-12
 class SphereMeasure:
     dim: int
     atoms: tuple[tuple[np.ndarray, float], ...]
-    signed: bool = False
 
     def total(self) -> float:
         return float(sum(w for _, w in self.atoms))
@@ -63,26 +63,19 @@ class SphereMeasure:
         return {
             "dim": self.dim,
             "atoms": [{"n": [float(x) for x in n], "w": w} for n, w in self.atoms],
-            "signed": self.signed,
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "SphereMeasure":
-        dim = int(data["dim"])
-        try:
-            atoms = tuple(
-                (np.asarray(a["n"], dtype=float), float(a["w"])) for a in data["atoms"]
-            )
-        except OverflowError:
-            raise ValueError("atom normals and weights must be within float range") from None
-        if any(n.shape != (dim,) for n, _ in atoms):
-            raise ValueError(f"atom normals must have dim = {dim} coordinates")
-        if not all(np.all(np.isfinite(n)) and math.isfinite(w) for n, w in atoms):
-            raise ValueError("atom normals and weights must be finite")
+    def from_dict(data: dict, where: str = "measure") -> "SphereMeasure":
+        dim = field(data, "dim", where, integer)
+        atom = f"{where} atom"
+        atoms = tuple((np.array(field(a, "n", atom, array, real, dim, "dim")),
+                       field(a, "w", atom, real))
+                      for a in field(data, "atoms", where, array))
         if any(math.sqrt(n @ n) < MIN_NORMAL_LENGTH for n, _ in atoms):
-            raise ValueError("atom normals must be nonzero, of length at least "
+            raise InputError("atom normals must be nonzero, of length at least "
                              f"{MIN_NORMAL_LENGTH:g}")
-        return SphereMeasure(dim, atoms, bool(data.get("signed", False)))
+        return SphereMeasure(dim, atoms)
 
 
 def surface_area_measure(P: Polytope) -> SphereMeasure:

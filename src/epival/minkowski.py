@@ -35,6 +35,7 @@ import numpy as np
 
 from .bodies import GeometryError, Polytope
 from .measures import MIN_NORMAL_LENGTH, SphereMeasure
+from .schema import InputError
 
 
 class UnbalancedInput(ValueError):
@@ -45,7 +46,7 @@ class DegenerateNormals(ValueError):
     """Nonpositive weights, or directions that do not span the space."""
 
 
-class NonPositiveMeasure(DegenerateNormals):
+class NonPositiveMeasure(DegenerateNormals, InputError):
     """An atom weight is at or below 0 once atoms of one normal are merged."""
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -28,14 +28,31 @@ from .bodies import GeometryError, Polytope
 from .functions import EpiMinNotConvex, PLConvexFunction
 from .linalg import solve as exact_solve
 from .measures import surface_area_measure
+from .schema import InputError, array, field, integer, real
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
 
+class _Record:
+    """Base of the kernels and densities of a registry: to_dict writes the
+    kind, if the class has one, and every field, a tuple as a JSON array
+    and a nested record as its own to_dict."""
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind} if hasattr(self, "kind") else {}
+        return out | {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.to_dict() if isinstance(value, _Record) else value
+
+
 @dataclass(frozen=True)
-class BumpKernel:
+class BumpKernel(_Record):
     """Smooth compactly supported bump around a center point."""
 
     center: tuple[float, ...]
@@ -51,13 +68,9 @@ class BumpKernel:
             return 0.0
         return self.height * math.exp(1.0 - 1.0 / (1.0 - r2))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "center": list(self.center),
-                "width": self.width, "height": self.height}
-
 
 @dataclass(frozen=True)
-class PolyKernel:
+class PolyKernel(_Record):
     """Multivariate polynomial, terms as (exponent tuple, coefficient)."""
 
     terms: tuple[tuple[tuple[int, ...], float], ...]
@@ -71,13 +84,9 @@ class PolyKernel:
             out += c * float(np.prod([y[i] ** e for i, e in enumerate(exps)]))
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind,
-                "terms": [[list(e), c] for e, c in self.terms]}
-
 
 @dataclass(frozen=True)
-class ZonalKernel:
+class ZonalKernel(_Record):
     """Polynomial in the cosine against a fixed axis, p(axis . y)."""
 
     axis: tuple[float, ...]
@@ -92,13 +101,9 @@ class ZonalKernel:
             out = out * t + c
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "axis": list(self.axis),
-                "coeffs": list(self.coeffs)}
-
 
 @dataclass(frozen=True)
-class ConstKernel:
+class ConstKernel(_Record):
     value: float = 1.0
 
     kind = "const"
@@ -106,39 +111,34 @@ class ConstKernel:
     def __call__(self, y: np.ndarray) -> float:
         return self.value
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
+
+def _term(value, where: str, dim: int | None):
+    if type(value) is not list or len(value) != 2:
+        raise InputError(f"{where} must be a JSON array [exponents, coefficient]")
+    return (tuple(array(value[0], f"{where} exponents", integer, dim)),
+            real(value[1], f"{where} coefficient"))
 
 
-def _finite(x) -> float:
-    """A number read from a registry, as a float; a ValueError if it is
-    beyond float range, infinite or nan."""
-    try:
-        v = float(x)
-    except OverflowError:
-        raise ValueError("registry numbers must be within float range") from None
-    if not math.isfinite(v):
-        raise ValueError(f"registry numbers must be finite, got {x!r}")
-    return v
-
-
-def kernel_from_dict(data: dict):
-    kind = data["kind"]
+def kernel_from_dict(data: dict, where: str = "kernel", dim: int | None = None):
+    """A kernel on R^dim; any dimension when dim is None."""
+    kind = field(data, "kind", where)
     if kind == "bump":
-        return BumpKernel(tuple(map(_finite, data["center"])), _finite(data["width"]),
-                          _finite(data.get("height", 1.0)))
+        return BumpKernel(tuple(field(data, "center", where, array, real, dim)),
+                          field(data, "width", where, real, True),
+                          real(data.get("height", 1.0), f"{where} height"))
     if kind == "poly":
-        return PolyKernel(tuple((tuple(e), _finite(c)) for e, c in data["terms"]))
+        return PolyKernel(tuple(field(data, "terms", where, array,
+                                      lambda t, name: _term(t, name, dim))))
     if kind == "zonal":
-        return ZonalKernel(tuple(map(_finite, data["axis"])),
-                           tuple(map(_finite, data["coeffs"])))
+        return ZonalKernel(tuple(field(data, "axis", where, array, real, dim)),
+                           tuple(field(data, "coeffs", where, array, real)))
     if kind == "const":
-        return ConstKernel(_finite(data.get("value", 1.0)))
+        return ConstKernel(real(data.get("value", 1.0), f"{where} value"))
     if kind == "lifted_plane":
-        return LiftedPlaneKernel(PlaneDensity.from_dict(data["plane"]))
+        return LiftedPlaneKernel(field(data, "plane", where, PlaneDensity.from_dict))
     if kind == "dropped_sphere":
-        return DroppedSphereKernel(SphereDensity.from_dict(data["sphere"]))
-    raise ValueError(f"unknown kernel kind {kind!r}")
+        return DroppedSphereKernel(field(data, "sphere", where, SphereDensity.from_dict))
+    raise InputError(f"{where} kind: unknown kernel kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def kernel_from_dict(data: dict):
 
 
 @dataclass(frozen=True)
-class PlaneDensity:
+class PlaneDensity(_Record):
     """Density on gradient space, vanishing outside |y| <= support_radius."""
 
     n: int
@@ -165,18 +165,16 @@ class PlaneDensity:
         equator, as a lower bound on the vertical cosine."""
         return 1.0 / math.sqrt(1.0 + self.support_radius ** 2)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "support_radius": self.support_radius,
-                "kernel": self.kernel.to_dict()}
-
     @staticmethod
-    def from_dict(data: dict) -> "PlaneDensity":
-        return PlaneDensity(int(data["n"]), kernel_from_dict(data["kernel"]),
-                            _finite(data["support_radius"]))
+    def from_dict(data: dict, where: str = "plane", n: int | None = None) -> "PlaneDensity":
+        """The density; its n must equal n when that is given."""
+        n = field(data, "n", where, integer, n)
+        return PlaneDensity(n, field(data, "kernel", where, kernel_from_dict, n),
+                            field(data, "support_radius", where, real))
 
 
 @dataclass(frozen=True)
-class SphereDensity:
+class SphereDensity(_Record):
     """Density on unit directions of R^d.  A margin delta > 0 promises the
     support stays in the cap {N : N_d <= -delta}; margin None makes no
     support promise (whole sphere allowed)."""
@@ -191,19 +189,17 @@ class SphereDensity:
             return 0.0
         return float(self.kernel(N))
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "margin": self.margin,
-                "kernel": self.kernel.to_dict()}
-
     @staticmethod
-    def from_dict(data: dict) -> "SphereDensity":
+    def from_dict(data: dict, where: str = "sphere", d: int | None = None) -> "SphereDensity":
+        """The density; its d must equal d when that is given."""
+        d = field(data, "d", where, integer, d)
         m = data.get("margin")
-        return SphereDensity(int(data["d"]), kernel_from_dict(data["kernel"]),
-                             None if m is None else _finite(m))
+        return SphereDensity(d, field(data, "kernel", where, kernel_from_dict, d),
+                             None if m is None else real(m, f"{where} margin"))
 
 
 @dataclass(frozen=True)
-class LiftedPlaneKernel:
+class LiftedPlaneKernel(_Record):
     """Sphere kernel induced by a plane density: the plane value at the
     radial image, damped by the vertical cosine."""
 
@@ -219,12 +215,9 @@ class LiftedPlaneKernel:
         y = N[:-1] / cos
         return self.plane(y) * cos
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "plane": self.plane.to_dict()}
-
 
 @dataclass(frozen=True)
-class DroppedSphereKernel:
+class DroppedSphereKernel(_Record):
     """Plane kernel induced by a sphere density: the sphere value at the
     lifted direction, amplified by the inverse vertical cosine."""
 
@@ -237,9 +230,6 @@ class DroppedSphereKernel:
         s = math.sqrt(1.0 + float(y @ y))
         N = np.append(y, -1.0) / s
         return self.sphere(N) * s
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "sphere": self.sphere.to_dict()}
 
 
 def zeta_to_eta(plane: PlaneDensity) -> SphereDensity:
@@ -350,21 +340,24 @@ class ValuationSpec:
         return out
 
     @staticmethod
-    def from_dict(data: dict) -> "ValuationSpec":
-        form = data["form"]
-        n = int(data["n"])
+    def from_dict(data: dict, where: str = "valuation") -> "ValuationSpec":
+        form = field(data, "form", where)
+        if form not in FORMS:
+            raise InputError(f"{where} form: unknown form {form!r}")
+        n = field(data, "n", where, integer)
         name = data.get("name", "")
         if form == "gradient":
-            return ValuationSpec(form, n, plane=PlaneDensity.from_dict(data["plane"]),
-                                 name=name)
+            return ValuationSpec(form, n, name=name, plane=field(
+                data, "plane", where, PlaneDensity.from_dict, n))
         if form == "sphere":
-            return ValuationSpec(form, n, sphere=SphereDensity.from_dict(data["sphere"]),
-                                 name=name)
-        if form == "dual_density":
-            atoms = tuple((tuple(map(_finite, a["x"])), _finite(a["w"]))
-                          for a in data["atoms"])
-            return ValuationSpec(form, n, dual_atoms=atoms, name=name)
-        raise ValueError(f"unknown form {form!r}")
+            sphere = field(data, "sphere", where, SphereDensity.from_dict, n + 1)
+            if not (sphere.margin or 0) > 0:
+                raise InputError(f"{where} sphere margin must be positive in the sphere form")
+            return ValuationSpec(form, n, name=name, sphere=sphere)
+        atom = f"{where} atom"
+        atoms = tuple((tuple(field(a, "x", atom, array, real, n)), field(a, "w", atom, real))
+                      for a in field(data, "atoms", where, array))
+        return ValuationSpec(form, n, dual_atoms=atoms, name=name)
 
 
 def save_registry(specs: dict[str, ValuationSpec], path: str) -> None:
@@ -374,10 +367,12 @@ def save_registry(specs: dict[str, ValuationSpec], path: str) -> None:
         fh.write("\n")
 
 
-def load_registry(path: str) -> dict[str, ValuationSpec]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {name: ValuationSpec.from_dict(d) for name, d in payload.items()}
+def registry_from_dict(payload: dict) -> dict[str, ValuationSpec]:
+    """The valuations of a registry file's JSON object, by name."""
+    if not isinstance(payload, dict):
+        raise InputError("a registry must be a JSON object of named valuations")
+    return {name: ValuationSpec.from_dict(d, f"valuation {name!r}")
+            for name, d in payload.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def test_criterion_08_minkowski_solver():
     angs = [math.pi / 2 + k * 2 * math.pi / 3 for k in range(3)]
     from epival.measures import SphereMeasure
     tri_mu = SphereMeasure(2, tuple(
-        (np.array([math.cos(a), math.sin(a)]), w) for a in angs), False)
+        (np.array([math.cos(a), math.sin(a)]), w) for a in angs))
     T = minkowski_solve(tri_mu)
     sides = sorted(
         math.dist([float(x) for x in T.vertices[i]],

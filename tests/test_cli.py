@@ -474,3 +474,138 @@ def test_cli_import_leaves_scipy_out():
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import epival.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def data_with(tmp_path, name, path, value):
+    """The shipped data/NAME with the field at path set to value."""
+    payload = json.loads((DATA / name).read_text())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    infile = tmp_path / name
+    infile.write_text(json.dumps(payload))
+    return str(infile)
+
+
+_READERS = {"gw_input.json": ("gw", "--j-list", "2"),
+            "registry.json": ("decompose", "--cases", "1"),
+            "square_measure.json": ("minkowski",)}
+
+
+def assert_rejected(tmp_path, capsys, name, path, value, says):
+    """The mutated input exits 2 from main, with no exception, the file
+    named and nothing written to --out."""
+    infile = data_with(tmp_path, name, path, value)
+    command, *flags = _READERS[name]
+    assert run(command, "--in", infile, *flags, "--out", str(tmp_path / "rep")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {infile}: ") and says in err, err
+    assert not list(tmp_path.glob("rep*"))
+
+
+@pytest.mark.parametrize("key, value", [("x", ["1/0"]), ("w", "1/0")])
+@pytest.mark.parametrize("atom", [0, 2])
+def test_zero_denominator_in_a_measure_atom(tmp_path, capsys, atom, key, value):
+    assert_rejected(tmp_path, capsys, "gw_input.json", ("measure", "atoms", atom, key),
+                    value, "a rational with a zero denominator in measure atom")
+
+
+@pytest.mark.parametrize("width", [0, -1, 0.0, "1e-999"])
+def test_bump_width_must_be_positive(tmp_path, capsys, width):
+    assert_rejected(tmp_path, capsys, "registry.json",
+                    ("grad-bump", "plane", "kernel", "width"), width,
+                    "plane kernel width must be positive")
+
+
+@pytest.mark.parametrize("path", [("dual-atoms", "atoms", 0, "x"),
+                                  ("grad-bump", "plane", "kernel", "center")],
+                         ids=["dual_atom_x", "bump_center"])
+@pytest.mark.parametrize("value", [[], [1, 2, 3]], ids=["empty", "three"])
+def test_registry_vectors_have_n_coordinates(tmp_path, capsys, path, value):
+    assert_rejected(tmp_path, capsys, "registry.json", path, value,
+                    "must be a JSON array of n = 1 coordinates")
+
+
+SPHERE_SPEC = {"form": "sphere", "n": 1, "sphere": {
+    "d": 2, "margin": 0.5, "kernel": {"kind": "const", "value": 1.0}}}
+
+
+@pytest.mark.parametrize("name, path, value, says", [
+    *[("gw_input.json", ("family", 0, "n"), v, "function n must")
+      for v in (None, "x", -1, 1.5, 10 ** 19)],
+    ("gw_input.json", ("family", 0, "domain", "dim"), 1.5, "domain dim must"),
+    ("gw_input.json", ("family", 0, "domain", "dim"), True, "domain dim must"),
+    ("square_measure.json", ("dim",), 2.5, "measure dim must"),
+    ("registry.json", ("grad-bump", "n"), 1.5, "'grad-bump' n must"),
+    ("registry.json", ("grad-bump", "n"), True, "'grad-bump' n must"),
+    ("registry.json", ("grad-bump", "plane", "n"), 1.5, "plane n must"),
+    ("registry.json", ("grad-bump", "plane", "n"), True, "plane n must"),
+    ("registry.json", ("grad-bump", "plane", "n"), 2, "plane n must equal 1"),
+    ("registry.json", ("grad-bump",), {**SPHERE_SPEC, "sphere": {
+        **SPHERE_SPEC["sphere"], "d": 2.5}}, "sphere d must"),
+    ("registry.json", ("grad-bump",), {**SPHERE_SPEC, "sphere": {
+        **SPHERE_SPEC["sphere"], "d": 3}}, "sphere d must equal 2"),
+], ids=["family_n_null", "family_n_string", "family_n_negative", "family_n_float",
+        "family_n_large", "domain_dim_float", "domain_dim_bool", "measure_dim_float",
+        "spec_n_float", "spec_n_bool", "plane_n_float", "plane_n_bool", "plane_n_other",
+        "sphere_d_float", "sphere_d_other"])
+def test_integer_fields_are_json_integers_that_agree(tmp_path, capsys, name, path,
+                                                     value, says):
+    assert_rejected(tmp_path, capsys, name, path, value, says)
+
+
+@pytest.mark.parametrize("margin", [None, 0, -0.5])
+def test_sphere_form_needs_a_positive_margin(tmp_path, capsys, margin):
+    # at evaluation, where a missing margin once exited 1
+    spec = {**SPHERE_SPEC, "sphere": {**SPHERE_SPEC["sphere"], "margin": margin}}
+    assert_rejected(tmp_path, capsys, "registry.json", ("grad-bump",), spec,
+                    "sphere margin must be positive in the sphere form")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "conjugate", "--cases", "1", "--seed", "-1"),
+    ("decompose", "--in", str(REGISTRY), "--cases", "1", "--seed", "-1")])
+def test_negative_seed(tmp_path, capsys, argv):
+    assert run(*argv, "--out", str(tmp_path / "rep")) == 2
+    assert "nonnegative seed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
+
+
+@pytest.mark.parametrize("text, says", [
+    (b'{"dim": 2, "atoms": [{"n": [1, 0], "w": "\xff"}]}', "is not text"),
+    (b'{"dim": 2, "atoms": [{"n": ' + b"[" * 5000 + b"]" * 5000 + b', "w": 1}]}',
+     "nests arrays or objects too deeply")], ids=["not_utf8", "deep"])
+def test_unreadable_json(tmp_path, capsys, text, says):
+    path = tmp_path / "measure.json"
+    path.write_bytes(text)
+    out = tmp_path / "body.json"
+    assert run("minkowski", "--in", str(path), "--out", str(out)) == 2
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e-1000", "1e-99999", "1e-1_0000"])
+def test_decimal_exponent_has_at_most_three_digits(tmp_path, capsys, value):
+    # Fraction would build 10**|exponent|: "1e-100000000" took minutes
+    assert_rejected(tmp_path, capsys, "gw_input.json",
+                    ("family", 0, "domain", "vertices", 0, 0), value,
+                    "has a decimal exponent of four digits or more")
+
+
+@pytest.mark.parametrize("argv", [
+    ("minkowski", "--in", "MISSING", "--out", "OUT"),
+    ("minkowski", "--in", str(SQUARE_MEASURE), "--out", "NODIR/body.json"),
+    ("gw", "--in", "MISSING", "--out", "OUT"),
+    ("gw", "--in", str(DATA / "gw_input.json"), "--j-list", "2", "--out", "NODIR/rep"),
+    ("decompose", "--in", "MISSING"),
+    ("decompose", "--in", str(REGISTRY), "--cases", "1", "--out", "NODIR/rep"),
+    ("verify", "--config", "MISSING"),
+    ("verify", "--suite", "conjugate", "--cases", "1", "--out", "NODIR/rep")],
+    ids=["minkowski_in", "minkowski_out", "gw_in", "gw_out", "decompose_in",
+         "decompose_out", "config", "verify_out"])
+def test_a_file_that_cannot_be_read_or_written(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a in ("MISSING", "OUT") or a.startswith("NODIR")
+            else a for a in argv]
+    assert run(*argv) == 2
+    assert "No such file or directory" in capsys.readouterr().err

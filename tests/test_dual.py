@@ -717,7 +717,7 @@ def ref_grid_branch(f, m):
     if np.any(w <= 0):
         raise ValueError("atom count too small to balance the density")
     return SphereMeasure(
-        2, tuple((N[i], float(w[i])) for i in range(m)), signed=False)
+        2, tuple((N[i], float(w[i])) for i in range(m)))
 
 
 def ref_inline_ball(m, sup):
@@ -726,11 +726,11 @@ def ref_inline_ball(m, sup):
     w_ball = project_closed(nodes, np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
     assert np.all(w_ball > 0)
     return SphereMeasure(
-        2, tuple((nodes[i], float(w_ball[i])) for i in range(m)), False)
+        2, tuple((nodes[i], float(w_ball[i])) for i in range(m)))
 
 
 def assert_same_atoms(a, b):
-    assert (a.dim, a.signed, len(a.atoms)) == (b.dim, b.signed, len(b.atoms))
+    assert (a.dim, len(a.atoms)) == (b.dim, len(b.atoms))
     for (na, wa), (nb, wb) in zip(a.atoms, b.atoms):
         assert na.tobytes() == nb.tobytes()
         assert np.float64(wa).tobytes() == np.float64(wb).tobytes()

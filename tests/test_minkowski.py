@@ -36,9 +36,9 @@ from epival.minkowski import (
 )
 
 
-def atoms_measure(dim, pairs, signed=False):
+def atoms_measure(dim, pairs):
     return SphereMeasure(dim, tuple(
-        (np.asarray(n, dtype=float), float(w)) for n, w in pairs), signed)
+        (np.asarray(n, dtype=float), float(w)) for n, w in pairs))
 
 
 def aligned_hausdorff(P, Q):

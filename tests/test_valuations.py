@@ -8,6 +8,7 @@ square seen as a prism over [0, 1] pairs the constant density to its
 perimeter 4.
 """
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -33,7 +34,7 @@ from epival.valuations import (
     eval_sphere_valuation,
     homogeneous_components,
     kernel_from_dict,
-    load_registry,
+    registry_from_dict,
     save_registry,
     valuation_residual,
     zeta_to_eta,
@@ -94,6 +95,24 @@ class TestKernels:
                   ConstKernel(4.0)):
             back = kernel_from_dict(k.to_dict())
             assert back == k
+
+    def test_to_dict_writes_each_field(self):
+        # the dicts that each class's own to_dict wrote, before one base
+        # class wrote them all
+        bump = {"kind": "bump", "center": [0.5], "width": 1.0, "height": 1.0}
+        plane = PlaneDensity(1, BumpKernel((0.5,), 1.0), 1.5)
+        plane_dict = {"n": 1, "support_radius": 1.5, "kernel": bump}
+        eta = zeta_to_eta(plane)
+        assert plane.to_dict() == plane_dict
+        assert eta.to_dict() == {"d": 2, "margin": plane.cap_margin, "kernel": {
+            "kind": "lifted_plane", "plane": plane_dict}}
+        assert eta_to_zeta(eta).kernel.to_dict() == {
+            "kind": "dropped_sphere", "sphere": eta.to_dict()}
+        assert PolyKernel((((2, 0), 1.0), ((0, 1), -3.0))).to_dict() == {
+            "kind": "poly", "terms": [[[2, 0], 1.0], [[0, 1], -3.0]]}
+        assert ZonalKernel((0.0, 1.0), (1.0, 2.0)).to_dict() == {
+            "kind": "zonal", "axis": [0.0, 1.0], "coeffs": [1.0, 2.0]}
+        assert ConstKernel(4.0).to_dict() == {"kind": "const", "value": 4.0}
 
 
 class TestConversion:
@@ -232,7 +251,7 @@ class TestValuationSpec:
         u = random_pl(rng, 1)
         path = tmp_path / "registry.json"
         save_registry({"bump1": vs}, str(path))
-        back = load_registry(str(path))["bump1"]
+        back = registry_from_dict(json.loads(path.read_text()))["bump1"]
         assert back(u) == pytest.approx(vs(u), rel=1e-15)
 
     def test_sphere_form_matches_gradient_form(self):
