@@ -9,6 +9,13 @@ iff their canonical data are equal.
 One body carries a function's geometry: its epigraph truncated above the
 maximum, the prism D x [lo, T] clipped once per piece.  The minimal
 pieces, cells, complex vertices, minimum and conjugate are read off it.
+The same body truncated at a higher level has the same vertices and
+halfspaces in the same order, with the lid moved (_move_lid), so the
+pointwise minimum reuses both operands' epigraphs instead of clipping
+new prisms, and hands its own epigraph, the union hull with the lid
+lowered, to the result.  Each operand keeps its pointwise minimum and
+maximum with every other operand it met, so a pair's lattice results
+are built once.
 
 The link to convex bodies goes both ways: body_of builds the compact
 body enclosed by the graph and its reflection through the max level,
@@ -28,6 +35,9 @@ from .linalg import Vec, dot, sub
 from .schema import InputError, array, field, integer, rational
 
 Piece = tuple[Vec, Fraction]
+
+# a pointwise minimum found not convex, as kept in the operand's memo
+_NOT_CONVEX = object()
 
 
 class EpiMinNotConvex(GeometryError):
@@ -70,6 +80,28 @@ def _epigraph(domain: Polytope, pieces: Sequence[Piece], level: Fraction) -> Pol
     for g, b in pieces:
         body = body.clip(g + (-1,), -b)
     return body
+
+
+def _move_lid(epigraph: Polytope, old: Fraction, level: Fraction) -> Polytope:
+    """A truncated epigraph with its lid moved from level old to level,
+    both strictly above the graph: the lid vertices and the top
+    halfspace ((0, ..., 0, 1), old) move, every graph vertex stays.  Each
+    vertex keeps its place in the sorted order, and so does the top
+    halfspace, the only one with its normal, so the rank, the facets' and
+    the boundary's vertex indices and the edges carry over."""
+    top = ((0,) * (epigraph.ambient_dim - 1) + (1,), old)
+    verts = tuple(v[:-1] + (level,) if v[-1] == old else v for v in epigraph.vertices)
+    hs = tuple((h[0], level) if h == top else h for h in epigraph.halfspaces)
+    out = Polytope(epigraph.ambient_dim, verts, hs)
+    known = epigraph.__dict__
+    out.__dict__["intrinsic_dim"] = epigraph.intrinsic_dim
+    for name in ("boundary_cycle", "edge_list"):
+        if name in known:
+            out.__dict__[name] = known[name]
+    if "_facets" in known:
+        out.__dict__["_facets"] = tuple(((h[0], level) if h == top else h, idx)
+                                        for h, idx in known["_facets"])
+    return out
 
 
 def _tight(epigraph: Polytope, piece: Piece) -> list[Vec]:
@@ -208,7 +240,16 @@ class PLConvexFunction:
 
     @cached_property
     def max_value(self) -> Fraction:
-        return max(self.evaluate(v) for v in self.domain.vertices)
+        # attained at a domain vertex, where no containment test is needed
+        return max(dot(g, v) + b for g, b in self.pieces for v in self.domain.vertices)
+
+    def _epigraph_at(self, level: Fraction) -> Polytope:
+        """The epigraph truncated at a level above the maximum: the cached
+        one, with its lid moved unless it is already at that level."""
+        own = self.max_value + 1
+        if level == own:
+            return self.epigraph
+        return _move_lid(self.epigraph, own, level)
 
     # ---- evaluation ---------------------------------------------------
 
@@ -279,8 +320,17 @@ class PLConvexFunction:
         return PLConvexFunction(dom, tuple(sorted(pieces)))
 
     def pointwise_max(self, other: "PLConvexFunction") -> "PLConvexFunction":
+        """Pointwise maximum, kept per other operand (equal operands
+        share it)."""
         if self.is_empty or other.is_empty:
             return PLConvexFunction.empty(self.n)
+        memo = self.__dict__.setdefault("_max_with", {})
+        hi = memo.get(other)
+        if hi is None:
+            hi = memo[other] = self._max_of(other)
+        return hi
+
+    def _max_of(self, other: "PLConvexFunction") -> "PLConvexFunction":
         dom = self.domain.intersect(other.domain)
         if dom.is_empty:
             return PLConvexFunction.empty(self.n)
@@ -290,7 +340,9 @@ class PLConvexFunction:
 
     def pointwise_min(self, other: "PLConvexFunction") -> "PLConvexFunction":
         """Pointwise minimum; raises EpiMinNotConvex unless the result is
-        convex (equivalently the union of the epigraphs is convex).
+        convex (equivalently the union of the epigraphs is convex).  The
+        result, or the finding that it is not convex, is kept per other
+        operand (equal operands share it).
 
         The epigraph union splits at any common ceiling T >= both maxima:
         above T it is (dom union) x [T, oo), below T it is the union of
@@ -306,15 +358,25 @@ class PLConvexFunction:
             return other
         if other.is_empty:
             return self
+        memo = self.__dict__.setdefault("_min_with", {})
+        lo = memo.get(other)
+        if lo is None:
+            lo = memo[other] = self._min_of(other)
+        if lo is _NOT_CONVEX:
+            raise EpiMinNotConvex("epigraph union is not convex")
+        return lo
+
+    def _min_of(self, other: "PLConvexFunction") -> "PLConvexFunction | object":
         # strictly above both maxima so the truncated bodies are full-dim
         level = max(self.max_value, other.max_value) + 1
-        A = _epigraph(self.domain, self.pieces, level)
-        B = _epigraph(other.domain, other.pieces, level)
-        hull = A._union_hull(B)
+        hull = self._epigraph_at(level)._union_hull(other._epigraph_at(level))
         if hull is None:
-            raise EpiMinNotConvex("epigraph union is not convex")
+            return _NOT_CONVEX
         # the union is its own hull: the minimum's epigraph truncated at level
-        return PLConvexFunction.floor_of(hull)
+        lo = PLConvexFunction.floor_of(hull)
+        if "epigraph" not in lo.__dict__:
+            lo.__dict__["epigraph"] = _move_lid(hull, level, lo.max_value + 1)
+        return lo
 
     # ---- serialization ------------------------------------------------
 

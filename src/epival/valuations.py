@@ -401,6 +401,9 @@ def homogeneous_components(Z: Callable[[PLConvexFunction], float],
         n = u.n
     ts = list(range(1, n + 2))
     values = [Z(u.epi_scale(t)) for t in ts]
+    for t, value in zip(ts, values):
+        if not math.isfinite(value):
+            raise ValueError(f"the valuation at the scaling t = {t} is not finite: {value}")
     rows = [[Fraction(t) ** k for k in range(n + 1)] for t in ts]
     sol = exact_solve(rows, [Fraction(v) for v in values])
     if sol is None:

@@ -425,6 +425,21 @@ class TestDecompose:
         assert run("decompose", "--in", str(reg), "--cases", "1") == 2
         assert "bad registry" in capsys.readouterr().err
 
+    def test_a_valuation_that_overflows(self, tmp_path, capsys):
+        # the registry reads cleanly, but y ** 1000 overflows at |y| > 2
+        payload = {"big": {"form": "gradient", "n": 1, "name": "big", "plane": {
+            "n": 1, "support_radius": 10,
+            "kernel": {"kind": "poly", "terms": [[[1000], 1.0]]}}}}
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps(payload))
+        out = tmp_path / "dec"
+        assert run("decompose", "--in", str(reg), "--cases", "3",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: the valuation at the scaling t = " in err
+        assert "is not finite" in err and "Traceback" not in err
+        assert not (tmp_path / "dec.json").exists()
+
     def test_non_positive_tolerance(self, tmp_path, capsys):
         from epival.valuations import ValuationSpec, save_registry
         path = tmp_path / "reg.json"

@@ -14,6 +14,7 @@ from epival.functions import (
     PLConvexFunction,
     _as_piece,
     _epigraph,
+    _move_lid,
     _prism,
     _project_piece,
     epi_distance,
@@ -270,6 +271,55 @@ class TestLattice:
         b = PLConvexFunction.constant(Polytope.construct([(2,), (3,)], 1), 0)
         assert a.pointwise_max(b).is_empty
 
+    def test_results_are_kept_per_operand(self):
+        dom = Polytope.construct([(0,), (1,)], 1)
+        u = PLConvexFunction.constant(dom, 0)
+        v = PLConvexFunction.from_pieces(dom, [((2,), -1), ((-2,), 1)])
+        lo, hi = u.pointwise_min(v), u.pointwise_max(v)
+        assert u.pointwise_min(v) is lo and u.pointwise_max(v) is hi
+        # an equal operand that is another object finds the same results
+        twin = PLConvexFunction(v.domain, v.pieces)
+        assert twin is not v
+        assert u.pointwise_min(twin) is lo and u.pointwise_max(twin) is hi
+        assert lo == u and hi == v
+
+    def test_not_convex_raises_anew_on_every_call(self):
+        dom = Polytope.construct([(0,), (1,)], 1)
+        u = PLConvexFunction.affine(dom, (1,), 0)
+        v = PLConvexFunction.affine(dom, (-1,), 1)
+        raised = []
+        for other in (v, v, PLConvexFunction(v.domain, v.pieces)):
+            with pytest.raises(EpiMinNotConvex) as info:
+                u.pointwise_min(other)
+            raised.append(info.value)
+        assert len({id(e) for e in raised}) == 3
+
+    def test_empty_operands(self):
+        u = absfun()
+        empty = PLConvexFunction.empty(1)
+        assert u.pointwise_min(empty) is u and empty.pointwise_min(u) is u
+        assert empty.pointwise_min(empty) is empty
+        for a, b in ((u, empty), (empty, u), (empty, empty)):
+            assert a.pointwise_max(b) == empty
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_minimum_of_split_floors_carries_its_epigraph(self, d):
+        gen = CaseGenerator(7, d)
+        for i in range(6):
+            K, L = gen.split_pair(i)
+            u, v = PLConvexFunction.floor_of(K), PLConvexFunction.floor_of(L)
+            level = max(u.max_value, v.max_value) + 1
+            for w in (u, v):
+                moved = w._epigraph_at(level)
+                fresh = Polytope.construct(moved.vertices, d)
+                assert (moved.vertices, moved.halfspaces) == (fresh.vertices, fresh.halfspaces)
+            lo = u.pointwise_min(v)
+            assert lo == PLConvexFunction.floor_of(K.convex_union(L))
+            epi = lo.__dict__["epigraph"]
+            ref = _epigraph(lo.domain, lo.pieces, lo.max_value + 1)
+            assert (epi.vertices, epi.halfspaces) == (ref.vertices, ref.halfspaces)
+            assert_carried_views(epi)
+
 
 class TestSublevel:
     def test_sublevel_abs(self):
@@ -433,6 +483,70 @@ def test_epigraph_matches_old_derivations(case):
     assert fresh == u.epigraph and fresh.halfspaces == u.epigraph.halfspaces
     assert PLConvexFunction.floor_of(u.epigraph) == u
     assert PLConvexFunction.empty(u.n).complex_vertices == ()
+
+
+def assert_carried_views(body):
+    """Each face view the body carries equals the one derived afresh."""
+    fresh = Polytope(body.ambient_dim, body.vertices, body.halfspaces)
+    assert body.intrinsic_dim == fresh.intrinsic_dim
+    for name in ("_facets", "boundary_cycle", "edge_list"):
+        if name in body.__dict__:
+            assert body.__dict__[name] == getattr(fresh, name), name
+
+
+@st.composite
+def lid_cases(draw):
+    """A function, from the case family or on a flat domain (a point in
+    R^1 or R^2, a segment in R^2), and the levels to move its lid to."""
+    kind = draw(st.sampled_from(("family", "point", "segment")))
+    if kind == "family":
+        n = draw(st.sampled_from((1, 2)))
+        u = CaseGenerator(7, n).pl_function(draw(st.integers(0, 29)))
+    else:
+        n = 2 if kind == "segment" else draw(st.sampled_from((1, 2)))
+        size = 1 if kind == "point" else 2
+        pts = draw(st.lists(st.tuples(*[small] * n), min_size=size, max_size=size,
+                            unique=True))
+        pieces = draw(st.lists(st.tuples(st.tuples(*[small] * n), small),
+                               min_size=1, max_size=3))
+        u = PLConvexFunction.from_pieces(Polytope.construct(pts, n), pieces)
+    rises = draw(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=7),
+                          min_size=1, max_size=3))
+    return u, rises
+
+
+@settings(max_examples=60, deadline=None)
+@given(lid_cases())
+def test_a_moved_lid_is_the_epigraph_at_that_level(case):
+    u, rises = case
+    own = u.max_value + 1
+    epi = u.epigraph
+    # derive the views the move carries, so that it carries them
+    names = ("_facets", "edge_list") + (("boundary_cycle",) if epi.intrinsic_dim == 2 else ())
+    for name in names:
+        getattr(epi, name)
+    assert u._epigraph_at(own) is epi
+    for rise in rises:
+        level = own + rise
+        moved = u._epigraph_at(level)
+        ref = _epigraph(u.domain, u.pieces, level)
+        assert (moved.vertices, moved.halfspaces) == (ref.vertices, ref.halfspaces)
+        top = (0,) * u.n + (1,)
+        assert (top, level) in moved.halfspaces
+        assert all(name in moved.__dict__ for name in ("_facets", "edge_list"))
+        assert_carried_views(moved)
+        # and back down to the function's own level
+        back = _move_lid(moved, level, own)
+        assert (back.vertices, back.halfspaces) == (epi.vertices, epi.halfspaces)
+
+
+def test_max_value_is_the_largest_vertex_value():
+    for n in (1, 2):
+        gen = CaseGenerator(7, n)
+        for i in range(10):
+            u = gen.pl_function(i)
+            want = max(u.evaluate(v) for v in u.domain.vertices)
+            assert u.max_value == want and type(u.max_value) is type(want)
 
 
 def test_prism_records_the_rank_of_its_vertices():
