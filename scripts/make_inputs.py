@@ -29,11 +29,8 @@ def seg(a, b):
 
 
 def axis_square_measure() -> SphereMeasure:
-    atoms = tuple(
-        (np.array(v, dtype=float), 1.0)
-        for v in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-    )
-    return SphereMeasure(2, atoms)
+    normals = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+    return SphereMeasure(2, normals, np.ones(4))
 
 
 def pipeline_input() -> dict:

@@ -6,14 +6,14 @@ Vertices are fractions.Fraction tuples in lexicographic order.  Halfspaces
 are pairs (m, c) meaning m . x <= c with m a primitive integer vector; a
 flat body carries equality constraints as opposite halfspace pairs.
 
-Points in the plane given as finite Python floats, not all collinear
-(the edge walks of minkowski_solve), are decided on the floats
-themselves (_float_polygon), scaled by a power of two so that their
-turns' products stay in the range of Shewchuk's static orientation
-filter: a float turn whose size exceeds the filter's error bound has the
-exact turn's sign.  An edge walk is mostly its own hull, counterclockwise;
-one whole-array pass certifies that (_convex_order) and takes the cycle
-as given.  Other input is deduplicated and sorted: float equality is
+Points in the plane given as the rows of a float (k, 2) numpy array,
+finite and not all collinear (the edge walks of minkowski_solve), are
+decided on the floats themselves (_float_polygon), scaled by a power
+of two so that their turns' products stay in the range of Shewchuk's
+static orientation filter: a float turn whose size exceeds the filter's
+error bound has the exact turn's sign.  An edge walk is mostly its own
+hull, counterclockwise; one whole-array pass certifies that
+(_convex_order) and takes the cycle as given.  Other input is deduplicated and sorted: float equality is
 equality of the exact values (0.0 == -0.0) and the float order is their
 order, so these are the points the exact path would hull.  The monotone
 chain then decides each turn with the filter, and every turn the filter
@@ -25,10 +25,10 @@ and intrinsic_dim; its vertices (each kept float as a Fraction) and
 halfspaces (from the integer image of those vertices) are made on first
 read.
 
-Every other input goes the exact way.  construct reads each input
-coordinate once, as its as_integer_ratio() (int, float, Fraction and
-numpy floats have it; a string or a numpy int is read as a Fraction or
-an int first).  The integer image of the points, scaled by their common
+Every other input, lists of Python floats included, goes the exact
+way.  construct reads each input coordinate once, as its
+as_integer_ratio() (int, float, Fraction and numpy floats have it; a
+string or a numpy int is read as a Fraction or an int first).  The integer image of the points, scaled by their common
 denominator q, is built from the ratios with one q // den per distinct
 denominator.  Fractions are made only for the coordinates of the points
 the hull keeps, and input Fractions are reused.  When the kept
@@ -276,11 +276,12 @@ def _exact_offsets(hs: Iterable[tuple[tuple[int, ...], int]], q: int
     return tuple((m, Fraction(c, q)) for m, c in sorted(hs))
 
 
-def _float_polygon(rows: list[tuple]) -> "Polytope | None":
-    """The hull of points in the plane given as Python floats, decided on
-    the floats themselves, or None if a coordinate is not a finite Python
-    float or the points are collinear: construct's general path then
-    decides them (and rejects a nan or an infinity).
+def _float_polygon(pts: np.ndarray) -> "Polytope | None":
+    """The hull of points in the plane given as the rows of a float (k, 2)
+    array, decided on the floats themselves, or None if a coordinate is
+    not finite or the points (fewer than three, say) are collinear:
+    construct's general path then decides them (and rejects a nan or an
+    infinity).
 
     The points are first scaled by the power of two that puts their
     largest magnitude in [0.5, 1), unless that would round a coordinate
@@ -292,11 +293,7 @@ def _float_polygon(rows: list[tuple]) -> "Polytope | None":
     on the integer image (float equality is image equality, 0.0 == -0.0,
     and scaling by q > 0 keeps the order), and the filtered chain decides
     every turn exactly.  The body keeps the input floats."""
-    flat = list(itertools.chain.from_iterable(rows))
-    if set(map(type, flat)) != {float} or set(map(len, rows)) != {2}:
-        return None
-    pts = np.array(flat).reshape(-1, 2)
-    if not np.isfinite(pts).all():
+    if len(pts) < 3 or not np.isfinite(pts).all():
         return None
     e = math.frexp(float(np.max(np.abs(pts))))[1]
     scaled = np.ldexp(pts, -e)
@@ -509,9 +506,9 @@ def _hull_flat(keys: list[tuple[int, ...]], basis: list
 
 class Polytope:
     """A body given by its ambient dimension, its vertices and its
-    halfspaces.  A polygon that construct decided in floats is a
-    _FloatPolygon, which makes its vertices and halfspaces on first
-    read."""
+    halfspaces.  A polygon that construct decided in floats, from a
+    float (k, 2) array, is a _FloatPolygon, which makes its vertices and
+    halfspaces on first read."""
 
     def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...],
                  halfspaces: tuple[Halfspace, ...]):
@@ -527,11 +524,12 @@ class Polytope:
 
     @staticmethod
     def construct(points: Iterable[Sequence], ambient_dim: int | None = None) -> "Polytope":
-        rows = [tuple(p) for p in points]
-        if rows and ambient_dim in (None, 2):
-            out = _float_polygon(rows)
+        if (isinstance(points, np.ndarray) and points.dtype == np.float64
+                and points.shape[1:] == (2,) and ambient_dim in (None, 2)):
+            out = _float_polygon(points)
             if out is not None:
                 return out
+        rows = [tuple(p) for p in points]
         d, coords, nums, dens = _intake(rows, ambient_dim)
         if not coords:
             return Polytope.empty(d)

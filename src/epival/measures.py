@@ -42,40 +42,49 @@ def density_constant(d: int, i: int) -> Fraction:
 MIN_NORMAL_LENGTH = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereMeasure:
+    """Atoms at the rows of a float (m, dim) array, weights a float (m,) one."""
+
     dim: int
-    atoms: tuple[tuple[np.ndarray, float], ...]
+    normals: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def atoms(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """The atoms as (normal row, weight) pairs."""
+        return tuple(zip(self.normals, self.weights.tolist()))
 
     def total(self) -> float:
-        return float(sum(w for _, w in self.atoms))
+        return float(sum(self.weights.tolist()))
 
     def closedness_residual(self) -> float:
-        if not self.atoms:
-            return 0.0
-        s = np.sum([w * n for n, w in self.atoms], axis=0)
+        s = np.sum(self.weights[:, None] * self.normals, axis=0)
         return float(np.max(np.abs(s)))
 
     def pair(self, kernel: Callable[[np.ndarray], float]) -> float:
-        return float(sum(w * kernel(n) for n, w in self.atoms))
+        return float(sum(w * float(kernel(n))
+                         for n, w in zip(self.normals, self.weights.tolist())))
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [{"n": [float(x) for x in n], "w": w} for n, w in self.atoms],
-        }
+        return {"dim": self.dim, "atoms": [
+            {"n": n, "w": w} for n, w in zip(self.normals.tolist(), self.weights.tolist())]}
 
     @staticmethod
     def from_dict(data: dict, where: str = "measure") -> "SphereMeasure":
         dim = field(data, "dim", where, integer)
+        if dim < 1:
+            raise InputError(f"{where} dim must be positive, got {dim}")
         atom = f"{where} atom"
-        atoms = tuple((np.array(field(a, "n", atom, array, real, dim, "dim")),
-                       field(a, "w", atom, real))
-                      for a in field(data, "atoms", where, array))
-        if any(math.sqrt(n @ n) < MIN_NORMAL_LENGTH for n, _ in atoms):
+        pairs = [(field(a, "n", atom, array, real, dim, "dim"), field(a, "w", atom, real))
+                 for a in field(data, "atoms", where, array)]
+        normals = np.array([n for n, _ in pairs], dtype=float).reshape(-1, dim)
+        with np.errstate(over="ignore"):
+            lengths = np.sqrt(np.vecdot(normals, normals))
+        if not np.all(np.isfinite(lengths) & (lengths >= MIN_NORMAL_LENGTH)):
             raise InputError("atom normals must be nonzero, of length at least "
-                             f"{MIN_NORMAL_LENGTH:g}")
-        return SphereMeasure(dim, atoms)
+                             f"{MIN_NORMAL_LENGTH:g} and finite")
+        return SphereMeasure(dim, normals, np.array([w for _, w in pairs], dtype=float))
 
 
 def surface_area_measure(P: Polytope) -> SphereMeasure:
@@ -86,20 +95,19 @@ def surface_area_measure(P: Polytope) -> SphereMeasure:
     """
     d = P.ambient_dim
     k = P.intrinsic_dim
-    atoms: list[tuple[np.ndarray, float]] = []
+    normals: list[np.ndarray] = []
+    weights: list[float] = []
     if k == d:
         for (m, _), idx in P._facets:
             n = np.array([float(x) for x in m])
-            n /= np.linalg.norm(n)
-            atoms.append((n, _face_measure([P.vertices[j] for j in idx])))
+            normals.append(n / np.linalg.norm(n))
+            weights.append(_face_measure([P.vertices[j] for j in idx]))
     elif k == d - 1 and k >= 0:
-        m = P.equality_planes[0][0]
-        n = np.array([float(x) for x in m])
+        n = np.array([float(x) for x in P.equality_planes[0][0]])
         n /= np.linalg.norm(n)
-        w = P.relative_volume_float
-        atoms.append((n, w))
-        atoms.append((-n, w))
-    return SphereMeasure(d, tuple(atoms))
+        normals += [n, -n]
+        weights += [P.relative_volume_float] * 2
+    return SphereMeasure(d, np.reshape(normals, (-1, d)), np.array(weights, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -87,48 +87,42 @@ def _merged_atoms(mu: SphereMeasure) -> tuple[np.ndarray, list[float]]:
     DIRECTION_TOL are merged into the first, and merged weights of at
     most ZERO_WEIGHT are dropped.  Without such twins (_has_twins) the
     sorted atoms are the answer, and the scan runs only with them."""
-    if not mu.atoms:
-        return np.empty((0, mu.dim)), []
-    ns, ws = zip(*mu.atoms)
-    N = np.array(ns, dtype=float)
+    N, w = mu.normals, mu.weights
     # vecdot takes one dot per row, so the bits match math.sqrt(n @ n)
-    norms = np.sqrt(np.vecdot(N, N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(N, N))
+    if not (np.isfinite(norms).all() and np.isfinite(w).all()):
+        raise DegenerateNormals("non-finite atom")
     if np.any(norms < MIN_NORMAL_LENGTH):
         raise DegenerateNormals("zero direction atom")
     units = N / norms[:, None]
-    raw = np.array(ws, dtype=float)
     # lexsort is stable and has -0.0 == 0.0, so it orders the rows as
     # sorted() orders their tuples
     order = np.lexsort(units.T[::-1])
-    rows = units[order]
-    if np.isfinite(rows).all() and not _has_twins(rows):
-        w = raw[order]
-        keep = np.abs(w) > ZERO_WEIGHT
-        return rows[keep], w[keep].tolist()
-    # lexicographic sort so duplicates land next to each other; a short
-    # backward scan over entries with a close leading coordinate then
-    # merges them without the quadratic all-pairs comparison
-    keys = list(map(tuple, units.tolist()))
-    raw = raw.tolist()
-    first: list[int] = []
-    kept: list[tuple] = []
-    weights: list[float] = []
-    for k in sorted(range(len(units)), key=keys.__getitem__):
-        n, w = keys[k], raw[k]
-        hit = False
-        for idx in range(len(kept) - 1, -1, -1):
-            if n[0] - kept[idx][0] > DIRECTION_TOL:
-                break
-            if math.dist(kept[idx], n) < DIRECTION_TOL:
-                weights[idx] += w
-                hit = True
-                break
-        if not hit:
-            first.append(k)
-            kept.append(n)
-            weights.append(w)
-    keep = [k for k, w in enumerate(weights) if abs(w) > ZERO_WEIGHT]
-    return units[[first[k] for k in keep]], [weights[k] for k in keep]
+    rows, w = units[order], w[order]
+    if _has_twins(rows):
+        # the sort puts twins next to each other; a short backward scan
+        # over the rows with a close leading coordinate merges them
+        # without the quadratic all-pairs comparison
+        pts = rows.tolist()
+        first: list[int] = []
+        merged: list[float] = []
+        for k, (n, wk) in enumerate(zip(pts, w.tolist())):
+            hit = False
+            for idx in range(len(first) - 1, -1, -1):
+                kept = pts[first[idx]]
+                if n[0] - kept[0] > DIRECTION_TOL:
+                    break
+                if math.dist(kept, n) < DIRECTION_TOL:
+                    merged[idx] += wk
+                    hit = True
+                    break
+            if not hit:
+                first.append(k)
+                merged.append(wk)
+        rows, w = rows[first], np.array(merged)
+    keep = np.abs(w) > ZERO_WEIGHT
+    return rows[keep], w[keep].tolist()
 
 
 def _has_twins(rows: np.ndarray) -> bool:
@@ -183,8 +177,7 @@ def minkowski_solve(mu: SphereMeasure) -> Polytope:
     if any(w <= 0 for w in weights):
         raise NonPositiveMeasure("surface area measure must be positive")
     if mu.dim == 2:
-        return Polytope.construct(
-            _edge_walk(normals, weights).tolist(), 2)
+        return Polytope.construct(_edge_walk(normals, weights), 2)
     return _solve_3d(normals, weights)
 
 

@@ -80,8 +80,10 @@ class PolyKernel(_Record):
     def __call__(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float)
         out = 0.0
-        for exps, c in self.terms:
-            out += c * float(np.prod([y[i] ** e for i, e in enumerate(exps)]))
+        # an overflowing power is an inf that homogeneous_components reports
+        with np.errstate(over="ignore"):
+            for exps, c in self.terms:
+                out += c * float(np.prod([y[i] ** e for i, e in enumerate(exps)]))
         return out
 
 
@@ -266,8 +268,7 @@ def eval_gradient_valuation(u: PLConvexFunction, zeta: Callable) -> float:
 
 def eval_sphere_valuation(P: Polytope, eta: Callable) -> float:
     """Pairing of the top order surface area measure with a density."""
-    sam = surface_area_measure(P)
-    return float(sum(w * float(eta(n)) for n, w in sam.atoms))
+    return surface_area_measure(P).pair(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +449,6 @@ def cylinder_identity_check(eta: SphereDensity, K: Polytope, length,
     down = np.zeros(d)
     down[-1] = -1.0
     base = K.relative_volume_float
-    side = 0.0
-    for nu, w in surface_area_measure(K).atoms:
-        side += w * float(eta(np.append(nu, 0.0)))
+    side = surface_area_measure(K).pair(lambda nu: eta(np.append(nu, 0.0)))
     rhs = 2.0 * float(eta(down)) * base + float(length) * side
     return lhs, rhs

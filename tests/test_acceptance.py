@@ -239,8 +239,8 @@ def test_criterion_08_minkowski_solver():
     w = 2.5
     angs = [math.pi / 2 + k * 2 * math.pi / 3 for k in range(3)]
     from epival.measures import SphereMeasure
-    tri_mu = SphereMeasure(2, tuple(
-        (np.array([math.cos(a), math.sin(a)]), w) for a in angs))
+    tri_mu = SphereMeasure(2, np.array([[math.cos(a), math.sin(a)] for a in angs]),
+                           np.full(3, w))
     T = minkowski_solve(tri_mu)
     sides = sorted(
         math.dist([float(x) for x in T.vertices[i]],

@@ -543,7 +543,7 @@ def test_float_decided_polygon_is_the_integer_decided_one(pts):
     filtered turn; the body, and the vertices and halfspaces it makes on
     first read, are those construct decides on the same points as
     Fractions.  Collinear input goes the Fraction way too."""
-    P = Polytope.construct(pts, 2)
+    P = Polytope.construct(np.array(pts), 2)
     R = Polytope.construct([tuple(map(F, p)) for p in pts], 2)
     assert P.intrinsic_dim == R.intrinsic_dim
     if R.intrinsic_dim == 2:
@@ -573,10 +573,24 @@ def test_filter_falls_back_outside_its_range(monkeypatch):
     for scale in (1.0, 5e-318, 1e-300, 1e300, None):
         calls.clear()
         pts = mixed if scale is None else [(x * scale, y * scale) for x, y in base]
-        P = Polytope.construct(pts, 2)
+        P = Polytope.construct(np.array(pts), 2)
         assert "vertices" not in P.__dict__
         assert (len(calls) > 0) == (scale is None), scale
         assert P.vertices == Polytope.construct([tuple(map(F, p)) for p in pts], 2).vertices
+
+
+def test_float_entry_is_a_float_array():
+    """The same float points as an array and as a list give the same body;
+    only the array is decided on the floats, with its vertices and
+    halfspaces left to first read."""
+    pts = [(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 6.0, 40)] + [(0.25, -0.5)]
+    lazy = Polytope.construct(np.array(pts), 2)
+    eager = Polytope.construct(pts, 2)
+    assert "vertices" not in lazy.__dict__ and "halfspaces" not in lazy.__dict__
+    assert "vertices" in eager.__dict__
+    assert lazy.vertices == eager.vertices and lazy.halfspaces == eager.halfspaces
+    assert lazy.boundary_cycle == eager.boundary_cycle
+    assert lazy.float_vertices.tobytes() == eager.float_vertices.tobytes()
 
 
 @st.composite
@@ -639,7 +653,7 @@ def test_float_polygon_in_any_order_is_the_fraction_polygon(pts):
     """_float_polygon takes a counterclockwise convex cycle as it stands
     and sends every other order to the chain; either way the result is
     the hull decided in Fractions."""
-    assert_is_fraction_polygon(bodies._float_polygon(pts), pts)
+    assert_is_fraction_polygon(bodies._float_polygon(np.array(pts)), pts)
 
 
 @pytest.mark.parametrize("scale", FLOAT_SCALES)
@@ -658,7 +672,7 @@ def test_convex_cycle_takes_the_certificate(monkeypatch, scale):
     cases = [(gon[k:] + gon[:k], 0) for k in range(12)] + [(gon[::-1], 2), (star, 2)]
     for pts, chain_calls in cases:
         calls.clear()
-        P = bodies._float_polygon(pts)
+        P = bodies._float_polygon(np.array(pts))
         assert len(calls) == chain_calls
         assert_is_fraction_polygon(P, pts)
 
@@ -673,7 +687,7 @@ def test_certificate_refuses_a_turn_on_the_filter_bound(monkeypatch):
     l, r = float.fromhex("0x1.5555555555554p+0"), float.fromhex("0x1.5555555555550p+0")
     assert l - r == bodies.TURN_ERR * (abs(l) + abs(r))
     pts = [(0.0, 0.0), (1.0, 1.0), (r, l), (0.0, 2.0)]
-    assert_is_fraction_polygon(bodies._float_polygon(pts), pts)
+    assert_is_fraction_polygon(bodies._float_polygon(np.array(pts)), pts)
     assert len(turns) >= 1
 
 
@@ -684,7 +698,7 @@ def test_certificate_refuses_a_float_turn_of_the_wrong_sign():
     pts = [(0.5 + 48 * u, 0.5 + 41 * u), (12.0, 12.0), (24.0, 24.0), (0.0, 30.0)]
     (px, py), (qx, qy), (rx, ry) = pts[:3]
     assert (qx - px) * (ry - py) > (qy - py) * (rx - px)
-    P = bodies._float_polygon(pts)
+    P = bodies._float_polygon(np.array(pts))
     assert_is_fraction_polygon(P, pts)
     assert len(P.boundary_cycle) == 3
 

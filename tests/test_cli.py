@@ -193,6 +193,15 @@ class TestMinkowski:
         assert "dimension 2 or 3" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_empty_measure_of_nonpositive_dim(self, tmp_path, capsys, dim):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dim": dim, "atoms": []}))
+        assert run("minkowski", "--in", str(path),
+                   "--out", str(tmp_path / "x.json")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_normals_of_wrong_length(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for dim, normals in ((2, [[1, 0, 0], [-1, 0, 0], [0, 1, 0]]),
@@ -224,6 +233,19 @@ class TestMinkowski:
         out = tmp_path / "x.json"
         assert run("minkowski", "--in", str(path), "--out", str(out)) == 2
         assert "of length at least 1e-12" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_normal_whose_length_overflows(self, tmp_path, capsys):
+        # each coordinate is a float, but the length 1e200 * sqrt(2) is not
+        payload = json.loads(SQUARE_MEASURE.read_text())
+        payload["atoms"].append({"n": [1e200, 1e200], "w": 0.5})
+        path = tmp_path / "huge_normal.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert run("minkowski", "--in", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "of length at least 1e-12 and finite" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not out.exists()
 
 
@@ -438,6 +460,7 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert "error: the valuation at the scaling t = " in err
         assert "is not finite" in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err
         assert not (tmp_path / "dec.json").exists()
 
     def test_non_positive_tolerance(self, tmp_path, capsys):

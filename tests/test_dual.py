@@ -716,8 +716,7 @@ def ref_grid_branch(f, m):
     w = project_closed(N, w)
     if np.any(w <= 0):
         raise ValueError("atom count too small to balance the density")
-    return SphereMeasure(
-        2, tuple((N[i], float(w[i])) for i in range(m)))
+    return SphereMeasure(2, N, w)
 
 
 def ref_inline_ball(m, sup):
@@ -725,8 +724,7 @@ def ref_inline_ball(m, sup):
     nodes = _circle_nodes(m)
     w_ball = project_closed(nodes, np.full(m, 2.0 * math.pi / m * (1.0 + sup)))
     assert np.all(w_ball > 0)
-    return SphereMeasure(
-        2, tuple((nodes[i], float(w_ball[i])) for i in range(m)))
+    return SphereMeasure(2, nodes, w_ball)
 
 
 def assert_same_atoms(a, b):

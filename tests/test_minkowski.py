@@ -37,8 +37,8 @@ from epival.minkowski import (
 
 
 def atoms_measure(dim, pairs):
-    return SphereMeasure(dim, tuple(
-        (np.asarray(n, dtype=float), float(w)) for n, w in pairs))
+    return SphereMeasure(dim, np.array([n for n, _ in pairs], dtype=float).reshape(-1, dim),
+                         np.array([w for _, w in pairs], dtype=float))
 
 
 def aligned_hausdorff(P, Q):
@@ -248,7 +248,7 @@ def sphere_measures(draw):
         r = sum(w * n / ell for (n, w), ell in zip(atoms, lengths))
         if np.any(r):
             atoms.append((-r, float(np.linalg.norm(r))))
-    return SphereMeasure(dim, tuple(atoms))
+    return atoms_measure(dim, atoms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,6 +271,18 @@ def test_zero_direction_atom_raises():
         _merged_atoms(mu)
     with pytest.raises(DegenerateNormals, match="zero direction"):
         merged_atoms_per_atom(mu)
+
+
+@pytest.mark.parametrize("n, w", [((1e200, 1e200), 1.0), ((math.nan, 0.0), 1.0),
+                                  ((math.inf, 0.0), 1.0), ((0.0, 1.0), math.nan),
+                                  ((0.0, 1.0), math.inf)])
+def test_non_finite_atom_raises(n, w):
+    """A normal whose length overflows or is nan, or a weight that is not
+    finite, is refused rather than normalized to a zero or nan row or
+    dropped."""
+    mu = atoms_measure(2, [((1, 0), 1), ((-1, 0), 1), ((0, -1), 1), (n, w)])
+    with pytest.raises(DegenerateNormals, match="non-finite atom"):
+        _merged_atoms(mu)
 
 
 def gw_sphere_measures(m=64):
