@@ -3,14 +3,17 @@
 
     python3 scripts/profile_workload.py --workload gw --seed 1 --sort tottime
     python3 scripts/profile_workload.py --workload numerics --seed 1 --case steiner/body3/3
+    python3 scripts/profile_workload.py --workload lattice --seed 1 --callers 'linalg.py.*\(dot\)'
 
 Run from anywhere in a checkout: the package is imported from ``src/``
 and the workloads from ``perfbench/``, which this script only reads.  The
 workload's cases are built and its warm-up runs first, unprofiled, with
 the BLAS thread pools capped at one thread as in the benchmark.  Then
 every case runs once under cProfile, or only the case named by --case,
-and the 40 heaviest functions by the chosen sort key are printed.  A case
-that fails its check raises.
+and the 40 heaviest functions by the chosen sort key are printed; with
+--callers, the callers of every function whose "file:line(name)" matches
+the regular expression are printed instead.  A case that fails its check
+raises.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
     ap.add_argument("--case", help="profile only the case of this name")
+    ap.add_argument("--callers", metavar="REGEX",
+                    help="print the callers of the matching functions")
     args = ap.parse_args(argv)
 
     workload = workloads.WORKLOADS[args.workload]
@@ -57,7 +62,11 @@ def main(argv=None) -> int:
     prof.disable()
     print(f"workload {args.workload} seed {args.seed}: {len(cases)} cases, "
           f"one pass under cProfile")
-    pstats.Stats(prof, stream=sys.stdout).sort_stats(args.sort).print_stats(TOP)
+    stats = pstats.Stats(prof, stream=sys.stdout).sort_stats(args.sort)
+    if args.callers is None:
+        stats.print_stats(TOP)
+    else:
+        stats.print_callers(args.callers)
     return 0
 
 

@@ -46,13 +46,27 @@ Polytope._facets: each halfspace with its vertices, in cyclic order in
 measure all read them.  A plane in space is projected one to one by
 dropping the last coordinate its normal uses (_last_axis).
 
+The exact readers compute on the body's integer image, its common
+denominator q and the points q * v (Polytope._image, which clip and
+_facets read anyway), in integer arithmetic, and give the results the
+Fraction arithmetic on the vertices gives.  volume sums integer facet
+terms and makes one Fraction; relative_volume_float and the facet areas
+of the surface area measure divide an integer squared length or cross
+product by q^2 or q^4, a correctly rounded int/int division, as float()
+of the Fraction is; support scales its direction to integers; the rank
+behind intrinsic_dim is an integer maximal minor test; clip canonicalizes
+its halfspace on integer ratios and orders the cut's vertices on one
+integer scale; and the hash, computed once, is that of the image.
+
 A flat body (a point, a segment, a polygon in space) is built in one
 coordinate chart of its affine hull (_chart): the same integer hull runs
 on the projected points, and each relative facet normal is lifted into
 the hull's direction space by one exact rejection against the equality
 normals, with no Gram solves and no dual basis.  A single equality normal
 (a segment in the plane, a polygon in space) is a perpendicular or a
-cross product of the direction basis, with no Gram-Schmidt.
+cross product of the direction basis, with no Gram-Schmidt; the two of a
+segment in space come from a fraction-free integer Gram-Schmidt, as do
+the lifts (_icomplement, _ireject).
 
 A polygon made by construct, in the plane or in space, carries its
 boundary_cycle: the monotone chain its hull was decided on, read as
@@ -96,7 +110,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import Vec, cross3, dot, primitive, smul, solve, sub
+from .linalg import Vec, cross3, dot, smul, solve, sub
 from .schema import array, field, integer, rational
 
 Halfspace = tuple[tuple[int, ...], Fraction]
@@ -106,14 +120,17 @@ class GeometryError(ValueError):
     pass
 
 
-def _canon_halfspace(normal: Sequence[Fraction], offset: Fraction) -> Halfspace:
-    m = primitive(normal)
-    scale = None
-    for a, b in zip(m, normal):
-        if a != 0:
-            scale = Fraction(b) / a
-            break
-    return m, Fraction(offset) / scale
+def _canon_halfspace(normal: Sequence, offset) -> Halfspace:
+    """normal . x <= offset, for a nonzero normal of ints and Fractions,
+    as (m, c) with m its primitive integer multiple: normal scaled by the
+    lcm L of its denominators is an integer vector, and its gcd g leaves
+    m, so c = offset L / g."""
+    ratios = [x.as_integer_ratio() for x in normal]
+    scale = math.lcm(*map(itemgetter(1), ratios))
+    ints = [num * (scale // den) for num, den in ratios]
+    g = math.gcd(*ints)
+    num, den = offset.as_integer_ratio()
+    return tuple(x // g for x in ints), Fraction(num * scale, den * g)
 
 
 def _affine_basis(points: Sequence[Vec]) -> list[Vec]:
@@ -354,6 +371,48 @@ def _idot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def _icross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    """(a - o) x (b - o) for integer points in space."""
+    u0, u1, u2 = a[0] - o[0], a[1] - o[1], a[2] - o[2]
+    v0, v1, v2 = b[0] - o[0], b[1] - o[1], b[2] - o[2]
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
+def _iprimitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _ireject(v: Sequence[int], ortho: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """A positive multiple of the component of the integer vector v
+    orthogonal to the span of the pairwise orthogonal integer vectors in
+    ortho: each step is the rejection times w . w > 0,
+    v <- (w . w) v - (v . w) w, fraction-free."""
+    for w in ortho:
+        ww, vw = _idot(w, w), _idot(v, w)
+        v = tuple(ww * a - vw * b for a, b in zip(v, w))
+    return tuple(v)
+
+
+def _icomplement(basis: Sequence[Sequence[int]], d: int) -> list[tuple[int, ...]]:
+    """Primitive pairwise orthogonal integer vectors spanning the
+    orthogonal complement of span(basis) in R^d: Gram-Schmidt by _ireject
+    on the basis, then on the unit vectors in turn.  Each is a positive
+    multiple of the rational Gram-Schmidt vector, since a rejection
+    against a positive multiple of w is the rejection against w."""
+    ortho: list[tuple[int, ...]] = []
+    for u in basis:
+        ortho.append(_iprimitive(_ireject(u, ortho)))
+    comp = []
+    for k in range(d):
+        e = _ireject([int(j == k) for j in range(d)], ortho)
+        if any(e):
+            comp.append(_iprimitive(e))
+            ortho.append(comp[-1])
+    return comp
+
+
 def _last_axis(m: Sequence) -> int:
     """The last coordinate the normal m uses.  Dropping it projects the
     normal's plane one to one onto the other coordinates."""
@@ -384,14 +443,8 @@ def _hull_3d(pts: list[tuple[int, ...]]
     and the indices of the strict hull vertices: the union of the facets'
     monotone chains.  Raises GeometryError if an input point lies outside.
     """
-
-    def cross(o, a, b):
-        u0, u1, u2 = a[0] - o[0], a[1] - o[1], a[2] - o[2]
-        v0, v1, v2 = b[0] - o[0], b[1] - o[1], b[2] - o[2]
-        return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-
-    i2 = next(i for i in range(2, len(pts)) if any(cross(pts[0], pts[1], pts[i])))
-    n012 = cross(pts[0], pts[1], pts[i2])
+    i2 = next(i for i in range(2, len(pts)) if any(_icross(pts[0], pts[1], pts[i])))
+    n012 = _icross(pts[0], pts[1], pts[i2])
     i3 = next(i for i in range(2, len(pts))
               if _idot(n012, pts[i]) != _idot(n012, pts[0]))
     seed = (0, 1, i2, i3)
@@ -401,7 +454,7 @@ def _hull_3d(pts: list[tuple[int, ...]]
     def triangle(a, b, c):
         """The triangle oriented away from the center, with its plane
         n . x <= off."""
-        n = cross(pts[a], pts[b], pts[c])
+        n = _icross(pts[a], pts[b], pts[c])
         off = _idot(n, pts[a])
         if _idot(n, center) > 4 * off:
             return (a, c, b), tuple(-x for x in n), -off
@@ -423,8 +476,7 @@ def _hull_3d(pts: list[tuple[int, ...]]
 
     corners: dict[tuple[int, ...], set[int]] = defaultdict(set)
     for t, n, _ in tris:
-        g = math.gcd(*n)
-        corners[tuple(x // g for x in n)].update(t)
+        corners[_iprimitive(n)].update(t)
     facets, verts = [], set()
     for m, idx in corners.items():
         off = _idot(m, pts[min(idx)])
@@ -466,16 +518,17 @@ def _hull_flat(keys: list[tuple[int, ...]], basis: list
     which pin the affine hull, span the orthogonal complement of the
     basis; a single one (a segment in the plane, a polygon in space) is
     the basis vector's perpendicular or the basis vectors' cross product,
-    with no Gram-Schmidt.  The hull is decided on the chart; each of its
-    facet normals is lifted into the span by rejecting the equality
-    normals."""
+    with no Gram-Schmidt, and more (a segment or a point in space) come
+    from the integer Gram-Schmidt of _icomplement.  The hull is decided
+    on the chart; each of its facet normals is lifted into the span by
+    rejecting the equality normals (_ireject)."""
     d, base = len(keys[0]), keys[0]
     if len(basis) == d - 1 > 0:
         # the sign is free: both halfspaces of the plane are kept below
         u = basis[0]
-        comp = [primitive((-u[1], u[0]) if d == 2 else cross3(*basis))]
+        comp = [_iprimitive((-u[1], u[0]) if d == 2 else cross3(*basis))]
     else:
-        comp = [primitive(w) for w in linalg.orthogonal_complement(basis, d)]
+        comp = _icomplement(basis, d)
     cols = _chart(comp, d)
     kept, rel, cycle = keys, (), None
     if cols:
@@ -493,7 +546,7 @@ def _hull_flat(keys: list[tuple[int, ...]], basis: list
         lift = [0] * d
         for j, x in zip(cols, m):
             lift[j] = x
-        n = primitive(linalg.reject(lift, comp))
+        n = _iprimitive(_ireject(lift, comp))
         hs.append((n, max(_idot(n, v) for v in kept)))
     for w in comp:
         c = _idot(w, base)
@@ -583,7 +636,14 @@ class Polytope:
         return self.ambient_dim == other.ambient_dim and self.vertices == other.vertices
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.vertices))
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, computed once from the integer image, which equal
+        bodies share: q and the images are functions of the vertices'
+        values."""
+        return hash((self.ambient_dim,) + self._image)
 
     def __repr__(self) -> str:
         return f"Polytope(dim={self.ambient_dim}, nverts={len(self.vertices)})"
@@ -598,7 +658,7 @@ class Polytope:
     def intrinsic_dim(self) -> int:
         if self.is_empty:
             return -1
-        return _affine_rank(list(self.vertices))
+        return _affine_rank(self._image[1])
 
     @cached_property
     def equality_planes(self) -> tuple[Halfspace, ...]:
@@ -627,10 +687,18 @@ class Polytope:
         return all(dot(m, x) <= c for m, c in self.halfspaces)
 
     def support(self, direction: Sequence) -> Fraction:
+        """max y . v over the vertices v, read off the integer image: with
+        y scaled to integers Y by the lcm D of its denominators, the
+        largest Y . qv over q D."""
         if self.is_empty:
             raise GeometryError("support of empty body")
-        y = tuple(map(_exact, direction))
-        return max(dot(y, v) for v in self.vertices)
+        _, nums, dens = _ratios(list(direction))
+        if len(nums) != self.ambient_dim:
+            raise GeometryError("direction and body dimensions differ")
+        D = math.lcm(*dens)
+        y = [num * (D // den) for num, den in zip(nums, dens)]
+        q, ints = self._image
+        return Fraction(max(_idot(y, p) for p in ints), q * D)
 
     @cached_property
     def centroid(self) -> Vec:
@@ -773,18 +841,25 @@ class Polytope:
         vals = [_idot(m, p) * den - num for p in ints]
         if all(v <= 0 for v in vals):
             return self
-        keep = [v for v, s in zip(self.vertices, vals) if s <= 0]
+        keep = [i for i, s in enumerate(vals) if s <= 0]
         if not keep:
             return Polytope.empty(self.ambient_dim)
-        new_pts = list(keep)
+        # the slack vanishes on an edge with si < 0 < sj at the point
+        # (sj * v_i - si * v_j) / (sj - si), which no other edge and no
+        # vertex holds: each such point is its image numerator over its
+        # weight q (sj - si), and each kept vertex its image over q
+        cuts = []
         for i, j in self.edge_list:
             si, sj = vals[i], vals[j]
             if (si < 0 < sj) or (sj < 0 < si):
-                # the slack vanishes at (sj * v_i - si * v_j) / (sj - si)
-                d = q * (sj - si)
-                new_pts.append(tuple(Fraction(x * sj - y * si, d)
-                                     for x, y in zip(ints[i], ints[j])))
-        new_pts = sorted(set(new_pts))
+                cuts.append((tuple(x * sj - y * si for x, y in zip(ints[i], ints[j])), sj - si))
+        # sorted on one scale, q lcm(|sj - si|)
+        scale = math.lcm(*map(itemgetter(1), cuts))
+        keys = [tuple(x * scale for x in ints[i]) for i in keep]
+        keys += [tuple(x * (scale // w) for x in p) for p, w in cuts]
+        pts = [self.vertices[i] for i in keep]
+        pts += [tuple(Fraction(x, q * w) for x in p) for p, w in cuts]
+        new_pts = [pts[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
         if self.intrinsic_dim == self.ambient_dim and min(vals) < 0:
             # a vertex strictly inside keeps the body full dimensional, and
             # an old facet stays a facet iff it has such a vertex
@@ -845,24 +920,31 @@ class Polytope:
 
     @cached_property
     def volume(self) -> Fraction:
-        """Lebesgue measure in the ambient dimension, exact."""
+        """Lebesgue measure in the ambient dimension, exact, read off the
+        integer image q * P: the sum over the facets (m, c) of c times the
+        facet's area projected along the last coordinate k its normal
+        uses, over |m_k| d.  On the image each term is an integer over
+        |m_k|: q c = m . a at a vertex a of the facet, and the projected
+        area is a length, or twice an area (shoelace), over q^(d-1)."""
         if self.is_empty or self.intrinsic_dim < self.ambient_dim:
             return Fraction(0)
         d = self.ambient_dim
+        q, ints = self._image
         if d == 1:
-            return self.vertices[-1][0] - self.vertices[0][0]
-        total = Fraction(0)
-        for (m, c), idx in self._facets:
-            # the facet's area projected along coordinate k
+            return Fraction(ints[-1][0] - ints[0][0], q)
+        terms = []
+        for (m, _), idx in self._facets:
             k = _last_axis(m)
-            proj = [self.vertices[i][:k] + self.vertices[i][k + 1:] for i in idx]
+            proj = [ints[i][:k] + ints[i][k + 1:] for i in idx]
             if d == 2:
                 area = abs(proj[1][0] - proj[0][0])
             else:
                 area = abs(sum(a[0] * b[1] - b[0] * a[1]
-                               for a, b in zip(proj, proj[1:] + proj[:1]))) / 2
-            total += c * area / abs(m[k])
-        return total / d
+                               for a, b in zip(proj, proj[1:] + proj[:1])))
+            terms.append((_idot(m, ints[idx[0]]) * area, abs(m[k])))
+        den = math.lcm(*map(itemgetter(1), terms))
+        num = sum(t * (den // w) for t, w in terms)
+        return Fraction(num, den * q ** d * d * (1 if d == 2 else 2))
 
     @cached_property
     def relative_volume_float(self) -> float:
@@ -873,7 +955,8 @@ class Polytope:
         if k == self.ambient_dim:
             return float(self.volume)
         order = self.boundary_cycle if k == 2 else (0, -1)[:k + 1]
-        return _face_measure([self.vertices[i] for i in order])
+        q, ints = self._image
+        return _face_measure(q, [ints[i] for i in order])
 
     # ---- float helpers ------------------------------------------------
 
@@ -934,6 +1017,13 @@ class _FloatPolygon(Polytope):
     @cached_property
     def vertices(self) -> tuple[Vec, ...]:
         return tuple(tuple(map(Fraction, v)) for v in self.float_vertices.tolist())
+
+    @cached_property
+    def _image(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The image of the kept floats, which are the vertices' exact
+        values."""
+        q, keys = _integer_image(self.float_vertices.tolist())
+        return q, tuple(keys)
 
     @cached_property
     def halfspaces(self) -> tuple[Halfspace, ...]:
@@ -1073,16 +1163,22 @@ def _volume_in_dim_of(bodies: Sequence[Polytope], k: int, cols: tuple[int, ...])
     return out
 
 
-def _face_measure(cycle: Sequence[Vec]) -> float:
-    """Hausdorff measure of a face of dimension at most 2 from its vertices
-    in cyclic order: 1 for a point, the length of a segment, the fan sum of
-    the triangles of a polygon in space."""
+def _face_measure(q: int, cycle: Sequence[tuple[int, ...]]) -> float:
+    """Hausdorff measure of a face of dimension at most 2 from the integer
+    images q * v of its vertices in cyclic order: 1 for a point, the
+    length of a segment, the fan sum of the triangles of a polygon in
+    space.  A squared length is an integer N over q^2 and a squared
+    cross product one over q^4; N / q^k is a correctly rounded int/int
+    division, as float() of the rational value is."""
     a = cycle[0]
     if len(cycle) == 1:
         return 1.0
     if len(cycle) == 2:
-        return float(linalg.norm_sq(sub(cycle[1], a))) ** 0.5
+        u = [x - y for x, y in zip(cycle[1], a)]
+        return (_idot(u, u) / q ** 2) ** 0.5
+    q4 = q ** 4
     tot = 0.0
     for b, c in zip(cycle[1:], cycle[2:]):
-        tot += 0.5 * float(linalg.norm_sq(cross3(sub(b, a), sub(c, a)))) ** 0.5
+        n = _icross(a, b, c)
+        tot += 0.5 * (_idot(n, n) / q4) ** 0.5
     return tot

@@ -9,6 +9,11 @@ iff their canonical data are equal.
 One body carries a function's geometry: its epigraph truncated above the
 maximum, the prism D x [lo, T] clipped once per piece.  The minimal
 pieces, cells, complex vertices, minimum and conjugate are read off it.
+Each piece is also kept as an integer row, the piece times the lcm of
+its denominators, and the tests of vertices against pieces (which
+vertices lie on a piece's graph, the maximum over the domain, the
+prism's floor) read the rows on the integer images of the epigraph and
+the domain, in integer arithmetic.
 The same body truncated at a higher level has the same vertices and
 halfspaces in the same order, with the lid moved (_move_lid), so the
 pointwise minimum reuses both operands' epigraphs instead of clipping
@@ -24,17 +29,20 @@ floor_of reads the lower boundary function off a body.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .bodies import GeometryError, Polytope, _affine_basis, _affine_rank, _exact
+from .bodies import GeometryError, Polytope, _affine_basis, _affine_rank, _exact, _idot
 from .linalg import Vec, dot, sub
 from .schema import InputError, array, field, integer, rational
 
 Piece = tuple[Vec, Fraction]
+# a piece (g, b) times the lcm D of its denominators: (D g, D b, D)
+Row = tuple[tuple[int, ...], int, int]
 
 # a pointwise minimum found not convex, as kept in the operand's memo
 _NOT_CONVEX = object()
@@ -46,6 +54,29 @@ class EpiMinNotConvex(GeometryError):
 
 def _as_piece(g: Sequence, b) -> Piece:
     return tuple(Fraction(x) for x in g), Fraction(b)
+
+
+def _row(piece: Piece) -> Row:
+    """The piece scaled to integers by the lcm of its denominators."""
+    g, b = piece
+    D = math.lcm(b.denominator, *(x.denominator for x in g))
+    return (tuple(x.numerator * (D // x.denominator) for x in g),
+            b.numerator * (D // b.denominator), D)
+
+
+def _top(domain: Polytope, rows: Sequence[Row]) -> Fraction:
+    """The largest value of a piece at a vertex of the domain, which is the
+    maximum of max(pieces) on it, read off the domain's integer image:
+    at the image p = q x of a vertex x a row (G, B, D) has the value
+    (G . p + q B) / (q D), so each row's largest is at its largest
+    integer G . p, and two rows compare by cross multiplication."""
+    q, pts = domain._image
+    best_num, best_den = None, 1
+    for G, B, D in rows:
+        num = max(_idot(G, p) for p in pts) + q * B
+        if best_num is None or num * best_den > best_num * D:
+            best_num, best_den = num, D
+    return Fraction(best_num, q * best_den)
 
 
 def _project_piece(piece: Piece, domain: Polytope) -> Piece:
@@ -72,10 +103,12 @@ def _prism(domain: Polytope, lo: Fraction, level: Fraction) -> Polytope:
 
 def _epigraph(domain: Polytope, pieces: Sequence[Piece], level: Fraction) -> Polytope:
     """The epigraph of max(pieces) on a nonempty domain, truncated at a level
-    above that maximum: the prism domain x [lo, level], with lo below the
-    first piece, clipped by each piece's halfspace g . x - t <= -b."""
-    g0, b0 = pieces[0]
-    lo = min(dot(g0, v) for v in domain.vertices) + b0 - 1
+    above that maximum: the prism domain x [lo, level], with lo one below
+    the first piece's least value at a domain vertex (its row read on the
+    domain's integer image, as in _top), clipped by each piece's
+    halfspace g . x - t <= -b."""
+    (G, B, D), (q, pts) = _row(pieces[0]), domain._image
+    lo = Fraction(min(_idot(G, p) for p in pts) + q * B, q * D) - 1
     body = _prism(domain, lo, level)
     for g, b in pieces:
         body = body.clip(g + (-1,), -b)
@@ -104,11 +137,15 @@ def _move_lid(epigraph: Polytope, old: Fraction, level: Fraction) -> Polytope:
     return out
 
 
-def _tight(epigraph: Polytope, piece: Piece) -> list[Vec]:
-    """The x of the epigraph vertices on the graph of the piece: the
-    vertices of the region where the piece is the maximum."""
-    g, b = piece
-    return [v[:-1] for v in epigraph.vertices if dot(g, v[:-1]) + b == v[-1]]
+def _tight(epigraph: Polytope, row: Row) -> list[int]:
+    """The indices of the epigraph vertices on the graph of the piece,
+    whose x are the vertices of the region where the piece is the
+    maximum.  On the integer image q * (x, t), with the piece as its row
+    (G, B, D), g . x + b = t reads G . qx + q B = D qt."""
+    G, B, D = row
+    q, pts = epigraph._image
+    qB = q * B
+    return [i for i, p in enumerate(pts) if _idot(G, p) + qB == D * p[-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +182,17 @@ class PLConvexFunction:
         if k < domain.ambient_dim:
             raw = [_project_piece(p, domain) for p in raw]
         raw = sorted(set(raw))
-        level = max(dot(g, v) + b for g, b in raw for v in domain.vertices) + 1
-        epi = _epigraph(domain, raw, level)
+        rows = list(map(_row, raw))
+        epi = _epigraph(domain, raw, _top(domain, rows) + 1)
         # a piece stays iff its region has the dimension k of the domain
-        kept = tuple(p for p in raw if (pts := _tight(epi, p)) and _affine_rank(pts) == k)
-        u = PLConvexFunction(domain, kept)
+        pts = epi._image[1]
+        kept = [(p, r) for p, r in zip(raw, rows)
+                if (idx := _tight(epi, r)) and _affine_rank([pts[i][:-1] for i in idx]) == k]
+        u = PLConvexFunction(domain, tuple(p for p, _ in kept))
         # the kept pieces have the same maximum as the raw ones, and the
         # same epigraph at the same level: hand the body over to the cache
         u.__dict__["epigraph"] = epi
+        u.__dict__["_rows"] = tuple(r for _, r in kept)
         return u
 
     @staticmethod
@@ -205,16 +245,27 @@ class PLConvexFunction:
         return self.domain == other.domain and set(self.pieces) == set(other.pieces)
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.domain, frozenset(self.pieces)))
 
     def __repr__(self) -> str:
         return f"PLConvexFunction(n={self.n}, npieces={len(self.pieces)})"
 
     @cached_property
+    def _rows(self) -> tuple[Row, ...]:
+        """Each piece scaled to integers (_row)."""
+        return tuple(map(_row, self.pieces))
+
+    @cached_property
     def cells(self) -> tuple[tuple[Vec, Fraction, Polytope], ...]:
         """Maximal regions of affineness with their gradient and offset."""
-        return tuple((g, b, Polytope.construct(_tight(self.epigraph, (g, b)), self.n))
-                     for g, b in self.pieces)
+        verts = self.epigraph.vertices
+        return tuple((g, b, Polytope.construct(
+            [verts[i][:-1] for i in _tight(self.epigraph, r)], self.n))
+            for (g, b), r in zip(self.pieces, self._rows))
 
     @cached_property
     def epigraph(self) -> Polytope:
@@ -241,7 +292,7 @@ class PLConvexFunction:
     @cached_property
     def max_value(self) -> Fraction:
         # attained at a domain vertex, where no containment test is needed
-        return max(dot(g, v) + b for g, b in self.pieces for v in self.domain.vertices)
+        return _top(self.domain, self._rows)
 
     def _epigraph_at(self, level: Fraction) -> Polytope:
         """The epigraph truncated at a level above the maximum: the cached

@@ -1,13 +1,16 @@
 """Small exact linear algebra helpers over the rationals.
 
-Everything here works on tuples of fractions.Fraction and never touches
-floating point.  Sizes are tiny (dimension at most 4) so one exact
-Gauss-Jordan reduction serves both rank and solve.
+Everything here works on tuples of fractions.Fraction (ints work too)
+and never touches floating point.  Sizes are tiny (dimension at most 4)
+so one exact Gauss-Jordan reduction serves both rank and solve;
+independent_subset tests its candidates by their maximal minors
+instead, with no division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -111,14 +114,25 @@ def independent_subset(vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
     """Greedy maximal linearly independent subset, in input order.
 
     Stops reading once the subset spans the whole space, so a long input
-    costs one rank test per vector only until full rank is reached."""
+    costs one rank test per vector only until full rank is reached.  The
+    test divides nothing: the subset's maximal minors are kept, one per
+    set of columns, and a vector is independent of the subset iff a
+    maximal minor of the subset with the vector appended is nonzero.
+    Each of those is the cofactor expansion along the vector of the
+    subset's minors, so integer vectors stay in integer arithmetic."""
     basis: list[Vec] = []
+    minors: dict[tuple[int, ...], Fraction | int] = {(): 1}
     for v in vectors:
-        if basis and len(basis) == len(basis[0]):
+        v = tuple(v)
+        k = len(basis)
+        if k == len(v):
             break
-        cand = basis + [tuple(v)]
-        if mat_rank(cand) == len(cand):
-            basis = cand
+        grown = {cols: sum(v[c] * minors[cols[:j] + cols[j + 1:]] * (-1) ** (k + j)
+                           for j, c in enumerate(cols))
+                 for cols in combinations(range(len(v)), k + 1)}
+        if any(grown.values()):
+            basis.append(v)
+            minors = grown
     return basis
 
 

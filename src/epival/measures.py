@@ -98,10 +98,11 @@ def surface_area_measure(P: Polytope) -> SphereMeasure:
     normals: list[np.ndarray] = []
     weights: list[float] = []
     if k == d:
+        q, ints = P._image
         for (m, _), idx in P._facets:
             n = np.array([float(x) for x in m])
             normals.append(n / np.linalg.norm(n))
-            weights.append(_face_measure([P.vertices[j] for j in idx]))
+            weights.append(_face_measure(q, [ints[j] for j in idx]))
     elif k == d - 1 and k >= 0:
         n = np.array([float(x) for x in P.equality_planes[0][0]])
         n /= np.linalg.norm(n)
