@@ -3,7 +3,7 @@
 
     python3 scripts/profile_workload.py --workload gw --seed 1 --sort tottime
     python3 scripts/profile_workload.py --workload numerics --seed 1 --case steiner/body3/3
-    python3 scripts/profile_workload.py --workload lattice --seed 1 --callers 'linalg.py.*\(dot\)'
+    python3 scripts/profile_workload.py --workload lattice --seed 1 --callers 'linalg.py.*\(on_integers\)'
 
 Run from anywhere in a checkout: the package is imported from ``src/``
 and the workloads from ``perfbench/``, which this script only reads.  The

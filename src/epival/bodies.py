@@ -1,62 +1,41 @@
-"""Convex polytopes with exact rational vertex and halfspace data.
+"""Convex polytopes stored as exact integer images.
 
 A Polytope lives in ambient dimension 1, 2 or 3 and may be lower
 dimensional (a polygon floating in space, a segment, a point) or empty.
-Vertices are fractions.Fraction tuples in lexicographic order.  Halfspaces
-are pairs (m, c) meaning m . x <= c with m a primitive integer vector; a
-flat body carries equality constraints as opposite halfspace pairs.
+It stores one exact form: q, the least common denominator of its
+vertices' coordinates; images, the integer points q * v in lexicographic
+order; and planes, its halfspaces m . x <= c as (m, q c), with m a
+primitive integer vector, so q c = m . (q a) at a vertex a on the plane.
+A flat body carries its equality constraints as opposite plane pairs.
+Scaling by q > 0 keeps the lexicographic order and the sign of every turn
+and every slack, so the images decide them exactly, in integer
+arithmetic.  Polytope() divides the gcd of q and the image coordinates
+out, which keeps q least and the image canonical: equal bodies have
+equal images.  vertices (the images over q) and halfspaces (the offsets
+over q) are Fraction views made on first read; float_vertices and
+float_halfspaces divide the same integers by q, a correctly rounded
+int/int division, as float() of those Fractions is.
 
-Points in the plane given as the rows of a float (k, 2) numpy array,
-finite and not all collinear (the edge walks of minkowski_solve), are
-decided on the floats themselves (_float_polygon), scaled by a power
-of two so that their turns' products stay in the range of Shewchuk's
-static orientation filter: a float turn whose size exceeds the filter's
-error bound has the exact turn's sign.  An edge walk is mostly its own
-hull, counterclockwise; one whole-array pass certifies that
-(_convex_order) and takes the cycle as given.  Other input is deduplicated and sorted: float equality is
-equality of the exact values (0.0 == -0.0) and the float order is their
-order, so these are the points the exact path would hull.  The monotone
-chain then decides each turn with the filter, and every turn the filter
-cannot certify, or whose products leave the range where the bound holds,
-is decided exactly (_exact_left).  So the kept points and the cycle are
-the exact ones.
-Such a polygon, a _FloatPolygon, stores float_vertices, boundary_cycle
-and intrinsic_dim; its vertices (each kept float as a Fraction) and
-halfspaces (from the integer image of those vertices) are made on first
-read.
+Every constructor builds the image directly.  construct scales its input
+to integers (linalg.on_integers: each coordinate read once, as its
+as_integer_ratio()) and hulls the integer points: the monotone chain in
+the plane and one incremental hull in space, whose offsets come out as
+the integers m . a.  clip orders the kept vertices and the cut's points
+on one integer scale; face takes a slice of its parent's image;
+translate, scale, reflect_last, the prism D x [lo, level] of an epigraph
+(_prism) and an epigraph with its lid moved (_move_lid) are integer maps.
+A full dimensional body derives its facets once, in Polytope._facets:
+each plane with its vertices, in cyclic order in 3D.  Edges, volume,
+clipping and the facet areas of the surface area measure all read them.
+A plane in space is projected one to one by dropping the last coordinate
+its normal uses (_last_axis).
 
-Every other input, lists of Python floats included, goes the exact
-way.  construct reads each input coordinate once, as its
-as_integer_ratio() (int, float, Fraction and numpy floats have it; a
-string or a numpy int is read as a Fraction or an int first).  The integer image of the points, scaled by their common
-denominator q, is built from the ratios with one q // den per distinct
-denominator.  Fractions are made only for the coordinates of the points
-the hull keeps, and input Fractions are reused.  When the kept
-coordinates came in as Python floats, construct also stores
-float_vertices in the body, as it stores boundary_cycle below: the
-bodies of minkowski_solve in space carry it.  Every other body derives
-it from its vertices.
-
-The hull of the integer image is the monotone chain in the plane and one
-incremental hull in space, in integer arithmetic.  Offsets come out as
-integers m . a and become Fraction(m . a, q) once the hull is known.  A
-full dimensional body derives its facets once, in
-Polytope._facets: each halfspace with its vertices, in cyclic order in
-3D.  Edges, volume, clipping and the facet areas of the surface area
-measure all read them.  A plane in space is projected one to one by
-dropping the last coordinate its normal uses (_last_axis).
-
-The exact readers compute on the body's integer image, its common
-denominator q and the points q * v (Polytope._image, which clip and
-_facets read anyway), in integer arithmetic, and give the results the
-Fraction arithmetic on the vertices gives.  volume sums integer facet
-terms and makes one Fraction; relative_volume_float and the facet areas
-of the surface area measure divide an integer squared length or cross
-product by q^2 or q^4, a correctly rounded int/int division, as float()
-of the Fraction is; support scales its direction to integers; the rank
-behind intrinsic_dim is an integer maximal minor test; clip canonicalizes
-its halfspace on integer ratios and orders the cut's vertices on one
-integer scale; and the hash, computed once, is that of the image.
+The readers compute on the image too: volume sums integer facet terms
+into one Fraction; relative_volume_float and the facet areas of the
+surface area measure divide an integer squared length or cross product
+by q^2 or q^4; support and contains scale their argument to integers;
+the rank behind intrinsic_dim is an integer maximal minor test; and the
+hash is that of the image.
 
 A flat body (a point, a segment, a polygon in space) is built in one
 coordinate chart of its affine hull (_chart): the same integer hull runs
@@ -70,10 +49,25 @@ the lifts (_icomplement, _ireject).
 
 A polygon made by construct, in the plane or in space, carries its
 boundary_cycle: the monotone chain its hull was decided on, read as
-indices into the sorted vertices.  Bodies made directly (a clip that
-stays full dimensional, translate, scale, reflect_last, the prism of an
-epigraph) derive it on first use from the integer image of their
-vertices.
+indices into the sorted vertices.  Other bodies derive it on first use
+from their images.
+
+Points in the plane given as the rows of a float (k, 2) numpy array,
+finite and not all collinear (the edge walks of minkowski_solve), are
+decided on the floats themselves (_float_polygon), scaled by a power of
+two so that their turns' products stay in the range of Shewchuk's static
+orientation filter: a float turn whose size exceeds the filter's error
+bound has the exact turn's sign.  An edge walk is mostly its own hull,
+counterclockwise; one whole-array pass certifies that (_convex_order)
+and takes the cycle as given.  Other input is deduplicated and sorted:
+float equality is equality of the exact values (0.0 == -0.0) and the
+float order is their order, so these are the points the exact path would
+hull.  The monotone chain then decides each turn with the filter, and
+every turn the filter cannot certify, or whose products leave the range
+where the bound holds, is decided exactly (_exact_left).  So the kept
+points and the cycle are the exact ones.  Such a polygon, a
+_FloatPolygon, stores float_vertices, boundary_cycle and intrinsic_dim;
+its image and its edge planes are made on first read.
 
 All predicates and constructions in this module are exact: the one
 float predicate, the filtered turn above, is used only where its sign is
@@ -100,7 +94,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
@@ -110,10 +103,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import Vec, cross3, dot, smul, solve, sub
+from .linalg import Vec, cross3, dot, on_integers, solve, sub
 from .schema import array, field, integer, rational
 
 Halfspace = tuple[tuple[int, ...], Fraction]
+# a halfspace m . x <= c of a body with denominator q, as (m, q c)
+Plane = tuple[tuple[int, ...], int]
+Image = tuple[int, ...]
 
 
 class GeometryError(ValueError):
@@ -121,16 +117,12 @@ class GeometryError(ValueError):
 
 
 def _canon_halfspace(normal: Sequence, offset) -> Halfspace:
-    """normal . x <= offset, for a nonzero normal of ints and Fractions,
-    as (m, c) with m its primitive integer multiple: normal scaled by the
-    lcm L of its denominators is an integer vector, and its gcd g leaves
-    m, so c = offset L / g."""
-    ratios = [x.as_integer_ratio() for x in normal]
-    scale = math.lcm(*map(itemgetter(1), ratios))
-    ints = [num * (scale // den) for num, den in ratios]
-    g = math.gcd(*ints)
-    num, den = offset.as_integer_ratio()
-    return tuple(x // g for x in ints), Fraction(num * scale, den * g)
+    """normal . x <= offset, for a nonzero normal, as (m, c) with m its
+    primitive integer multiple: the normal and the offset scaled to
+    integers N and O together, m = N / g for the gcd g of N, and c = O / g."""
+    ints = on_integers([*normal, offset])[1]
+    g = math.gcd(*ints[:-1])
+    return tuple(x // g for x in ints[:-1]), Fraction(ints[-1], g)
 
 
 def _affine_basis(points: Sequence[Vec]) -> list[Vec]:
@@ -142,53 +134,17 @@ def _affine_rank(points: Sequence[Vec]) -> int:
     return len(_affine_basis(points))
 
 
-def _exact(x) -> int | Fraction:
-    """A coordinate without as_integer_ratio, read exactly: an integral
-    type (a numpy int) through int, since a Fraction of a numpy int keeps
-    its numpy numerator, which overflows in integer products; anything
-    else (a string) through Fraction(x)."""
-    return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
-
-
-def _ratios(coords: list) -> tuple[list, list[int], list[int]]:
-    """Each coordinate's as_integer_ratio(), read once: coprime integers
-    with a positive denominator.  int, float, Fraction and numpy floats
-    have it; a coordinate of any other type is read by _exact first.
-    Returns the coordinates, those of other types replaced, with their
-    numerators and their denominators."""
-    odd = {t for t in set(map(type, coords)) if not hasattr(t, "as_integer_ratio")}
-    if odd:
-        coords = [_exact(x) if type(x) in odd else x for x in coords]
-    ratios = [x.as_integer_ratio() for x in coords]
-    return coords, list(map(itemgetter(0), ratios)), list(map(itemgetter(1), ratios))
-
-
-def _scaled(nums: list[int], dens: list[int], d: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The common denominator q of the ratios and the integer points
-    q * p, d coordinates each, in input order.  Each coordinate costs one
-    multiplication by q // den, computed once per distinct denominator:
-    a float walk has a few dozen, all powers of two."""
-    distinct = set(dens)
-    q = math.lcm(*distinct)
-    scale = {den: q // den for den in distinct}
-    flat = list(map(mul, nums, map(scale.__getitem__, dens)))
+def _integer_image(points: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """The common denominator q of the points' coordinates and the integer
+    points q * p, in input order."""
+    d = len(points[0]) if points else 1
+    q, flat = on_integers(list(itertools.chain.from_iterable(points)))
     return q, list(zip(*[iter(flat)] * d))
 
 
-def _integer_image(points: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
-    """The common denominator q of the points' coordinates and the integer
-    points q * p, in input order.  Scaling by q > 0 keeps the
-    lexicographic order and the sign of every turn, so the images decide
-    both exactly, in integer instead of Fraction arithmetic."""
-    _, nums, dens = _ratios(list(itertools.chain.from_iterable(points)))
-    return _scaled(nums, dens, len(points[0]) if points else 1)
-
-
-def _intake(rows: list[tuple], ambient_dim: int | None
-            ) -> tuple[int, list, list[int], list[int]]:
+def _intake(rows: list[tuple], ambient_dim: int | None) -> tuple[int, list]:
     """The ambient dimension, checked, and the points' coordinates in one
-    flat list with their numerators and denominators (_ratios)."""
-    coords, nums, dens = _ratios(list(itertools.chain.from_iterable(rows)))
+    flat list."""
     if ambient_dim is None:
         if not rows:
             raise GeometryError("ambient_dim required for empty input")
@@ -197,25 +153,7 @@ def _intake(rows: list[tuple], ambient_dim: int | None
         raise GeometryError(f"unsupported ambient dimension {ambient_dim}")
     if rows and set(map(len, rows)) != {ambient_dim}:
         raise GeometryError("mixed point dimensions")
-    return ambient_dim, coords, nums, dens
-
-
-def _kept(nums: list[int], dens: list[int], d: int
-          ) -> tuple[int, list[int], list[tuple[tuple[int, ...], int]],
-                     tuple[int, ...] | None, int]:
-    """The hull of points given by their coordinates' ratios, d to a
-    point.  Returns the common denominator q; the position in the flat
-    coordinate list of each coordinate of each kept point, the points in
-    lexicographic order; the integer halfspaces and the cycle of _hull;
-    and the affine rank.  The integer images stay here, so they are freed
-    before construct makes its Fractions."""
-    q, images = _scaled(nums, dens, d)
-    # one input point for each distinct image
-    index = dict(zip(images, range(len(images))))
-    keys = sorted(index)
-    basis = _affine_basis(keys)
-    kept, hs, cycle = _hull(keys, basis)
-    return q, [index[k] * d + j for k in kept for j in range(d)], hs, cycle, len(basis)
+    return ambient_dim, list(itertools.chain.from_iterable(rows))
 
 
 # Shewchuk's static orientation filter ("Adaptive precision floating-point
@@ -235,10 +173,7 @@ def _exact_left(o: tuple[float, float], a: tuple[float, float],
     through a, decided exactly on the three points' integer image: the
     turn the filtered chain falls back on when the filter cannot certify
     the float one."""
-    ratios = [x.as_integer_ratio() for p in (o, a, b) for x in p]
-    # a float's denominator is a power of two: the largest is the lcm
-    q = max(den for _, den in ratios)
-    ox, oy, ax, ay, bx, by = [num * (q // den) for num, den in ratios]
+    ox, oy, ax, ay, bx, by = on_integers([*o, *a, *b])[1]
     return (ax - ox) * (by - oy) > (ay - oy) * (bx - ox)
 
 
@@ -284,13 +219,6 @@ def _edge_halfspaces(cycle: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, 
         m0, m1 = n0 // g, n1 // g
         hs.append(((m0, m1), m0 * ax + m1 * ay))
     return hs
-
-
-def _exact_offsets(hs: Iterable[tuple[tuple[int, ...], int]], q: int
-                   ) -> tuple[Halfspace, ...]:
-    """Integer halfspaces (m, m . a) of the integer image q * P, sorted, as
-    the halfspaces (m, Fraction(m . a, q)) of P."""
-    return tuple((m, Fraction(c, q)) for m, c in sorted(hs))
 
 
 def _float_polygon(pts: np.ndarray) -> "Polytope | None":
@@ -557,23 +485,33 @@ def _hull_flat(keys: list[tuple[int, ...]], basis: list
     return kept, hs, None if cycle is None else _reindexed(cycle, kept)
 
 
-class Polytope:
-    """A body given by its ambient dimension, its vertices and its
-    halfspaces.  A polygon that construct decided in floats, from a
-    float (k, 2) array, is a _FloatPolygon, which makes its vertices and
-    halfspaces on first read."""
 
-    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...],
-                 halfspaces: tuple[Halfspace, ...]):
+class Polytope:
+    """A body given by its ambient dimension and its integer image: the
+    least common denominator q of its vertices, the sorted integer points
+    q * v, and its halfspaces as planes (m, q c).  Polytope() takes any
+    positive common denominator and divides the image down to the least
+    one.  A polygon that construct decided in floats, from a float (k, 2)
+    array, is a _FloatPolygon, which makes its image and planes on first
+    read."""
+
+    def __init__(self, ambient_dim: int, q: int, images: Sequence[Image],
+                 planes: Sequence[Plane]):
+        g = math.gcd(q, *itertools.chain.from_iterable(images))
+        if g > 1:
+            q //= g
+            images = [tuple(x // g for x in p) for p in images]
+            planes = [(m, c // g) for m, c in planes]
         self.ambient_dim = ambient_dim
-        self.vertices = vertices
-        self.halfspaces = halfspaces
+        self.q = q
+        self.images = tuple(images)
+        self.planes = tuple(planes)
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(ambient_dim, (), ())
+        return Polytope(ambient_dim, 1, (), ())
 
     @staticmethod
     def construct(points: Iterable[Sequence], ambient_dim: int | None = None) -> "Polytope":
@@ -582,24 +520,14 @@ class Polytope:
             out = _float_polygon(points)
             if out is not None:
                 return out
-        rows = [tuple(p) for p in points]
-        d, coords, nums, dens = _intake(rows, ambient_dim)
+        d, coords = _intake([tuple(p) for p in points], ambient_dim)
         if not coords:
             return Polytope.empty(d)
-        q, at, hs, cycle, rank = _kept(nums, dens, d)
-        hs = _exact_offsets(hs, q)
-        # Fractions only for the kept points' coordinates: an input
-        # Fraction is reused, anything else is made from its ratio
-        given = [coords[i] for i in at]
-        vals = [x if type(x) is Fraction else Fraction(nums[i], dens[i])
-                for x, i in zip(given, at)]
-        out = Polytope(d, tuple(zip(*[iter(vals)] * d)), hs)
-        if cycle is not None:
-            out.__dict__["boundary_cycle"] = cycle
-        out.__dict__["intrinsic_dim"] = rank
-        if set(map(type, given)) == {float}:
-            # adding 0.0 turns -0.0 into 0.0, as float(Fraction(-0.0)) does
-            out.__dict__["float_vertices"] = np.array(given).reshape(-1, d) + 0.0
+        q, flat = on_integers(coords)
+        out = _hulled(d, q, zip(*[iter(flat)] * d))
+        if set(map(type, coords)) == {float}:
+            # a body of Python floats keeps its float view from the start
+            out.float_vertices
         return out
 
     @staticmethod
@@ -615,7 +543,7 @@ class Polytope:
         )
         normals = Polytope.construct([m for m, _ in rows], ambient_dim)
         if normals.intrinsic_dim < ambient_dim or any(
-                c <= 0 for _, c in normals.halfspaces):
+                c <= 0 for _, c in normals.planes):
             raise GeometryError("halfspaces do not bound a polytope")
         pts = set()
         for sel in itertools.combinations(rows, ambient_dim):
@@ -633,32 +561,45 @@ class Polytope:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polytope):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.vertices == other.vertices
+        return (self.ambient_dim == other.ambient_dim and self.q == other.q
+                and self.images == other.images)
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        """The hash, computed once from the integer image, which equal
-        bodies share: q and the images are functions of the vertices'
-        values."""
-        return hash((self.ambient_dim,) + self._image)
+        """The hash, computed once from the canonical image."""
+        return hash((self.ambient_dim, self.q, self.images))
 
     def __repr__(self) -> str:
-        return f"Polytope(dim={self.ambient_dim}, nverts={len(self.vertices)})"
+        return f"Polytope(dim={self.ambient_dim}, nverts={len(self.images)})"
+
+    # ---- the Fraction views -------------------------------------------
+
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        """The vertices in lexicographic order: the images over q."""
+        q = self.q
+        return tuple(tuple(Fraction(x, q) for x in p) for p in self.images)
+
+    @cached_property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        """The halfspaces (m, c), sorted: the planes with offsets over q."""
+        q = self.q
+        return tuple((m, Fraction(c, q)) for m, c in self.planes)
 
     # ---- basic queries ------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.images
 
     @cached_property
     def intrinsic_dim(self) -> int:
         if self.is_empty:
             return -1
-        return _affine_rank(self._image[1])
+        return _affine_rank(self.images)
 
     @cached_property
     def equality_planes(self) -> tuple[Halfspace, ...]:
@@ -681,29 +622,32 @@ class Polytope:
         return tuple(h for h in self.halfspaces if h not in eq)
 
     def contains(self, point: Sequence) -> bool:
+        """Whether m . x <= c on every plane, read on the point scaled to
+        integers X = D x: q m . X <= D (q c)."""
         if self.is_empty:
             return False
-        x = tuple(map(_exact, point))
-        return all(dot(m, x) <= c for m, c in self.halfspaces)
+        D, x = on_integers(list(point))
+        if len(x) != self.ambient_dim:
+            raise GeometryError("point and body dimensions differ")
+        q = self.q
+        return all(_idot(m, x) * q <= c * D for m, c in self.planes)
 
     def support(self, direction: Sequence) -> Fraction:
         """max y . v over the vertices v, read off the integer image: with
-        y scaled to integers Y by the lcm D of its denominators, the
-        largest Y . qv over q D."""
+        y scaled to integers Y by the least common denominator D of its
+        entries, the largest Y . qv over q D."""
         if self.is_empty:
             raise GeometryError("support of empty body")
-        _, nums, dens = _ratios(list(direction))
-        if len(nums) != self.ambient_dim:
+        D, y = on_integers(list(direction))
+        if len(y) != self.ambient_dim:
             raise GeometryError("direction and body dimensions differ")
-        D = math.lcm(*dens)
-        y = [num * (D // den) for num, den in zip(nums, dens)]
-        q, ints = self._image
-        return Fraction(max(_idot(y, p) for p in ints), q * D)
+        return Fraction(max(_idot(y, p) for p in self.images), self.q * D)
 
     @cached_property
     def centroid(self) -> Vec:
-        n = len(self.vertices)
-        return tuple(sum(v[k] for v in self.vertices) / n for k in range(self.ambient_dim))
+        n = len(self.images)
+        return tuple(Fraction(sum(p[k] for p in self.images), n * self.q)
+                     for k in range(self.ambient_dim))
 
     # ---- faces --------------------------------------------------------
 
@@ -716,10 +660,9 @@ class Polytope:
         if self.intrinsic_dim != 2:
             raise GeometryError("boundary cycle needs a 2 dimensional body")
         cols = _chart([m for m, _ in self.equality_planes], self.ambient_dim)
-        verts = list(map(itemgetter(*cols), self.vertices))
-        # the chart is one to one on the vertices, so their images
+        # the chart is one to one on the vertices, so the projected images
         # are distinct and keep the vertex order
-        _, keys = _integer_image(verts)
+        keys = list(map(itemgetter(*cols), self.images))
         index = dict(zip(keys, range(len(keys))))
         return tuple(map(index.__getitem__, _chain(sorted(keys))))
 
@@ -730,7 +673,7 @@ class Polytope:
         if k <= 0:
             return ()
         if k == 1:
-            return ((0, len(self.vertices) - 1),)
+            return ((0, len(self.images) - 1),)
         if k == 2:
             cyc = self.boundary_cycle
             return tuple(
@@ -740,24 +683,17 @@ class Polytope:
                              for e in zip(idx, idx[1:] + idx[:1])}))
 
     @cached_property
-    def _image(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The vertices' common denominator q and their images q * v."""
-        q, keys = _integer_image(self.vertices)
-        return q, tuple(keys)
-
-    @cached_property
-    def _facets(self) -> tuple[tuple[Halfspace, tuple[int, ...]], ...]:
-        """Each halfspace of the body with the indices of its vertices,
-        found by integer dot products on the integer images.  In 3D the
-        indices of a polygon facet are in cyclic order: the monotone chain
-        on the projection that drops the last coordinate the normal uses,
-        which is one to one on the facet.  A flat body's halfspace may hold
-        one or two vertices; those keep their index order."""
-        q, ints = self._image
+    def _facets(self) -> tuple[tuple[Plane, tuple[int, ...]], ...]:
+        """Each plane of the body with the indices of its vertices, the
+        images p with m . p = q c.  In 3D the indices of a polygon facet are
+        in cyclic order: the monotone chain on the projection that drops
+        the last coordinate the normal uses, which is one to one on the
+        facet.  A flat body's plane may hold one or two vertices; those
+        keep their index order."""
+        ints = self.images
         out = []
-        for m, c in self.halfspaces:
-            num, den = q * c.numerator, c.denominator
-            idx = [i for i, p in enumerate(ints) if _idot(m, p) * den == num]
+        for m, c in self.planes:
+            idx = [i for i, p in enumerate(ints) if _idot(m, p) == c]
             if self.ambient_dim == 3 and len(idx) > 2:
                 k = _last_axis(m)
                 proj = {(ints[i][:k] + ints[i][k + 1:]): i for i in idx}
@@ -767,18 +703,14 @@ class Polytope:
 
     def face(self, idx: Sequence[int]) -> "Polytope":
         """The face of the body on the vertex indices idx (a vertex, an
-        edge or a 2-face), as construct builds it from those vertices.  It
-        is read off the body's integer image: no three vertices of a face
-        are collinear, so its first three span its affine hull, and
-        _hull_flat's halfspaces, with their offsets over the body's common
-        denominator, keep their values at any positive scale."""
+        edge or a 2-face), as construct builds it from those vertices: a
+        slice of the body's image.  No three vertices of a face are
+        collinear, so its first three span its affine hull."""
         idx = sorted(idx)
-        q, ints = self._image
-        keys = [ints[i] for i in idx]
+        keys = [self.images[i] for i in idx]
         basis = [sub(p, keys[0]) for p in keys[1:3]]
         _, hs, cycle = _hull_flat(keys, basis)
-        out = Polytope(self.ambient_dim, tuple(self.vertices[i] for i in idx),
-                       _exact_offsets(hs, q))
+        out = Polytope(self.ambient_dim, self.q, keys, sorted(hs))
         if cycle is not None:
             out.__dict__["boundary_cycle"] = cycle
         out.__dict__["intrinsic_dim"] = len(basis)
@@ -788,14 +720,17 @@ class Polytope:
     # ---- transforms ---------------------------------------------------
 
     def translate(self, shift: Sequence) -> "Polytope":
+        """The body moved by shift.  Adding one vector to every image keeps
+        their order, and the planes, each with its own normal, stay sorted
+        by their normals."""
         if self.is_empty:
             return self
-        t = tuple(map(_exact, shift))
-        verts = tuple(sorted(linalg.add(v, t) for v in self.vertices))
-        hs = tuple(
-            sorted((m, c + dot(m, t)) for m, c in self.halfspaces)
-        )
-        return Polytope(self.ambient_dim, verts, hs)
+        D, t = on_integers(list(shift))
+        Q = math.lcm(self.q, D)
+        a, t = Q // self.q, [x * (Q // D) for x in t]
+        images = [tuple(x * a + y for x, y in zip(p, t, strict=True)) for p in self.images]
+        return Polytope(self.ambient_dim, Q, images,
+                        [(m, c * a + _idot(m, t)) for m, c in self.planes])
 
     def scale(self, t) -> "Polytope":
         t = Fraction(t)
@@ -803,9 +738,10 @@ class Polytope:
             raise GeometryError("scale factor must be positive")
         if self.is_empty:
             return self
-        verts = tuple(sorted(smul(t, v) for v in self.vertices))
-        hs = tuple(sorted((m, t * c) for m, c in self.halfspaces))
-        return Polytope(self.ambient_dim, verts, hs)
+        num, den = t.as_integer_ratio()
+        return Polytope(self.ambient_dim, self.q * den,
+                        [tuple(num * x for x in p) for p in self.images],
+                        [(m, num * c) for m, c in self.planes])
 
     def reflect_last(self) -> "Polytope":
         """Mirror in the hyperplane where the last coordinate vanishes."""
@@ -815,30 +751,32 @@ class Polytope:
         def flip(p):
             return p[:-1] + (-p[-1],)
 
-        verts = tuple(sorted(flip(v) for v in self.vertices))
-        hs = tuple(sorted((flip(m), c) for m, c in self.halfspaces))
-        return Polytope(self.ambient_dim, verts, hs)
+        return Polytope(self.ambient_dim, self.q, sorted(map(flip, self.images)),
+                        sorted((flip(m), c) for m, c in self.planes))
 
     def minkowski_sum(self, other: "Polytope") -> "Polytope":
         if self.is_empty or other.is_empty:
             return Polytope.empty(self.ambient_dim)
-        pts = [linalg.add(a, b) for a in self.vertices for b in other.vertices]
-        return Polytope.construct(pts, self.ambient_dim)
+        Q = math.lcm(self.q, other.q)
+        a, b = Q // self.q, Q // other.q
+        return _hulled(self.ambient_dim, Q, [
+            tuple(a * x + b * y for x, y in zip(u, v, strict=True))
+            for u in self.images for v in other.images])
 
     # ---- clipping and intersection ------------------------------------
 
     def clip(self, normal: Sequence, offset) -> "Polytope":
-        """Intersect with the halfspace normal . x <= offset."""
+        """Intersect with the halfspace normal . x <= offset, read as the
+        integer row N . x <= O that on_integers scales it to."""
         if self.is_empty:
             return self
-        normal, offset = list(map(_exact, normal)), _exact(offset)
-        if not any(normal):
-            return self if offset >= 0 else Polytope.empty(self.ambient_dim)
-        m, c = _canon_halfspace(normal, offset)
-        # the slack m . v - c of each vertex v, times q * c.denominator > 0
-        q, ints = self._image
-        num, den = q * c.numerator, c.denominator
-        vals = [_idot(m, p) * den - num for p in ints]
+        ints = on_integers([*normal, offset])[1]
+        N, O = ints[:-1], ints[-1]
+        if not any(N):
+            return self if O >= 0 else Polytope.empty(self.ambient_dim)
+        # the slack N . v - O of each vertex v, times q > 0
+        q, pts = self.q, self.images
+        vals = [_idot(N, p) - q * O for p in pts]
         if all(v <= 0 for v in vals):
             return self
         keep = [i for i, s in enumerate(vals) if s <= 0]
@@ -852,33 +790,36 @@ class Polytope:
         for i, j in self.edge_list:
             si, sj = vals[i], vals[j]
             if (si < 0 < sj) or (sj < 0 < si):
-                cuts.append((tuple(x * sj - y * si for x, y in zip(ints[i], ints[j])), sj - si))
-        # sorted on one scale, q lcm(|sj - si|)
+                cuts.append((tuple(x * sj - y * si for x, y in zip(pts[i], pts[j])), sj - si))
+        # all on one scale, Q = q lcm(|sj - si|)
         scale = math.lcm(*map(itemgetter(1), cuts))
-        keys = [tuple(x * scale for x in ints[i]) for i in keep]
+        keys = [tuple(x * scale for x in pts[i]) for i in keep]
         keys += [tuple(x * (scale // w) for x in p) for p, w in cuts]
-        pts = [self.vertices[i] for i in keep]
-        pts += [tuple(Fraction(x, q * w) for x in p) for p, w in cuts]
-        new_pts = [pts[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
+        Q = q * scale
         if self.intrinsic_dim == self.ambient_dim and min(vals) < 0:
             # a vertex strictly inside keeps the body full dimensional, and
-            # an old facet stays a facet iff it has such a vertex
-            hs = [h for h, idx in self._facets if any(vals[i] < 0 for i in idx)]
-            out = Polytope(self.ambient_dim, tuple(new_pts), tuple(sorted(hs + [(m, c)])))
+            # an old facet stays a facet iff it has such a vertex; the cut's
+            # plane (m, Q c) is an integer m . (Q a) at the cut's points
+            planes = [(m, c * scale) for (m, c), idx in self._facets
+                      if any(vals[i] < 0 for i in idx)]
+            m, c = _canon_halfspace(N, O)
+            planes.append((m, int(c * Q)))
+            out = Polytope(self.ambient_dim, Q, sorted(keys), sorted(planes))
             out.__dict__["intrinsic_dim"] = self.ambient_dim
             return out
-        return Polytope.construct(new_pts, self.ambient_dim)
+        return _hulled(self.ambient_dim, Q, keys)
 
     def intersect(self, other: "Polytope") -> "Polytope":
         if self.ambient_dim != other.ambient_dim:
             raise GeometryError("ambient dimensions differ")
         if other.is_empty:
             return Polytope.empty(self.ambient_dim)
-        out = self
-        for m, c in other.halfspaces:
+        out, q = self, other.q
+        for m, c in other.planes:
             if out.is_empty:
                 break
-            out = out.clip(m, c)
+            # m . x <= c / q as the integer row q m . x <= c
+            out = out.clip([q * x for x in m], c)
         return out
 
     def convex_union(self, other: "Polytope") -> "Polytope":
@@ -886,9 +827,9 @@ class Polytope:
             return other
         if other.is_empty:
             return self
-        return Polytope.construct(
-            list(self.vertices) + list(other.vertices), self.ambient_dim
-        )
+        Q = math.lcm(self.q, other.q)
+        return _hulled(self.ambient_dim, Q, [tuple(x * (Q // P.q) for x in p)
+                                             for P in (self, other) for p in P.images])
 
     def is_union_convex(self, other: "Polytope") -> bool:
         """Exact test whether the set union with the other body is convex."""
@@ -924,16 +865,16 @@ class Polytope:
         integer image q * P: the sum over the facets (m, c) of c times the
         facet's area projected along the last coordinate k its normal
         uses, over |m_k| d.  On the image each term is an integer over
-        |m_k|: q c = m . a at a vertex a of the facet, and the projected
-        area is a length, or twice an area (shoelace), over q^(d-1)."""
+        |m_k|: the plane's offset q c, times the projected area, a length,
+        or twice an area (shoelace), over q^(d-1)."""
         if self.is_empty or self.intrinsic_dim < self.ambient_dim:
             return Fraction(0)
         d = self.ambient_dim
-        q, ints = self._image
+        q, ints = self.q, self.images
         if d == 1:
             return Fraction(ints[-1][0] - ints[0][0], q)
         terms = []
-        for (m, _), idx in self._facets:
+        for (m, c), idx in self._facets:
             k = _last_axis(m)
             proj = [ints[i][:k] + ints[i][k + 1:] for i in idx]
             if d == 2:
@@ -941,7 +882,7 @@ class Polytope:
             else:
                 area = abs(sum(a[0] * b[1] - b[0] * a[1]
                                for a, b in zip(proj, proj[1:] + proj[:1])))
-            terms.append((_idot(m, ints[idx[0]]) * area, abs(m[k])))
+            terms.append((c * area, abs(m[k])))
         den = math.lcm(*map(itemgetter(1), terms))
         num = sum(t * (den // w) for t, w in terms)
         return Fraction(num, den * q ** d * d * (1 if d == 2 else 2))
@@ -955,19 +896,19 @@ class Polytope:
         if k == self.ambient_dim:
             return float(self.volume)
         order = self.boundary_cycle if k == 2 else (0, -1)[:k + 1]
-        q, ints = self._image
-        return _face_measure(q, [ints[i] for i in order])
+        return _face_measure(self.q, [self.images[i] for i in order])
 
     # ---- float helpers ------------------------------------------------
 
     @cached_property
     def float_vertices(self) -> np.ndarray:
-        return np.array([[float(x) for x in v] for v in self.vertices], dtype=float)
+        q = self.q
+        return np.array([[x / q for x in p] for p in self.images], dtype=float)
 
     @cached_property
     def float_halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.array([[float(x) for x in m] for m, _ in self.halfspaces], dtype=float)
-        b = np.array([float(c) for _, c in self.halfspaces], dtype=float)
+        a = np.array([[float(x) for x in m] for m, _ in self.planes], dtype=float)
+        b = np.array([c / self.q for _, c in self.planes], dtype=float)
         return a, b
 
     def distances_to(self, points: np.ndarray) -> np.ndarray:
@@ -1002,11 +943,11 @@ class Polytope:
 class _FloatPolygon(Polytope):
     """A polygon whose hull construct decided on float points
     (_float_polygon).  It keeps the float view of its vertices and its
-    boundary cycle; its exact vertices, each kept float as a Fraction, and
-    its halfspaces, from the integer image of those vertices, are made on
-    first read.  Only this class has them as cached properties: a class
-    attribute named like an instance attribute makes every read of that
-    attribute slower, on every body."""
+    boundary cycle; its image, the kept floats' exact values over their
+    least common denominator, and its edge planes are made on first read.
+    Only this class has them as cached properties: a class attribute named
+    like an instance attribute makes every read of that attribute slower,
+    on every body."""
 
     def __init__(self, float_vertices: np.ndarray, boundary_cycle: tuple[int, ...]):
         self.ambient_dim = 2
@@ -1015,20 +956,75 @@ class _FloatPolygon(Polytope):
         self.boundary_cycle = boundary_cycle
 
     @cached_property
-    def vertices(self) -> tuple[Vec, ...]:
-        return tuple(tuple(map(Fraction, v)) for v in self.float_vertices.tolist())
+    def images(self) -> tuple[Image, ...]:
+        """The image of the kept floats; q is stored with it."""
+        self.q, keys = _integer_image(self.float_vertices.tolist())
+        return tuple(keys)
 
     @cached_property
-    def _image(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The image of the kept floats, which are the vertices' exact
-        values."""
-        q, keys = _integer_image(self.float_vertices.tolist())
-        return q, tuple(keys)
+    def q(self) -> int:
+        self.images  # which stores q
+        return self.__dict__["q"]
 
     @cached_property
-    def halfspaces(self) -> tuple[Halfspace, ...]:
-        q, ints = self._image
-        return _exact_offsets(_edge_halfspaces([ints[i] for i in self.boundary_cycle]), q)
+    def planes(self) -> tuple[Plane, ...]:
+        return tuple(sorted(_edge_halfspaces([self.images[i] for i in self.boundary_cycle])))
+
+
+def _hulled(d: int, q: int, pts: Iterable[Image]) -> Polytope:
+    """The hull of the integer points q * x, with its rank and, for a
+    polygon, its boundary cycle."""
+    keys = sorted(set(pts))
+    basis = _affine_basis(keys)
+    kept, hs, cycle = _hull(keys, basis)
+    out = Polytope(d, q, kept, sorted(hs))
+    if cycle is not None:
+        out.__dict__["boundary_cycle"] = cycle
+    out.__dict__["intrinsic_dim"] = len(basis)
+    return out
+
+
+def _prism(domain: Polytope, lo, level) -> Polytope:
+    """domain x [lo, level] for a nonempty domain and lo < level, with its
+    rank recorded: one more than the domain's.  Each domain image p
+    becomes (a p, Q lo) and (a p, Q level) at the common denominator Q,
+    in that order, so the images stay sorted."""
+    Q = math.lcm(domain.q, lo.denominator, level.denominator)
+    a, lo, level = Q // domain.q, int(lo * Q), int(level * Q)
+    z = (0,) * domain.ambient_dim
+    planes = [(m + (0,), c * a) for m, c in domain.planes]
+    planes += [(z + (1,), level), (z + (-1,), -lo)]
+    body = Polytope(domain.ambient_dim + 1, Q,
+                    [tuple(a * x for x in p) + (t,) for p in domain.images for t in (lo, level)],
+                    sorted(planes))
+    body.__dict__["intrinsic_dim"] = domain.intrinsic_dim + 1
+    return body
+
+
+def _move_lid(epigraph: Polytope, old, level) -> Polytope:
+    """A truncated epigraph with its lid moved from level old to level,
+    both strictly above the graph: the lid vertices and the top plane
+    ((0, ..., 0, 1), q old) move, every graph vertex stays.  Each vertex
+    keeps its place in the sorted order, and so does the top plane, the
+    only one with its normal, so the rank, the facets' and the boundary's
+    vertex indices and the edges carry over."""
+    d, q = epigraph.ambient_dim, epigraph.q
+    Q = math.lcm(q, level.denominator)
+    a, lid, top = Q // q, int(old * q), (0,) * (d - 1) + (1,)
+    level = int(level * Q)
+    images = [tuple(a * x for x in p[:-1]) + (level if p[-1] == lid else a * p[-1],)
+              for p in epigraph.images]
+    out = Polytope(d, Q, images, [(m, level if m == top else a * c)
+                                  for m, c in epigraph.planes])
+    known = epigraph.__dict__
+    out.__dict__["intrinsic_dim"] = epigraph.intrinsic_dim
+    for name in ("boundary_cycle", "edge_list"):
+        if name in known:
+            out.__dict__[name] = known[name]
+    if "_facets" in known:
+        moved = dict(zip(epigraph.planes, out.planes))
+        out.__dict__["_facets"] = tuple((moved[h], idx) for h, idx in known["_facets"])
+    return out
 
 
 # a facet-plane projection counts as lying on the facet within FACET_TOL,
@@ -1158,8 +1154,7 @@ def _volume_in_dim_of(bodies: Sequence[Polytope], k: int, cols: tuple[int, ...])
         if b.is_empty or b.intrinsic_dim < k:
             out.append(Fraction(0))
             continue
-        proj = [tuple(v[c] for c in cols) for v in b.vertices]
-        out.append(Polytope.construct(proj, k).volume)
+        out.append(_hulled(k, b.q, [tuple(p[c] for c in cols) for p in b.images]).volume)
     return out
 
 
@@ -1167,18 +1162,28 @@ def _face_measure(q: int, cycle: Sequence[tuple[int, ...]]) -> float:
     """Hausdorff measure of a face of dimension at most 2 from the integer
     images q * v of its vertices in cyclic order: 1 for a point, the
     length of a segment, the fan sum of the triangles of a polygon in
-    space.  A squared length is an integer N over q^2 and a squared
-    cross product one over q^4; N / q^k is a correctly rounded int/int
-    division, as float() of the rational value is."""
+    space.  A length is the root of an integer N over q^2 and a cross
+    product's the root of one over q^4 (_root)."""
     a = cycle[0]
     if len(cycle) == 1:
         return 1.0
     if len(cycle) == 2:
         u = [x - y for x, y in zip(cycle[1], a)]
-        return (_idot(u, u) / q ** 2) ** 0.5
-    q4 = q ** 4
+        return _root(_idot(u, u), q)
+    q2 = q * q
     tot = 0.0
     for b, c in zip(cycle[1:], cycle[2:]):
         n = _icross(a, b, c)
-        tot += 0.5 * (_idot(n, n) / q4) ** 0.5
+        tot += 0.5 * _root(_idot(n, n), q2)
     return tot
+
+
+def _root(N: int, r: int) -> float:
+    """sqrt(N) / r for integers N >= 0 and r > 0: the root of N / r^2, a
+    correctly rounded int/int division, as float() of the rational value
+    is.  Where that quotient overflows (a root above 1e154), isqrt(N) / r,
+    whose floor is off by less than one part in 1e154."""
+    try:
+        return (N / (r * r)) ** 0.5
+    except OverflowError:
+        return math.isqrt(N) / r

@@ -30,6 +30,7 @@ import numpy as np
 
 from .bodies import Polytope
 from .functions import PLConvexFunction
+from .linalg import on_integers
 from .measures import SphereMeasure
 from .minkowski import minkowski_solve, project_closed
 from .report import Report, csv_text, dumps_canonical
@@ -277,12 +278,6 @@ def mollify(mu: DualAtomMeasure, bump: str, j: int) -> GridDensity:
 # exact pairing with conjugates
 
 
-def _on_integers(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """A common denominator D of the rationals and the integers D * x."""
-    D = math.lcm(*(x.denominator for x in xs))
-    return D, [x.numerator * (D // x.denominator) for x in xs]
-
-
 def _grid_pairing_1d(env, lo: Fraction, h: Fraction, values: np.ndarray) -> float:
     """Sum over the cells [lo + k h, lo + (k + 1) h] of values[k] times the
     exact integral over the cell of a piecewise linear function given as
@@ -294,9 +289,9 @@ def _grid_pairing_1d(env, lo: Fraction, h: Fraction, values: np.ndarray) -> floa
     cell's numerator goes through one integer division, which rounds
     correctly, as float() of the exact Fraction does."""
     starts, slopes, offsets = zip(*env)
-    D, xs = _on_integers((lo, h) + starts)
-    Ds, S = _on_integers(slopes)
-    Dc, C = _on_integers(offsets)
+    D, xs = on_integers((lo, h) + starts)
+    Ds, S = on_integers(slopes)
+    Dc, C = on_integers(offsets)
     # the rows' starts, with no row after the last
     x0, w, xs = xs[0], xs[1], xs[2:] + [math.inf]
     S = [s * Dc for s in S]

@@ -7,19 +7,21 @@ region of full dimension inside the domain, so two functions are equal
 iff their canonical data are equal.
 
 One body carries a function's geometry: its epigraph truncated above the
-maximum, the prism D x [lo, T] clipped once per piece.  The minimal
-pieces, cells, complex vertices, minimum and conjugate are read off it.
-Each piece is also kept as an integer row, the piece times the lcm of
-its denominators, and the tests of vertices against pieces (which
+maximum, the prism D x [lo, T] (bodies._prism) clipped once per piece.
+The minimal pieces, cells, complex vertices, minimum and conjugate are
+read off it.  Each piece is also kept as an integer row, the piece times
+the least common denominator of its entries, and every test of points
+against pieces reads the rows on the integer images the bodies store
+(q * v, bodies module docstring), in integer arithmetic: which epigraph
 vertices lie on a piece's graph, the maximum over the domain, the
-prism's floor) read the rows on the integer images of the epigraph and
-the domain, in integer arithmetic.
+prism's floor, and the value at a point, scaled to integers, with one
+Fraction for the result.
 The same body truncated at a higher level has the same vertices and
-halfspaces in the same order, with the lid moved (_move_lid), so the
-pointwise minimum reuses both operands' epigraphs instead of clipping
-new prisms, and hands its own epigraph, the union hull with the lid
-lowered, to the result.  Each operand keeps its pointwise minimum and
-maximum with every other operand it met, so a pair's lattice results
+halfspaces in the same order, with the lid moved (bodies._move_lid), so
+the pointwise minimum reuses both operands' epigraphs instead of
+clipping new prisms, and hands its own epigraph, the union hull with the
+lid lowered, to the result.  Each operand keeps its pointwise minimum
+and maximum with every other operand it met, so a pair's lattice results
 are built once.
 
 The link to convex bodies goes both ways: body_of builds the compact
@@ -29,19 +31,20 @@ floor_of reads the lower boundary function off a body.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .bodies import GeometryError, Polytope, _affine_basis, _affine_rank, _exact, _idot
-from .linalg import Vec, dot, sub
+from .bodies import (GeometryError, Polytope, _affine_basis, _affine_rank, _hulled, _idot,
+                     _move_lid, _prism)
+from .linalg import Vec, dot, exact, on_integers, sub
 from .schema import InputError, array, field, integer, rational
 
 Piece = tuple[Vec, Fraction]
-# a piece (g, b) times the lcm D of its denominators: (D g, D b, D)
+# a piece (g, b) times the least common denominator D of its entries:
+# (D g, D b, D)
 Row = tuple[tuple[int, ...], int, int]
 
 # a pointwise minimum found not convex, as kept in the operand's memo
@@ -57,20 +60,18 @@ def _as_piece(g: Sequence, b) -> Piece:
 
 
 def _row(piece: Piece) -> Row:
-    """The piece scaled to integers by the lcm of its denominators."""
+    """The piece scaled to integers (linalg.on_integers)."""
     g, b = piece
-    D = math.lcm(b.denominator, *(x.denominator for x in g))
-    return (tuple(x.numerator * (D // x.denominator) for x in g),
-            b.numerator * (D // b.denominator), D)
+    D, ints = on_integers([*g, b])
+    return tuple(ints[:-1]), ints[-1], D
 
 
-def _top(domain: Polytope, rows: Sequence[Row]) -> Fraction:
-    """The largest value of a piece at a vertex of the domain, which is the
-    maximum of max(pieces) on it, read off the domain's integer image:
-    at the image p = q x of a vertex x a row (G, B, D) has the value
-    (G . p + q B) / (q D), so each row's largest is at its largest
-    integer G . p, and two rows compare by cross multiplication."""
-    q, pts = domain._image
+def _top(rows: Sequence[Row], pts: Sequence[tuple[int, ...]], q: int) -> Fraction:
+    """The largest value of a piece at one of the points x given by their
+    integer images p = q x: a row (G, B, D) has the value
+    (G . p + q B) / (q D) there, so each row's largest is at its largest
+    integer G . p, and two rows compare by cross multiplication.  On the
+    vertices of a domain this is the maximum of max(pieces) on it."""
     best_num, best_den = None, 1
     for G, B, D in rows:
         num = max(_idot(G, p) for p in pts) + q * B
@@ -88,53 +89,18 @@ def _project_piece(piece: Piece, domain: Polytope) -> Piece:
     return sub(g, resid), b + dot(resid, domain.vertices[0])
 
 
-def _prism(domain: Polytope, lo: Fraction, level: Fraction) -> Polytope:
-    """domain x [lo, level] for a nonempty domain and lo < level, with its
-    rank recorded: one more than the domain's."""
-    z = (0,) * domain.ambient_dim
-    hs = [(m + (0,), c) for m, c in domain.halfspaces]
-    hs += [(z + (1,), level), (z + (-1,), -lo)]
-    body = Polytope(domain.ambient_dim + 1,
-                    tuple(sorted(v + (t,) for v in domain.vertices for t in (lo, level))),
-                    tuple(sorted(hs)))
-    body.__dict__["intrinsic_dim"] = domain.intrinsic_dim + 1
-    return body
-
-
 def _epigraph(domain: Polytope, pieces: Sequence[Piece], level: Fraction) -> Polytope:
     """The epigraph of max(pieces) on a nonempty domain, truncated at a level
     above that maximum: the prism domain x [lo, level], with lo one below
     the first piece's least value at a domain vertex (its row read on the
     domain's integer image, as in _top), clipped by each piece's
     halfspace g . x - t <= -b."""
-    (G, B, D), (q, pts) = _row(pieces[0]), domain._image
-    lo = Fraction(min(_idot(G, p) for p in pts) + q * B, q * D) - 1
+    (G, B, D), q = _row(pieces[0]), domain.q
+    lo = Fraction(min(_idot(G, p) for p in domain.images) + q * B, q * D) - 1
     body = _prism(domain, lo, level)
     for g, b in pieces:
         body = body.clip(g + (-1,), -b)
     return body
-
-
-def _move_lid(epigraph: Polytope, old: Fraction, level: Fraction) -> Polytope:
-    """A truncated epigraph with its lid moved from level old to level,
-    both strictly above the graph: the lid vertices and the top
-    halfspace ((0, ..., 0, 1), old) move, every graph vertex stays.  Each
-    vertex keeps its place in the sorted order, and so does the top
-    halfspace, the only one with its normal, so the rank, the facets' and
-    the boundary's vertex indices and the edges carry over."""
-    top = ((0,) * (epigraph.ambient_dim - 1) + (1,), old)
-    verts = tuple(v[:-1] + (level,) if v[-1] == old else v for v in epigraph.vertices)
-    hs = tuple((h[0], level) if h == top else h for h in epigraph.halfspaces)
-    out = Polytope(epigraph.ambient_dim, verts, hs)
-    known = epigraph.__dict__
-    out.__dict__["intrinsic_dim"] = epigraph.intrinsic_dim
-    for name in ("boundary_cycle", "edge_list"):
-        if name in known:
-            out.__dict__[name] = known[name]
-    if "_facets" in known:
-        out.__dict__["_facets"] = tuple(((h[0], level) if h == top else h, idx)
-                                        for h, idx in known["_facets"])
-    return out
 
 
 def _tight(epigraph: Polytope, row: Row) -> list[int]:
@@ -143,9 +109,8 @@ def _tight(epigraph: Polytope, row: Row) -> list[int]:
     maximum.  On the integer image q * (x, t), with the piece as its row
     (G, B, D), g . x + b = t reads G . qx + q B = D qt."""
     G, B, D = row
-    q, pts = epigraph._image
-    qB = q * B
-    return [i for i, p in enumerate(pts) if _idot(G, p) + qB == D * p[-1]]
+    qB = epigraph.q * B
+    return [i for i, p in enumerate(epigraph.images) if _idot(G, p) + qB == D * p[-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +148,9 @@ class PLConvexFunction:
             raw = [_project_piece(p, domain) for p in raw]
         raw = sorted(set(raw))
         rows = list(map(_row, raw))
-        epi = _epigraph(domain, raw, _top(domain, rows) + 1)
+        epi = _epigraph(domain, raw, _top(rows, domain.images, domain.q) + 1)
         # a piece stays iff its region has the dimension k of the domain
-        pts = epi._image[1]
+        pts = epi.images
         kept = [(p, r) for p, r in zip(raw, rows)
                 if (idx := _tight(epi, r)) and _affine_rank([pts[i][:-1] for i in idx]) == k]
         u = PLConvexFunction(domain, tuple(p for p, _ in kept))
@@ -213,7 +178,7 @@ class PLConvexFunction:
             raise GeometryError("need ambient dimension at least 2")
         if body.is_empty:
             return PLConvexFunction.empty(n)
-        dom = Polytope.construct([v[:-1] for v in body.vertices], n)
+        dom = _hulled(n, body.q, [p[:-1] for p in body.images])
 
         def piece(m, c):
             # the plane m . (x, t) = c as t = g . x + b
@@ -262,10 +227,9 @@ class PLConvexFunction:
     @cached_property
     def cells(self) -> tuple[tuple[Vec, Fraction, Polytope], ...]:
         """Maximal regions of affineness with their gradient and offset."""
-        verts = self.epigraph.vertices
-        return tuple((g, b, Polytope.construct(
-            [verts[i][:-1] for i in _tight(self.epigraph, r)], self.n))
-            for (g, b), r in zip(self.pieces, self._rows))
+        epi = self.epigraph
+        return tuple((g, b, _hulled(self.n, epi.q, [epi.images[i][:-1] for i in _tight(epi, r)]))
+                     for (g, b), r in zip(self.pieces, self._rows))
 
     @cached_property
     def epigraph(self) -> Polytope:
@@ -292,7 +256,7 @@ class PLConvexFunction:
     @cached_property
     def max_value(self) -> Fraction:
         # attained at a domain vertex, where no containment test is needed
-        return _top(self.domain, self._rows)
+        return _top(self._rows, self.domain.images, self.domain.q)
 
     def _epigraph_at(self, level: Fraction) -> Polytope:
         """The epigraph truncated at a level above the maximum: the cached
@@ -305,13 +269,12 @@ class PLConvexFunction:
     # ---- evaluation ---------------------------------------------------
 
     def evaluate(self, x: Sequence) -> Fraction | None:
-        """Exact value, or None outside the domain."""
-        if self.is_empty:
+        """Exact value, or None outside the domain: the largest row value
+        at x scaled to integers (_top)."""
+        if self.is_empty or not self.domain.contains(x):
             return None
-        p = tuple(map(_exact, x))
-        if not self.domain.contains(p):
-            return None
-        return max(dot(g, p) + b for g, b in self.pieces)
+        D, p = on_integers(list(x))
+        return _top(self._rows, [p], D)
 
     def sublevel_set(self, s) -> Polytope:
         if self.is_empty:
@@ -352,8 +315,8 @@ class PLConvexFunction:
         """u(x - shift) + c."""
         if self.is_empty:
             return self
-        t = tuple(map(_exact, shift))
-        c = _exact(c)
+        t = tuple(map(exact, shift))
+        c = exact(c)
         dom = self.domain.translate(t)
         pieces = [(g, b - dot(g, t) + c) for g, b in self.pieces]
         return PLConvexFunction(dom, tuple(sorted(pieces)))
@@ -459,9 +422,16 @@ class MaxAffine:
 
     pieces: tuple[Piece, ...]
 
+    @cached_property
+    def _rows(self) -> tuple[Row, ...]:
+        return tuple(map(_row, self.pieces))
+
     def evaluate(self, y: Sequence) -> Fraction:
-        p = tuple(map(_exact, y))
-        return max(dot(g, p) + b for g, b in self.pieces)
+        """The largest row value at y scaled to integers (_top)."""
+        D, p = on_integers(list(y))
+        if len(p) != len(self.pieces[0][0]):
+            raise GeometryError("point and pieces dimensions differ")
+        return _top(self._rows, [p], D)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MaxAffine):

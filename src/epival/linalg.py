@@ -4,30 +4,24 @@ Everything here works on tuples of fractions.Fraction (ints work too)
 and never touches floating point.  Sizes are tiny (dimension at most 4)
 so one exact Gauss-Jordan reduction serves both rank and solve;
 independent_subset tests its candidates by their maximal minors
-instead, with no division.
+instead, with no division.  on_integers, the package's one scaler of
+rationals to integers, reads a float as its exact ratio.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 
 
-def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def smul(t: Fraction, a: Sequence[Fraction]) -> Vec:
-    t = Fraction(t)
-    return tuple(t * x for x in a)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -46,17 +40,34 @@ def is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
 
+def exact(x) -> int | Fraction:
+    """A number without as_integer_ratio, read exactly: an integral type (a
+    numpy int) through int, since a Fraction of a numpy int keeps its numpy
+    numerator, which overflows in integer products; anything else (a
+    string) through Fraction(x)."""
+    return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
+
+
+def on_integers(xs: Sequence) -> tuple[int, list[int]]:
+    """The least common denominator D of the rationals xs and the integers
+    D * x, with one D // den per distinct denominator.  Each x is read by
+    its as_integer_ratio() (int, float, Fraction and numpy floats have
+    it), an x of any other type by exact() first."""
+    odd = {t for t in set(map(type, xs)) if not hasattr(t, "as_integer_ratio")}
+    if odd:
+        xs = [exact(x) if type(x) in odd else x for x in xs]
+    ratios = [x.as_integer_ratio() for x in xs]
+    dens = set(map(itemgetter(1), ratios))
+    D = lcm(*dens)
+    scale = {den: D // den for den in dens}
+    return D, [num * scale[den] for num, den in ratios]
+
+
 def primitive(a: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero
     entry positive is NOT enforced (direction is preserved)."""
-    denoms = [Fraction(x).denominator for x in a]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = on_integers(list(a))[1]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(v // g for v in ints)

@@ -98,17 +98,25 @@ def surface_area_measure(P: Polytope) -> SphereMeasure:
     normals: list[np.ndarray] = []
     weights: list[float] = []
     if k == d:
-        q, ints = P._image
         for (m, _), idx in P._facets:
-            n = np.array([float(x) for x in m])
-            normals.append(n / np.linalg.norm(n))
-            weights.append(_face_measure(q, [ints[j] for j in idx]))
+            normals.append(_unit_normal(m))
+            weights.append(_face_measure(P.q, [P.images[j] for j in idx]))
     elif k == d - 1 and k >= 0:
-        n = np.array([float(x) for x in P.equality_planes[0][0]])
-        n /= np.linalg.norm(n)
+        n = _unit_normal(P.equality_planes[0][0])
         normals += [n, -n]
         weights += [P.relative_volume_float] * 2
     return SphereMeasure(d, np.reshape(normals, (-1, d)), np.array(weights, dtype=float))
+
+
+def _unit_normal(m: Sequence[int]) -> np.ndarray:
+    """The integer normal m as a float unit vector, n / norm(n).  A normal
+    whose squared length overflows (an entry above 1e154) is divided by
+    its largest entry first."""
+    n = np.array([float(x) for x in m])
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(n) == np.inf:
+            n /= np.max(np.abs(n))
+    return n / np.linalg.norm(n)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +153,8 @@ def faces_with_cones(P: Polytope, i: int) -> list[tuple[Polytope, list[Vec]]]:
     else:
         raise GeometryError(f"face dimension {i} out of range")
     proper = set(P.proper_halfspaces)
-    table = [(m, set(idx)) for (m, c), idx in P._facets if (m, c) in proper]
+    table = [(h[0], set(idx)) for h, (_, idx) in zip(P.halfspaces, P._facets)
+             if h in proper]
     planes = [g for m, _ in P.equality_planes for g in (m, tuple(-x for x in m))]
     return [(P.face(f), [m for m, idx in table if idx.issuperset(f)] + planes)
             for f in faces]

@@ -61,7 +61,7 @@ def _tangent_normals(gens: Sequence[Sequence], d: int) -> tuple[list[tuple[int, 
     polytope at a point is cut out by the facets through it.  Also the
     hull's dimension, which is the dimension of the generators' span."""
     hull = Polytope.construct([(0,) * d, *gens], d)
-    return [m for m, c in hull.halfspaces if c == 0], hull.intrinsic_dim
+    return [m for m, c in hull.planes if c == 0], hull.intrinsic_dim
 
 
 def in_cone(x: Sequence[Fraction], gens: Sequence[Vec]) -> bool:

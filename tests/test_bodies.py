@@ -326,7 +326,7 @@ def derived_cycle(P):
     """boundary_cycle derived from scratch on the same body made without
     construct, so that nothing is carried: the reference for the cycle
     construct hands over."""
-    fresh = Polytope(P.ambient_dim, P.vertices, P.halfspaces)
+    fresh = Polytope(P.ambient_dim, P.q, P.images, P.planes)
     assert "boundary_cycle" not in fresh.__dict__
     return fresh.boundary_cycle
 
@@ -587,7 +587,7 @@ def test_float_entry_is_a_float_array():
     lazy = Polytope.construct(np.array(pts), 2)
     eager = Polytope.construct(pts, 2)
     assert "vertices" not in lazy.__dict__ and "halfspaces" not in lazy.__dict__
-    assert "vertices" in eager.__dict__
+    assert isinstance(lazy, bodies._FloatPolygon) and not isinstance(eager, bodies._FloatPolygon)
     assert lazy.vertices == eager.vertices and lazy.halfspaces == eager.halfspaces
     assert lazy.boundary_cycle == eager.boundary_cycle
     assert lazy.float_vertices.tobytes() == eager.float_vertices.tobytes()
@@ -1006,9 +1006,9 @@ def facet_area(verts, d):
 
 def assert_facet_table(P):
     d = P.ambient_dim
-    assert [h for h, _ in P._facets] == list(P.halfspaces)
+    assert [h for h, _ in P._facets] == list(P.planes)
     atoms = surface_area_measure(P).atoms
-    for ((m, c), idx), (_, w) in zip(P._facets, atoms):
+    for (m, c), (_, idx), (_, w) in zip(P.halfspaces, P._facets, atoms):
         tight = tight_indices(P, m, c)
         assert sorted(idx) == tight
         verts = [P.vertices[i] for i in tight]

@@ -487,7 +487,7 @@ def test_epigraph_matches_old_derivations(case):
 
 def assert_carried_views(body):
     """Each face view the body carries equals the one derived afresh."""
-    fresh = Polytope(body.ambient_dim, body.vertices, body.halfspaces)
+    fresh = Polytope(body.ambient_dim, body.q, body.images, body.planes)
     assert body.intrinsic_dim == fresh.intrinsic_dim
     for name in ("_facets", "boundary_cycle", "edge_list"):
         if name in body.__dict__:

@@ -15,6 +15,7 @@ of floats at scales 1, 2^-30 and 1e-300, and from float (k, 2) arrays
 """
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -61,7 +62,7 @@ def ref_volume(P):
     if d == 1:
         return P.vertices[-1][0] - P.vertices[0][0]
     total = F(0)
-    for (m, c), idx in P._facets:
+    for (m, c), (_, idx) in zip(P.halfspaces, P._facets):
         k = _last_axis(m)
         proj = [P.vertices[i][:k] + P.vertices[i][k + 1:] for i in idx]
         if d == 2:
@@ -73,15 +74,25 @@ def ref_volume(P):
     return total / d
 
 
+def ref_root(s):
+    """The root of the Fraction s >= 0; where float(s) overflows, the
+    integer root of s's numerator times its denominator, over the
+    denominator."""
+    try:
+        return float(s) ** 0.5
+    except OverflowError:
+        return math.isqrt(s.numerator * s.denominator) / s.denominator
+
+
 def ref_face_measure(cycle):
     a = cycle[0]
     if len(cycle) == 1:
         return 1.0
     if len(cycle) == 2:
-        return float(norm_sq(sub(cycle[1], a))) ** 0.5
+        return ref_root(norm_sq(sub(cycle[1], a)))
     tot = 0.0
     for b, c in zip(cycle[1:], cycle[2:]):
-        tot += 0.5 * float(norm_sq(cross3(sub(b, a), sub(c, a)))) ** 0.5
+        tot += 0.5 * ref_root(norm_sq(cross3(sub(b, a), sub(c, a))))
     return tot
 
 
@@ -231,7 +242,7 @@ def assert_readers_match(P):
 def assert_hash_is_the_values(P):
     """Equal bodies have equal hashes, whatever built them."""
     same = [Polytope.construct(P.vertices, P.ambient_dim),
-            Polytope(P.ambient_dim, P.vertices, P.halfspaces)]
+            Polytope(P.ambient_dim, P.q, P.images, P.planes)]
     if all(type(x) is F for v in P.vertices for x in v):
         floats = [tuple(map(float, v)) for v in P.vertices]
         if [tuple(map(F, v)) for v in floats] == list(P.vertices):
@@ -310,7 +321,7 @@ def test_readers_on_float_polygons(pts, scale):
     R = Polytope.construct([tuple(map(F, p)) for p in arr.tolist()], 2)
     assert P == R and hash(P) == hash(R)
     if isinstance(P, _FloatPolygon):
-        assert P._image == R._image
+        assert (P.q, P.images) == (R.q, R.images)
     assert_readers_match(P)
 
 
@@ -371,14 +382,14 @@ def test_flat_halfspaces_of_edges_match_the_rational_gram_schmidt():
     seen = 0
     for i in range(10):
         P = gen.body(i)
-        q, ints = P._image
+        q, ints = P.q, P.images
         for face, _ in faces_with_cones(P, 1):
             idx = [P.vertices.index(v) for v in face.vertices]
             keys = [ints[j] for j in idx]
             basis = [sub(keys[1], keys[0])]
             ref = ref_flat_halfspaces(keys, basis)
             assert bodies._hull_flat(keys, basis)[1] == ref
-            assert face.halfspaces == bodies._exact_offsets(ref, q)
+            assert face.halfspaces == tuple((m, F(c, q)) for m, c in sorted(ref))
             seen += 1
     assert seen > 100
 

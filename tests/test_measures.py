@@ -205,6 +205,21 @@ class TestSurfaceAreaMeasure:
                 sam = surface_area_measure(P)
                 assert sam.closedness_residual() < 1e-9
 
+    def test_faces_longer_than_1e154(self):
+        """A squared length, or a normal's squared length, beyond the
+        float range takes the overflow-safe route instead of raising:
+        the root of an integer square and a normal divided by its largest
+        entry first."""
+        seg = Polytope.construct([(0.0, 0.0), (1e300, 0.0)])
+        assert seg.relative_volume_float == 1e300
+        tall = Polytope.construct([(0, 0), (1, 1e300)])
+        sam = surface_area_measure(tall)
+        assert list(sam.weights) == [tall.relative_volume_float] * 2 == [1e300] * 2
+        assert np.array_equal(sam.normals, [[-1.0, 1e-300], [1.0, -1e-300]])
+        tri = surface_area_measure(Polytope.construct([(0, 0), (1, 0), (0, 1e300)]))
+        assert sorted(tri.weights) == [1.0, 1e300, 1e300]
+        assert sam.closedness_residual() == 0.0 and tri.closedness_residual() < 1e-12
+
     def test_homogeneity(self):
         rng = np.random.default_rng(11)
         P = random_polytope(rng, 3)
@@ -492,7 +507,7 @@ class TestNearestPoints:
         assert dist[0] == pytest.approx(49.0, abs=1e-12)
         assert np.allclose(proj[0], [1.5, 1.0, 1.0], rtol=0.0, atol=1e-12)
         outside, top = max_slack_rows(P, X)
-        (m, c), _ = P._facets[top[0]]
+        m, c = P.halfspaces[top[0]]
         assert outside[0] and m == (1, 0, 2) and c == 5
         assert float(c) - np.dot(m, proj[0]) > 1.0
 

@@ -314,7 +314,7 @@ def test_gw_polygons_match_references():
     for mu in gw_sphere_measures():
         assert_merge_and_walk_match(mu)
         P = minkowski_solve(mu)
-        fresh = Polytope(2, P.vertices, P.halfspaces)
+        fresh = Polytope(2, P.q, P.images, P.planes)
         assert P.__dict__["boundary_cycle"] == fresh.boundary_cycle
         assert len(P.boundary_cycle) == len(P.vertices)
 

@@ -33,10 +33,10 @@ def test_profiles_only_the_named_case():
 def test_prints_the_callers_of_the_matching_functions():
     out = subprocess.run(
         [sys.executable, str(SCRIPT), "--workload", "lattice", "--seed", "1",
-         "--callers", r"linalg.py.*\(dot\)"],
+         "--callers", r"linalg.py.*\(on_integers\)"],
         capture_output=True, text=True, timeout=600, check=True).stdout
     assert out.startswith("workload lattice seed 1: 14 cases")
     assert "was called by..." in out
-    assert "linalg.py" in out and "(dot)" in out and "functions.py" in out
+    assert "linalg.py" in out and "(on_integers)" in out and "functions.py" in out
     # the callers replace the list of the heaviest functions
     assert "filename:lineno(function)" not in out
