@@ -88,6 +88,13 @@ edges, since its projection may lie on an edge of another facet.
 The max-slack facet's slack is also a lower bound on the distance, since
 its halfspace contains the body, so a caller that only needs the points
 within some reach can skip every row whose slack already exceeds it.
+nearest_points works along the long axis of its arrays, the rows: it
+copies the slacks x @ A.T to a (facets, rows) array, reduces down its
+columns, and clips segments on coordinate rows (d, rows), read from
+tables each body caches once (float_unit_normals, float_edges).  Its
+sums over the coordinates start from 0.0, as numpy's row sums do, so
+the bits are those of the row-major computation.  A nan or an infinite
+point is rejected with GeometryError.
 """
 
 from __future__ import annotations
@@ -911,6 +918,29 @@ class Polytope:
         b = np.array([c / self.q for _, c in self.planes], dtype=float)
         return a, b
 
+    @cached_property
+    def float_unit_normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The norms of the float_halfspaces normals, and the normals
+        divided by them as coordinate rows (d, planes)."""
+        a = self.float_halfspaces[0]
+        norms = np.linalg.norm(a, axis=1)
+        return norms, (a / norms[:, None]).T.copy()
+
+    @cached_property
+    def float_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The segments nearest_points projects onto, as coordinate rows:
+        each start a and direction ab = b - a, (d, segments), and ab . ab
+        summed as numpy sums a row.  A full dimensional polygon lists its
+        facets' edges in plane order, any other body its edge_list."""
+        verts = self.float_vertices
+        if self.intrinsic_dim == self.ambient_dim == 2:
+            ends = [idx for _, idx in self._facets]
+        else:
+            ends = self.edge_list
+        i, j = np.array(ends, dtype=int).reshape(-1, 2).T
+        a, ab = verts[i].T.copy(), (verts[j] - verts[i]).T.copy()
+        return a, ab, sum(ab * ab, 0.0)
+
     def distances_to(self, points: np.ndarray) -> np.ndarray:
         """Euclidean distance from each row of points to the body, float."""
         return nearest_points(self, points)[0]
@@ -1033,7 +1063,7 @@ def _move_lid(epigraph: Polytope, old, level) -> Polytope:
 FACET_TOL = 1e-9
 INSIDE_TOL = 1e-12
 # nearest_points works on blocks of this many rows, which bounds its
-# rows x facets and edges x rows arrays
+# facets x rows and edges x rows arrays
 NEAREST_BLOCK = 4096
 
 
@@ -1041,21 +1071,30 @@ def nearest_points(P: Polytope, points: np.ndarray, *, reach: float = math.inf
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and metric projections onto the body, vectorized, float.
 
-    A point inside a full dimensional body is its own projection.  A point
-    x outside is read off its max-slack facet, the one with the largest
-    normalized slack, in blocks of NEAREST_BLOCK rows.  In the plane that
-    is one clip onto the facet's edge.  A projection inside an edge has
-    that edge's slack as its distance, larger than any other edge's slack;
-    a projection at a vertex v puts x - v in the cone of v's two edge
-    normals, and every other edge normal is angularly farther from x - v
-    and has a negative offset at v, so the max-slack edge ends at v.  In
-    space a point whose projection onto the max-slack facet plane lies in
-    the facet, clear of the other facet planes by FACET_TOL, takes that
-    projection; the rest take the nearest of all edges, which need not lie
-    on that facet.  A flat body takes the nearest of its edges (its vertex,
-    if it is a point), and a polygon in space its affine-hull plane where
-    that projection is feasible within FACET_TOL.  In R^1 the projection
-    is a clip onto the interval.
+    The points must be finite: a nan or an infinite coordinate raises
+    GeometryError.  A point inside a full dimensional body is its own
+    projection.  A point x outside is read off its max-slack facet, the
+    one with the largest normalized slack (the first, on a tie), in blocks
+    of NEAREST_BLOCK rows.  In the plane that is one clip onto the facet's
+    edge.  A projection inside an edge has that edge's slack as its
+    distance, larger than any other edge's slack; a projection at a vertex
+    v puts x - v in the cone of v's two edge normals, and every other edge
+    normal is angularly farther from x - v and has a negative offset at v,
+    so the max-slack edge ends at v.  In space a point whose projection
+    onto the max-slack facet plane lies in the facet, clear of the other
+    facet planes by FACET_TOL, takes that projection; the rest take the
+    nearest of all edges (the first, on a tie), which need not lie on that
+    facet.  A flat body takes the nearest of its edges (its vertex, if it
+    is a point), and a polygon in space its affine-hull plane where that
+    projection is feasible within FACET_TOL.  In R^1 the projection is a
+    clip onto the interval.
+
+    A block runs facets-major: the slacks x @ A.T are copied to a
+    (facets, rows) array, so the inside test, the max-slack facet and the
+    facet test reduce down its columns, and the segments are clipped on
+    coordinate rows (d, rows) gathered from the body's float_edges.  Each
+    sum over coordinates runs 0.0 + first + second ..., as numpy sums a
+    row, so the bits are those of the row-major computation.
 
     On a full dimensional body in R^2 or R^3, a row whose max-slack facet
     slack exceeds reach is certified farther than reach: it gets distance
@@ -1064,6 +1103,8 @@ def nearest_points(P: Polytope, points: np.ndarray, *, reach: float = math.inf
     if P.is_empty:
         raise GeometryError("projection onto empty body")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise GeometryError("nearest_points needs finite points")
     if P.ambient_dim == 1:
         verts = P.float_vertices
         proj = np.clip(pts, verts.min(), verts.max())
@@ -1071,16 +1112,19 @@ def nearest_points(P: Polytope, points: np.ndarray, *, reach: float = math.inf
     dist, proj = np.empty(len(pts)), np.empty_like(pts)
     for lo in range(0, len(pts), NEAREST_BLOCK):
         rows = slice(lo, lo + NEAREST_BLOCK)
-        dist[rows], proj[rows] = _nearest_block(P, pts[rows], reach=reach)
+        dist[rows], cols = _nearest_block(P, pts[rows], reach=reach)
+        proj[rows] = cols.T
     return dist, proj
 
 
 def _nearest_block(P: Polytope, x: np.ndarray, *, reach: float = math.inf
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """One block of rows of nearest_points on a body in R^2 or R^3."""
+    """One block of rows of nearest_points on a body in R^2 or R^3: the
+    distances, and the projections as coordinate rows (d, rows)."""
     A, bvec = P.float_halfspaces
     slack = np.maximum(1.0, np.abs(bvec))
-    dist, proj = np.zeros(len(x)), x.copy()
+    xt = x.T.copy()
+    dist, proj = np.zeros(len(x)), xt.copy()
     if P.intrinsic_dim < P.ambient_dim:
         rest = np.arange(len(x))
         if P.intrinsic_dim == 2:
@@ -1091,61 +1135,75 @@ def _nearest_block(P: Polytope, x: np.ndarray, *, reach: float = math.inf
             s = x @ n - off
             cand = x - s[:, None] * n
             ok = np.all(cand @ A.T <= bvec + FACET_TOL * slack, axis=1)
-            dist[ok], proj[ok] = np.abs(s[ok]), cand[ok]
+            dist[ok], proj[:, ok] = np.abs(s[ok]), cand[ok].T
             rest = rest[~ok]
     else:
-        vals = x @ A.T
-        out = np.nonzero(~np.all(vals <= bvec + INSIDE_TOL * slack, axis=1))[0]
-        norms = np.linalg.norm(A, axis=1)
-        over = (vals[out] - bvec) / norms
-        top = np.argmax(over, axis=1)
-        far = over[np.arange(len(out)), top] > reach
+        norms, unit = P.float_unit_normals
+        # the products stay row-major, x @ A.T, since BLAS need not give
+        # A @ x.T the same bits; the slacks are copied facets-major
+        vals = np.ascontiguousarray((x @ A.T).T)
+        out = np.flatnonzero(~np.all(vals <= (bvec + INSIDE_TOL * slack)[:, None], axis=0))
+        over = (vals.take(out, axis=1) - bvec[:, None]) / norms[:, None]
+        # an outside row's largest slack is positive, so its bits are those
+        # of the slack at the row's first argmax
+        s = np.max(over, axis=0)
+        far = s > reach
         if far.any():
-            dist[out[far]], proj[out[far]] = np.inf, np.nan
-            out, over, top = out[~far], over[~far], top[~far]
+            gone, keep = out[far], ~far
+            dist[gone], proj[:, gone] = np.inf, np.nan
+            out, over, s = out[keep], over.compress(keep, axis=1), s[keep]
+        top = _first_max(over, s)
         if P.ambient_dim == 2:
-            verts = P.float_vertices
-            ends = np.array([idx for _, idx in P._facets])[top]
-            dist[out], proj[out] = _segment_clip(x[out], verts[ends[:, 0]], verts[ends[:, 1]])
+            a, ab, abab = P.float_edges
+            dist[out], proj[:, out] = _segment_clip(
+                xt.take(out, axis=1), a.take(top, axis=1), ab.take(top, axis=1), abab[top])
             return dist, proj
-        at = (np.arange(len(out)), top)
-        s = over[at]
-        cand = x[out] - s[:, None] * (A[top] / norms[top, None])
-        ok = cand @ A.T <= bvec - FACET_TOL * slack
-        ok[at] = True
-        ok = np.all(ok, axis=1)
-        dist[out[ok]], proj[out[ok]] = s[ok], cand[ok]
+        cand = xt.take(out, axis=1) - s * unit.take(top, axis=1)
+        ok = np.ascontiguousarray((cand.T.copy() @ A.T).T) <= (bvec - FACET_TOL * slack)[:, None]
+        ok[top, np.arange(len(out))] = True
+        ok = np.all(ok, axis=0)
+        dist[out[ok]], proj[:, out[ok]] = s[ok], cand.compress(ok, axis=1)
         rest = out[~ok]
     if len(rest):
-        dist[rest], proj[rest] = _nearest_edge(P, x[rest])
+        dist[rest], proj[:, rest] = _nearest_edge(P, xt.take(rest, axis=1))
     return dist, proj
 
 
-def _segment_clip(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distance and projection of each row of x onto the segment [a, b]
-    given by the same row of a and b."""
-    ab = b - a
-    tt = np.clip(np.sum((x - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
-    cand = a + tt[:, None] * ab
-    return np.linalg.norm(x - cand, axis=1), cand
+def _first_max(over: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """The first row of each column of over that holds the column's
+    maximum peak, as np.argmax picks it, by one scan over the rows from
+    the last to the first."""
+    first = np.empty(over.shape[1], dtype=np.intp)
+    for f in range(len(over) - 1, -1, -1):
+        first[over[f] == peak] = f
+    return first
+
+
+def _segment_clip(x: np.ndarray, a: np.ndarray, ab: np.ndarray, abab: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and projection of each column of x, coordinate rows
+    (d, k), onto the segment from a to a + ab in the same column of a and
+    ab, with abab its ab . ab."""
+    tt = np.clip(sum((x - a) * ab, 0.0) / abab, 0.0, 1.0)
+    cand = a + tt * ab
+    return np.sqrt(sum((x - cand) ** 2, 0.0)), cand
 
 
 def _nearest_edge(P: Polytope, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distance and projection of each row of x onto the nearest edge of
-    the body, or onto its vertex if it is a point.  The search runs on
-    edges x rows arrays, one coordinate per array."""
-    verts = P.float_vertices
-    if not P.edge_list:
-        proj = np.repeat(verts, len(x), axis=0)
-        return np.linalg.norm(x - proj, axis=1), proj
-    i, j = np.array(P.edge_list).T
-    a, ab = verts[i], verts[j] - verts[i]
-    diff = [x[:, k] - a[:, k, None] for k in range(x.shape[1])]
-    tt = sum(dk * ab[:, k, None] for k, dk in enumerate(diff))
-    tt = np.clip(tt / np.sum(ab * ab, axis=1)[:, None], 0.0, 1.0)
-    sq = sum((dk - tt * ab[:, k, None]) ** 2 for k, dk in enumerate(diff))
+    """Distance and projection of each column of x, coordinate rows
+    (d, k), onto the nearest edge of the body (the first, on a tie), or
+    onto its vertex if it is a point.  The search runs on edges x rows
+    arrays, one coordinate per array."""
+    a, ab, abab = P.float_edges
+    if not len(abab):
+        cand = np.repeat(P.float_vertices.T, x.shape[1], axis=1)
+        return np.sqrt(sum((x - cand) ** 2, 0.0)), cand
+    diff = [xk - ak[:, None] for xk, ak in zip(x, a)]
+    tt = sum(dk * abk[:, None] for dk, abk in zip(diff, ab))
+    tt = np.clip(tt / abab[:, None], 0.0, 1.0)
+    sq = sum((dk - tt * abk[:, None]) ** 2 for dk, abk in zip(diff, ab))
     e = np.argmin(sq, axis=0)
-    return _segment_clip(x, a[e], verts[j[e]])
+    return _segment_clip(x, a.take(e, axis=1), ab.take(e, axis=1), abab[e])
 
 
 def _volume_in_dim_of(bodies: Sequence[Polytope], k: int, cols: tuple[int, ...]) -> list[Fraction]:

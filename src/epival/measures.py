@@ -611,19 +611,24 @@ def p_t_volume_mc(
     cell wins, and the subgradient is read off as (z - x*) / t.
     """
     def hits(Z):
+        # the samples and the best points as coordinate rows (n, samples)
+        zt = Z.T.copy()
         best_val = np.full(len(Z), np.inf)
-        best_x = np.zeros(Z.shape)
+        best_x = np.zeros(zt.shape)
         for g, b, region_poly in u.cells:
             gf = np.array([float(x) for x in g])
             shifted = Z - t * gf
             _, xs = nearest_points(region_poly, shifted)
-            vals = xs @ gf + float(b) + np.sum((Z - xs) ** 2, axis=1) / (2.0 * t)
+            # |Z - xs|^2 summed down the coordinate rows from 0.0, as numpy
+            # sums a row
+            sq = sum((zt - xs.T) ** 2, 0.0)
+            vals = xs @ gf + float(b) + sq / (2.0 * t)
             better = vals < best_val
-            best_val = np.where(better, vals, best_val)
-            best_x[better] = xs[better]
-        Y = (Z - best_x) / t
-        return (np.all(np.abs(Y) <= gradient_bound + MC_TOL, axis=1),
-                lambda k: (best_x[k], Y[k]))
+            np.copyto(best_val, vals, where=better)
+            np.copyto(best_x, xs.T, where=better)
+        Y = (zt - best_x) / t
+        inside = np.all(np.abs(Y) <= gradient_bound + MC_TOL, axis=0)
+        return inside, lambda k: (best_x[:, k], Y[:, k])
 
     return _mc_volume(u.domain.float_vertices, t, t * gradient_bound, samples, seed,
                       hits, region)

@@ -284,23 +284,43 @@ def _tri_rule(tris: np.ndarray, g_rows, n: int) -> list:
     return list(area2 * sums)
 
 
-def _adaptive_tri(v0, v1, v2, g_rows, tol: float, order: int, depth: int = 0,
-                  whole: float | None = None) -> float:
+def _adaptive_tri(v0, v1, v2, g_rows, tol: float, order: int) -> float:
     """Integral over the flat triangle v0 v1 v2 by the collapsed
-    Gauss-Legendre rule of the given order on recursive 4-way midpoint
-    subdivision.  g_rows maps a (rows, d) array of points to their values;
-    the 4 children's nodes go to it in one call, and each child is handed
-    the estimate its parent computed for it."""
-    if whole is None:
-        whole = _tri_rule(np.array([(v0, v1, v2)]), g_rows, order)[0]
-    m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
-    subs = ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20))
-    parts = _tri_rule(np.array(subs), g_rows, order)
-    fine = sum(parts)
-    if abs(fine - whole) < tol * (1.0 + abs(fine)) or depth > DEPTH_CAP_TRI:
-        return fine
-    return sum(_adaptive_tri(*t, g_rows, tol / 4, order, depth + 1, p)
-               for t, p in zip(subs, parts))
+    Gauss-Legendre rule of the given order on 4-way midpoint subdivision,
+    breadth first.  g_rows maps a (rows, d) array of points to their
+    values.  Each level's open triangles split at once: the nodes of all
+    their children go to g_rows in one _tri_rule call, and each child is
+    handed the estimate that call made for it.  A triangle closes when its
+    children's sum is within tol * (1 + |sum|) of its own estimate, tol
+    quartered per level, or once its depth passes DEPTH_CAP_TRI; its value
+    is then that sum.  An open triangle's value is 0 + the values of its
+    four children in child order, folded up from the deepest level, so
+    the bits are those of the depth-first recursion."""
+    tris = np.array([(v0, v1, v2)])
+    d = tris.shape[2]
+    wholes = _tri_rule(tris, g_rows, order)
+    levels = []
+    depth = 0
+    while len(tris):
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        # subs[k, j] is child j of triangle k
+        subs = np.stack([np.stack(t, axis=1) for t in
+                         ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))], axis=1)
+        parts = _tri_rule(subs.reshape(-1, 3, d), g_rows, order)
+        fines = [sum(parts[j:j + 4]) for j in range(0, len(parts), 4)]
+        split = [not (abs(fine - whole) < tol * (1.0 + abs(fine)) or depth > DEPTH_CAP_TRI)
+                 for fine, whole in zip(fines, wholes)]
+        levels.append((fines, split))
+        tris = subs[np.array(split, dtype=bool)].reshape(-1, 3, d)
+        wholes = [p for j, p in enumerate(parts) if split[j // 4]]
+        tol, depth = tol / 4, depth + 1
+    values: list = []
+    for fines, split in reversed(levels):
+        below, values = iter(values), []
+        for fine, opened in zip(fines, split):
+            values.append(sum(next(below) for _ in range(4)) if opened else fine)
+    return values[0]
 
 
 def _fan(verts: Sequence[np.ndarray], tri: Callable, tol: float) -> float:
