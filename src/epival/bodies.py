@@ -44,8 +44,9 @@ the hull's direction space by one exact rejection against the equality
 normals, with no Gram solves and no dual basis.  A single equality normal
 (a segment in the plane, a polygon in space) is a perpendicular or a
 cross product of the direction basis, with no Gram-Schmidt; the two of a
-segment in space come from a fraction-free integer Gram-Schmidt, as do
-the lifts (_icomplement, _ireject).
+segment in space come from the package's one Gram-Schmidt, the
+fraction-free integer one of linalg, as do the lifts (int_complement,
+int_reject).
 
 A polygon made by construct, in the plane or in space, carries its
 boundary_cycle: the monotone chain its hull was decided on, read as
@@ -110,7 +111,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import Vec, cross3, dot, on_integers, solve, sub
+from .linalg import Vec, cross3, dot, int_complement, int_reject, on_integers, solve, sub
 from .schema import array, field, integer, rational
 
 Halfspace = tuple[tuple[int, ...], Fraction]
@@ -319,35 +320,6 @@ def _iprimitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def _ireject(v: Sequence[int], ortho: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """A positive multiple of the component of the integer vector v
-    orthogonal to the span of the pairwise orthogonal integer vectors in
-    ortho: each step is the rejection times w . w > 0,
-    v <- (w . w) v - (v . w) w, fraction-free."""
-    for w in ortho:
-        ww, vw = _idot(w, w), _idot(v, w)
-        v = tuple(ww * a - vw * b for a, b in zip(v, w))
-    return tuple(v)
-
-
-def _icomplement(basis: Sequence[Sequence[int]], d: int) -> list[tuple[int, ...]]:
-    """Primitive pairwise orthogonal integer vectors spanning the
-    orthogonal complement of span(basis) in R^d: Gram-Schmidt by _ireject
-    on the basis, then on the unit vectors in turn.  Each is a positive
-    multiple of the rational Gram-Schmidt vector, since a rejection
-    against a positive multiple of w is the rejection against w."""
-    ortho: list[tuple[int, ...]] = []
-    for u in basis:
-        ortho.append(_iprimitive(_ireject(u, ortho)))
-    comp = []
-    for k in range(d):
-        e = _ireject([int(j == k) for j in range(d)], ortho)
-        if any(e):
-            comp.append(_iprimitive(e))
-            ortho.append(comp[-1])
-    return comp
-
-
 def _last_axis(m: Sequence) -> int:
     """The last coordinate the normal m uses.  Dropping it projects the
     normal's plane one to one onto the other coordinates."""
@@ -454,16 +426,16 @@ def _hull_flat(keys: list[tuple[int, ...]], basis: list
     basis; a single one (a segment in the plane, a polygon in space) is
     the basis vector's perpendicular or the basis vectors' cross product,
     with no Gram-Schmidt, and more (a segment or a point in space) come
-    from the integer Gram-Schmidt of _icomplement.  The hull is decided
+    from the integer Gram-Schmidt of int_complement.  The hull is decided
     on the chart; each of its facet normals is lifted into the span by
-    rejecting the equality normals (_ireject)."""
+    rejecting the equality normals (int_reject)."""
     d, base = len(keys[0]), keys[0]
     if len(basis) == d - 1 > 0:
         # the sign is free: both halfspaces of the plane are kept below
         u = basis[0]
         comp = [_iprimitive((-u[1], u[0]) if d == 2 else cross3(*basis))]
     else:
-        comp = _icomplement(basis, d)
+        comp = int_complement(basis, d)
     cols = _chart(comp, d)
     kept, rel, cycle = keys, (), None
     if cols:
@@ -481,7 +453,7 @@ def _hull_flat(keys: list[tuple[int, ...]], basis: list
         lift = [0] * d
         for j, x in zip(cols, m):
             lift[j] = x
-        n = _iprimitive(_ireject(lift, comp))
+        n = _iprimitive(int_reject(lift, comp))
         hs.append((n, max(_idot(n, v) for v in kept)))
     for w in comp:
         c = _idot(w, base)
@@ -609,24 +581,28 @@ class Polytope:
         return _affine_rank(self.images)
 
     @cached_property
-    def equality_planes(self) -> tuple[Halfspace, ...]:
+    def _paired(self) -> frozenset[Plane]:
+        """The planes whose opposite plane is a plane too: both sides of
+        each equality constraint of a flat body."""
         if self.intrinsic_dim == self.ambient_dim:
-            return ()
-        seen = set(self.halfspaces)
-        eq = []
-        for m, c in self.halfspaces:
-            neg = tuple(-x for x in m)
-            if (neg, -c) in seen and (neg, -c) > (m, c):
-                eq.append((m, c))
-        return tuple(eq)
+            return frozenset()
+        planes = set(self.planes)
+        return frozenset((m, c) for m, c in planes
+                         if (tuple(-x for x in m), -c) in planes)
+
+    @cached_property
+    def equality_planes(self) -> tuple[Halfspace, ...]:
+        """The smaller halfspace of each opposite pair, in plane order."""
+        q, paired = self.q, self._paired
+        return tuple((m, Fraction(c, q)) for m, c in self.planes
+                     if (m, c) in paired and m < tuple(-x for x in m))
 
     @cached_property
     def proper_halfspaces(self) -> tuple[Halfspace, ...]:
-        eq = set()
-        for m, c in self.equality_planes:
-            eq.add((m, c))
-            eq.add((tuple(-x for x in m), -c))
-        return tuple(h for h in self.halfspaces if h not in eq)
+        """The halfspaces in no opposite pair, in plane order."""
+        q, paired = self.q, self._paired
+        return tuple((m, Fraction(c, q)) for m, c in self.planes
+                     if (m, c) not in paired)
 
     def contains(self, point: Sequence) -> bool:
         """Whether m . x <= c on every plane, read on the point scaled to

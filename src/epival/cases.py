@@ -87,8 +87,7 @@ class CaseGenerator:
         M = _random_body(rng, d)
         for _ in range(32):
             a = tuple(snap(x) for x in rng.normal(size=d))
-            lo = min(sum(ai * vi for ai, vi in zip(a, v)) for v in M.vertices)
-            hi = max(sum(ai * vi for ai, vi in zip(a, v)) for v in M.vertices)
+            lo, hi = -M.support(tuple(-x for x in a)), M.support(a)
             if hi == lo:
                 continue
             c1 = lo + (hi - lo) * snap(rng.uniform(0.30, 0.44))

@@ -82,11 +82,17 @@ def _top(rows: Sequence[Row], pts: Sequence[tuple[int, ...]], q: int) -> Fractio
 
 def _project_piece(piece: Piece, domain: Polytope) -> Piece:
     """Kill the gradient component orthogonal to the domain's affine hull,
-    keeping the values on the domain; canonical for flat domains."""
+    keeping the values on the domain; canonical for flat domains.  That
+    component is the projection of g onto the domain's equality normals,
+    pairwise orthogonal integer vectors n spanning the complement of the
+    integer image's direction space, a sum of (g . n / n . n) n."""
     g, b = piece
-    basis = _affine_basis(domain.vertices)
-    resid = linalg.reject(g, linalg.orthogonalize(basis))
-    return sub(g, resid), b + dot(resid, domain.vertices[0])
+    pts = domain.images
+    resid = (Fraction(0),) * len(g)
+    for n in linalg.int_complement(_affine_basis(pts), domain.ambient_dim):
+        coef = dot(g, n) / _idot(n, n)
+        resid = tuple(r + coef * x for r, x in zip(resid, n))
+    return sub(g, resid), b + dot(resid, pts[0]) / domain.q
 
 
 def _epigraph(domain: Polytope, pieces: Sequence[Piece], level: Fraction) -> Polytope:

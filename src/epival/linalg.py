@@ -1,11 +1,15 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra helpers over the rationals and the integers.
 
-Everything here works on tuples of fractions.Fraction (ints work too)
-and never touches floating point.  Sizes are tiny (dimension at most 4)
-so one exact Gauss-Jordan reduction serves both rank and solve;
-independent_subset tests its candidates by their maximal minors
-instead, with no division.  on_integers, the package's one scaler of
-rationals to integers, reads a float as its exact ratio.
+Nothing here touches floating point.  sub, dot, cross3, solve and
+independent_subset take tuples of fractions.Fraction or ints; sizes are
+tiny (dimension at most 4).  solve is one exact Gauss-Jordan reduction;
+independent_subset tests its candidates by their maximal minors instead,
+with no division.  The one Gram-Schmidt, int_reject, int_orthogonalize
+and int_complement, takes integer vectors and stays fraction-free: each
+vector it returns is a positive multiple of the rational Gram-Schmidt
+vector (integer-only exact geometry, as in Yap, Comput. Geom. 7, 1997).
+on_integers, the package's one scaler of rationals to integers, reads a
+float as its exact ratio.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numbers
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -34,10 +38,6 @@ def cross3(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def is_zero(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
 
 
 def exact(x) -> int | Fraction:
@@ -102,11 +102,6 @@ def _reduce(m: list[list[Fraction]], ncols: int) -> int:
     return rank
 
 
-def mat_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    return _reduce(m, len(m[0])) if m else 0
-
-
 def solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | None:
     """Solve the square system A x = b exactly.  Returns None when A is
     singular (regardless of consistency; callers only need the unique case)."""
@@ -115,10 +110,6 @@ def solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec | 
     if _reduce(m, n) < n:
         return None
     return tuple(row[n] / row[i] for i, row in enumerate(m))
-
-
-def norm_sq(a: Sequence[Fraction]) -> Fraction:
-    return dot(a, a)
 
 
 def independent_subset(vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
@@ -147,33 +138,38 @@ def independent_subset(vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
     return basis
 
 
-def reject(v: Sequence[Fraction], ortho: Sequence[Sequence[Fraction]]) -> Vec:
-    """Component of v orthogonal to the span of the pairwise orthogonal
-    vectors in ortho, exact."""
-    out = tuple(v)
+def int_reject(v: Sequence[int], ortho: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """A positive multiple of the component of the integer vector v
+    orthogonal to the span of the pairwise orthogonal integer vectors in
+    ortho: each step is the rejection times w . w > 0,
+    v <- (w . w) v - (v . w) w, fraction-free."""
     for w in ortho:
-        coef = dot(out, w) / norm_sq(w)
-        out = tuple(a - coef * b for a, b in zip(out, w))
-    return out
+        ww, vw = sum(map(mul, w, w)), sum(map(mul, v, w))
+        v = tuple(ww * a - vw * b for a, b in zip(v, w))
+    return tuple(v)
 
 
-def orthogonalize(basis: Iterable[Sequence[Fraction]]) -> list[Vec]:
-    """Gram-Schmidt without normalization: pairwise orthogonal vectors
-    spanning the same nested subspaces as the independent input."""
-    ortho: list[Vec] = []
+def int_orthogonalize(basis: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Gram-Schmidt by int_reject on independent integer vectors: primitive
+    pairwise orthogonal integer vectors spanning the same nested subspaces,
+    each a positive multiple of the rational Gram-Schmidt vector, since a
+    rejection against a positive multiple of w is the rejection against w."""
+    ortho: list[tuple[int, ...]] = []
     for u in basis:
-        ortho.append(reject(u, ortho))
+        ortho.append(primitive(int_reject(u, ortho)))
     return ortho
 
 
-def orthogonal_complement(basis: Iterable[Sequence[Fraction]], d: int) -> list[Vec]:
-    """Rational basis of the orthogonal complement of span(basis) in R^d,
-    obtained by rejecting the standard unit vectors in turn."""
-    ortho = orthogonalize(basis)
-    out: list[Vec] = []
+def int_complement(basis: Iterable[Sequence[int]], d: int) -> list[tuple[int, ...]]:
+    """Primitive pairwise orthogonal integer vectors spanning the
+    orthogonal complement of span(basis) in R^d: int_orthogonalize on the
+    basis, then int_reject on the unit vectors in turn, each nonzero
+    remainder kept."""
+    ortho = int_orthogonalize(basis)
+    comp = []
     for k in range(d):
-        e = reject([Fraction(int(k == j)) for j in range(d)], ortho)
-        if not is_zero(e):
-            out.append(e)
-            ortho.append(e)
-    return out
+        e = int_reject([int(j == k) for j in range(d)], ortho)
+        if any(e):
+            comp.append(primitive(e))
+            ortho.append(comp[-1])
+    return comp

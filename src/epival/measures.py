@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import GeometryError, Polytope, _face_measure, nearest_points
+from .bodies import GeometryError, Polytope, _face_measure, _idot, nearest_points
 from .functions import PLConvexFunction
-from .linalg import Vec, dot, primitive, norm_sq, sub
+from .linalg import Vec, on_integers, primitive, sub
 from .schema import InputError, array, field, integer, real
 from .spherical import SphericalPatch, _adaptive_1d, _adaptive_tri, _fan
 
@@ -123,41 +123,47 @@ def _unit_normal(m: Sequence[int]) -> np.ndarray:
 # faces and their normal cones
 
 
-def _cone_generators(P: Polytope, face_vertices: Sequence[Vec]) -> list[Vec]:
-    gens: list[Vec] = [m for m, c in P.proper_halfspaces
-                       if all(dot(m, v) == c for v in face_vertices)]
+def _cone_generators(P: Polytope, face_vertices: Sequence[Vec]) -> list[tuple[int, ...]]:
+    """Generators of the outer normal cone of P at the face with these
+    vertices: the normals of the proper planes (m, q c) through every
+    vertex, in plane order, then both normals of each equality plane.  A
+    vertex x, scaled to integers X = D x with the others, lies on the
+    plane iff q m . X = D (q c)."""
+    D, flat = on_integers([x for v in face_vertices for x in v])
+    pts = list(zip(*[iter(flat)] * P.ambient_dim))
+    q, paired = P.q, P._paired
+    gens = [m for m, c in P.planes
+            if (m, c) not in paired and all(_idot(m, x) * q == c * D for x in pts)]
     for m, _ in P.equality_planes:
         gens += [m, tuple(-x for x in m)]
     return gens
 
 
-def faces_with_cones(P: Polytope, i: int) -> list[tuple[Polytope, list[Vec]]]:
+def faces_with_cones(P: Polytope, i: int) -> list[tuple[Polytope, list[tuple[int, ...]]]]:
     """All i-faces of P with generators of their outer normal cones.  A
-    face's generators are the normals of the proper halfspaces whose vertex
+    face's generators are the normals of the proper planes whose vertex
     indices in P's facet table contain the face's, in table order, then
-    both normals of each equality plane."""
-    d = P.ambient_dim
+    both normals of each equality plane.  A flat body is its own top face."""
     k = P.intrinsic_dim
-    if k < 0 or i > k:
+    if k < 0 or i > k or i == P.ambient_dim:
         return []
+    table = [(m, set(idx)) for (m, c), idx in P._facets if (m, c) not in P._paired]
+    planes = [g for m, _ in P.equality_planes for g in (m, tuple(-x for x in m))]
+
+    def gens(f):
+        return [m for m, idx in table if idx.issuperset(f)] + planes
+
     if i == k:
-        if k == d:
-            return []
-        return [(P, _cone_generators(P, P.vertices))]
+        return [(P, gens(range(len(P.images))))]
     if i == 0:
-        faces = [(j,) for j in range(len(P.vertices))]
+        faces = [(j,) for j in range(len(P.images))]
     elif i == 1:
         faces = P.edge_list
     elif i == 2:
         faces = [idx for _, idx in P._facets]
     else:
         raise GeometryError(f"face dimension {i} out of range")
-    proper = set(P.proper_halfspaces)
-    table = [(h[0], set(idx)) for h, (_, idx) in zip(P.halfspaces, P._facets)
-             if h in proper]
-    planes = [g for m, _ in P.equality_planes for g in (m, tuple(-x for x in m))]
-    return [(P.face(f), [m for m, idx in table if idx.issuperset(f)] + planes)
-            for f in faces]
+    return [(P.face(f), gens(f)) for f in faces]
 
 
 @dataclass(frozen=True)
@@ -371,7 +377,7 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
         raise GeometryError("face lies in no cell of the complex")
     region = Polytope.construct(itertools.product((-bound, bound), repeat=n), n)
     hull = Polytope.construct(points, n)
-    cands = [m for m, _ in hull.halfspaces]
+    cands = [m for m, _ in hull.planes]
     # in the plane a ray's perpendiculars can bound the region; on the
     # line the hull's two halfspaces are all the candidates there are
     if n == 2:
@@ -385,30 +391,32 @@ def _gradient_region(u: PLConvexFunction, face: Polytope,
         if pm in seen:
             continue
         seen.add(pm)
-        if any(dot(pm, r) > 0 for r in rays):
+        if any(_idot(pm, r) > 0 for r in rays):
             continue
-        region = region.clip(pm, max(dot(pm, p) for p in points))
+        region = region.clip(pm, hull.support(pm))
     return region, points, rays
 
 
 def _flat_factor_pair(face: Polytope, grad: Polytope) -> Fraction:
     """Exact product of the 1-dimensional Hausdorff measures of two
-    orthogonal rational segments (lattice lengths against |direction|^2)."""
-    fa, fb = face.vertices[0], face.vertices[-1]
-    p = primitive(sub(fb, fa))
-    k = next(j for j in range(len(p)) if p[j] != 0)
-    lam = sub(fb, fa)[k] / p[k]
+    orthogonal rational segments in the plane (lattice lengths against
+    |direction|^2), read on their integer images: the face's image runs
+    along lam p for its primitive direction p, the gradient segment's
+    along mu p' for p' = (-p1, p0), and the product is
+    |lam mu| p . p over the two denominators."""
+    dface = sub(face.images[-1], face.images[0])
+    lam = math.gcd(*dface)
+    p = tuple(x // lam for x in dface)
     if grad.intrinsic_dim == 0:
         return Fraction(0)
-    ga, gb = grad.vertices[0], grad.vertices[-1]
-    q = sub(gb, ga)
+    dgrad = sub(grad.images[-1], grad.images[0])
     # grad segment must run orthogonal to the face direction
-    if dot(p, q) != 0:
+    if _idot(p, dgrad) != 0:
         raise GeometryError("gradient segment not orthogonal to its face")
     perp = (-p[1], p[0])
     kk = next(j for j in range(2) if perp[j] != 0)
-    mu = q[kk] / Fraction(perp[kk])
-    return abs(lam) * abs(mu) * norm_sq(p)
+    mu = Fraction(dgrad[kk], perp[kk])
+    return abs(lam * mu) * _idot(p, p) / (face.q * grad.q)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .bodies import GeometryError, Polytope
+from .bodies import GeometryError, Polytope, _idot
 from .linalg import Vec, dot, primitive
 
 _GL_NODES = {}
@@ -75,29 +75,33 @@ def _dedupe_rays(gens: Sequence[Vec]) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(primitive(g) for g in gens if any(g)))
 
 
-def _extreme_pair(pointed: list[Vec], normals: list[tuple[int, ...]]) -> tuple[Vec, Vec]:
+def _extreme_pair(pointed: list[tuple[int, ...]], normals: list[tuple[int, ...]]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two extreme rays of a pointed rank-2 cone, exact: the pointed
     rays on a bounding hyperplane that is not an equality, in order.  Every
     normal is orthogonal to the lineality space, so a ray and its part off
     that space lie on the same hyperplanes."""
     facets = [m for m in normals if tuple(-x for x in m) not in normals]
-    ea, eb = [g for g in pointed if any(dot(m, g) == 0 for m in facets)]
+    ea, eb = [g for g in pointed if any(_idot(m, g) == 0 for m in facets)]
     return ea, eb
 
 
-def _extreme_cycle_3d(pointed: list[Vec], bounding: list[tuple[int, ...]]) -> list[Vec]:
-    """Extreme rays of a pointed full rank cone, in cyclic order, exact.
-    Every ray has m·g ≤ 0 for each tangent normal m, with equality for all
-    of them only at g = 0, so w = −Σm has w·g > 0 on every ray."""
+def _extreme_cycle_3d(pointed: list[tuple[int, ...]],
+                      bounding: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Extreme rays of a pointed full rank cone with integer rays, in
+    cyclic order, exact.  Every ray has m·g ≤ 0 for each tangent normal m,
+    with equality for all of them only at g = 0, so w = −Σm has w·g > 0 on
+    every ray.  The rays are cut by the plane w·x = 1 and read in the
+    integer Gram-Schmidt basis of its direction space (int_complement),
+    the rational one up to positive factors, which keep the section's
+    lexicographic order and orientation and so its hull cycle."""
     w = tuple(-sum(m[k] for m in bounding) for k in range(3))
-    if not all(dot(w, g) > 0 for g in pointed):
+    ts = [_idot(w, g) for g in pointed]
+    if not all(t > 0 for t in ts):
         raise GeometryError("no strict interior direction found for pointed cone")
-    section = []
-    for g in pointed:
-        t = dot(w, g)
-        section.append(tuple(x / t for x in g))
-    basis = linalg.orthogonal_complement([w], 3)
-    coords = [(dot(basis[0], q), dot(basis[1], q)) for q in section]
+    b0, b1 = linalg.int_complement([w], 3)
+    coords = [(Fraction(_idot(b0, g), t), Fraction(_idot(b1, g), t))
+              for g, t in zip(pointed, ts)]
     hull = Polytope.construct(coords, 2)
     lookup = {c: pointed[i] for i, c in enumerate(coords)}
     return [lookup[hull.vertices[j]] for j in hull.boundary_cycle]
@@ -119,12 +123,12 @@ class SphericalPatch:
             raise GeometryError("cone has no nonzero generators")
         bounding, s = _tangent_normals(rays, d)
         # lineality space: spanned by the rays on every bounding hyperplane
-        lin_rays = [r for r in rays if all(dot(m, r) == 0 for m in bounding)]
+        lin_rays = [r for r in rays if all(_idot(m, r) == 0 for m in bounding)]
         lin_basis = linalg.independent_subset(lin_rays)
         l = len(lin_basis)
         # pointed part: project the remaining rays off the lineality space
-        ortho = linalg.orthogonalize(lin_basis)
-        pointed = _dedupe_rays([linalg.reject(r, ortho) for r in rays])
+        ortho = linalg.int_orthogonalize(lin_basis)
+        pointed = _dedupe_rays([linalg.int_reject(r, ortho) for r in rays])
         kind, measure, data = SphericalPatch._build(
             l, s - l, s, pointed, lin_basis, bounding)
         return SphericalPatch(kind, d, measure, data, tuple(rays), tuple(bounding))

@@ -21,13 +21,11 @@ from epival.linalg import (
     cross3,
     dot,
     independent_subset,
-    mat_rank,
-    norm_sq,
-    orthogonal_complement,
     solve,
     sub,
 )
 from epival.measures import nearest_points, surface_area_measure
+from test_linalg import mat_rank, norm_sq, orthogonal_complement
 
 
 def square(a=0, b=1):

@@ -35,15 +35,14 @@ from epival.functions import (
 from epival.linalg import (
     cross3,
     dot,
-    mat_rank,
-    norm_sq,
-    orthogonal_complement,
+    int_complement,
+    int_reject,
     primitive,
-    reject,
     sub,
 )
 from epival.measures import faces_with_cones, surface_area_measure
 from test_bodies import as_points_reference, intake_inputs
+from test_linalg import mat_rank, norm_sq, orthogonal_complement, reject
 
 # ---------------------------------------------------------------------------
 # the Fraction readers
@@ -403,12 +402,12 @@ def test_integer_complement_matches_the_rational_one(data):
     basis = [tuple(v) for v in vecs]
     if mat_rank(basis or [[0] * d]) < len(basis):
         return
-    comp = bodies._icomplement(basis, d)
+    comp = int_complement(basis, d)
     assert comp == [primitive(w) for w in orthogonal_complement(basis, d)]
     for v in itertools.product(range(-2, 3), repeat=d):
         if comp and any(v):
             r = reject(v, comp)
-            got = bodies._ireject(v, comp)
+            got = int_reject(v, comp)
             assert any(got) == any(r)
             if any(r):
                 assert bodies._iprimitive(got) == primitive(r)

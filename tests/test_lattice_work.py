@@ -11,9 +11,10 @@ bit of the pass's output: the digest is the one the benchmark prints.
 
 The exact readers (volume, facet areas, the piece tests, maxima, support,
 evaluation and the rank tests) compute on the integer images the bodies
-store, so the pass makes no Fraction Gauss-Jordan rank test
-(linalg.mat_rank; 510 before the readers moved to the image) and no
-Fraction dot product (linalg.dot; 3,242 before, then 330 in
+store, so the pass makes no Fraction Gauss-Jordan reduction
+(linalg._reduce, which solve still uses; 510 rank tests by the Fraction
+mat_rank before the readers moved to the image) and no Fraction dot
+product (linalg.dot; 3,242 before, then 330 in
 MaxAffine.evaluate at the conjugate probes until evaluation read the
 pieces' integer rows).  Every body is built with its image, so the pass
 never rebuilds one from Fraction vertices (bodies._integer_image; 591
@@ -34,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST = "9da3d71820c9642b79bda52649522fe3f70b8e96ba21cc2b6c7250fb6179c585"
 MAX_EPIGRAPHS = 42
 MAX_CLIPS = 325
-MAX_MAT_RANKS = 0
+MAX_REDUCES = 0
 MAX_DOTS = 0
 MAX_IMAGES = 0
 
@@ -59,11 +60,11 @@ def count_everywhere(monkeypatch, counts, name, fn):
 def test_lattice_pass_builds_each_epigraph_once(monkeypatch):
     workloads = load_workloads()
     workload = workloads.WORKLOADS["lattice"]
-    counts = {"epigraph": 0, "clip": 0, "mat_rank": 0, "dot": 0, "image": 0}
+    counts = {"epigraph": 0, "clip": 0, "reduce": 0, "dot": 0, "image": 0}
     monkeypatch.setattr(functions, "_epigraph",
                         counted(counts, "epigraph", functions._epigraph))
     monkeypatch.setattr(Polytope, "clip", counted(counts, "clip", Polytope.clip))
-    count_everywhere(monkeypatch, counts, "mat_rank", linalg.mat_rank)
+    count_everywhere(monkeypatch, counts, "reduce", linalg._reduce)
     count_everywhere(monkeypatch, counts, "dot", linalg.dot)
     count_everywhere(monkeypatch, counts, "image", bodies._integer_image)
     state: dict = {}
@@ -73,6 +74,6 @@ def test_lattice_pass_builds_each_epigraph_once(monkeypatch):
     assert sha.hexdigest() == DIGEST
     assert counts["epigraph"] <= MAX_EPIGRAPHS
     assert counts["clip"] <= MAX_CLIPS
-    assert counts["mat_rank"] <= MAX_MAT_RANKS
+    assert counts["reduce"] <= MAX_REDUCES
     assert counts["dot"] <= MAX_DOTS
     assert counts["image"] <= MAX_IMAGES

@@ -1,18 +1,77 @@
-"""Exact rank, solve, basis, rejection and complement helpers."""
+"""Exact rank, solve, basis, rejection and complement helpers.
+
+The package's one Gram-Schmidt is the fraction-free integer one of
+linalg (int_reject, int_orthogonalize, int_complement).  The Fraction
+routines below are the rational Gram-Schmidt, rank and norm it replaced,
+kept here as the references the other test modules import: each integer
+vector must be a positive multiple of the rational one.
+"""
 
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 from epival.linalg import (
+    _reduce,
     dot,
     independent_subset,
-    mat_rank,
-    orthogonal_complement,
-    orthogonalize,
-    reject,
+    int_complement,
+    int_orthogonalize,
+    int_reject,
+    primitive,
     solve,
 )
+
+# ---------------------------------------------------------------------------
+# the Fraction references
+
+
+def is_zero(a):
+    return all(x == 0 for x in a)
+
+
+def mat_rank(rows):
+    m = [list(map(F, r)) for r in rows]
+    return _reduce(m, len(m[0])) if m else 0
+
+
+def norm_sq(a):
+    return dot(a, a)
+
+
+def reject(v, ortho):
+    """Component of v orthogonal to the span of the pairwise orthogonal
+    vectors in ortho, exact."""
+    out = tuple(v)
+    for w in ortho:
+        coef = dot(out, w) / norm_sq(w)
+        out = tuple(a - coef * b for a, b in zip(out, w))
+    return out
+
+
+def orthogonalize(basis):
+    """Gram-Schmidt without normalization: pairwise orthogonal vectors
+    spanning the same nested subspaces as the independent input."""
+    ortho = []
+    for u in basis:
+        ortho.append(reject(u, ortho))
+    return ortho
+
+
+def orthogonal_complement(basis, d):
+    """Rational basis of the orthogonal complement of span(basis) in R^d,
+    obtained by rejecting the standard unit vectors in turn."""
+    ortho = orthogonalize(basis)
+    out = []
+    for k in range(d):
+        e = reject([F(int(k == j)) for j in range(d)], ortho)
+        if not is_zero(e):
+            out.append(e)
+            ortho.append(e)
+    return out
+
+
+# ---------------------------------------------------------------------------
 
 
 small = st.integers(-3, 3).map(F)
@@ -56,6 +115,38 @@ def test_basis_and_complement(data):
         assert mat_rank(basis + [removed]) == len(basis)
 
 
+@settings(max_examples=200, deadline=None)
+@given(vector_lists())
+def test_integer_basis_and_complement(data):
+    # the properties above, on the integer routines, each vector a
+    # positive multiple of the rational reference's
+    d, vecs = data
+    vecs = [tuple(map(int, v)) for v in vecs]
+    basis = independent_subset(vecs)
+
+    ortho = int_orthogonalize(basis)
+    for i, u in enumerate(ortho):
+        assert all(type(x) is int for x in u)
+        assert all(dot(u, w) == 0 for w in ortho[:i])
+    assert mat_rank(basis + ortho) == len(basis)
+    assert ortho == [primitive(w) for w in orthogonalize(basis)]
+
+    comp = int_complement(basis, d)
+    assert len(basis) + len(comp) == d
+    assert mat_rank(basis + comp) == d
+    assert all(dot(c, b) == 0 for c in comp for b in basis)
+    assert comp == [primitive(w) for w in orthogonal_complement(basis, d)]
+
+    for v in vecs:
+        r = int_reject(v, ortho)
+        assert all(dot(r, w) == 0 for w in ortho)
+        ref = reject(v, orthogonalize(basis))
+        assert is_zero(r) == is_zero(ref)
+        if not is_zero(r):
+            assert primitive(r) == primitive(ref)
+            assert dot(r, ref) > 0
+
+
 @st.composite
 def square_systems(draw):
     n = draw(st.integers(1, 4))
@@ -96,3 +187,5 @@ def test_complement_depends_only_on_the_span(data, draw):
     other.reverse()
     assert mat_rank(basis + other) == len(basis)
     assert orthogonal_complement(other, d) == orthogonal_complement(basis, d)
+    ints = [tuple(map(int, v)) for v in other]
+    assert int_complement(ints, d) == int_complement([tuple(map(int, u)) for u in basis], d)

@@ -14,11 +14,7 @@ from epival.cases import CaseGenerator
 from epival.linalg import (
     dot,
     independent_subset,
-    is_zero,
-    mat_rank,
-    orthogonalize,
     primitive,
-    reject,
     solve,
 )
 from epival.measures import _lower_clip, _product_integral, support_measure
@@ -37,6 +33,7 @@ from epival.spherical import (
     _unit,
     in_cone,
 )
+from test_linalg import is_zero, mat_rank, orthogonal_complement, orthogonalize, reject
 
 
 def patch(gens, d):
@@ -446,6 +443,36 @@ def test_hull_cone_structure_matches_subset_membership(case):
         cycle = _extreme_cycle_3d(rays, list(p.bounding))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert any(linalg_dot(m, a) == 0 == linalg_dot(m, b) for m in p.bounding)
+
+
+def ref_extreme_cycle_3d(pointed, bounding):
+    """_extreme_cycle_3d as it was written on Fractions: the section by
+    w·x = 1 read in the rational Gram-Schmidt basis of its plane."""
+    w = tuple(-sum(m[k] for m in bounding) for k in range(3))
+    section = []
+    for g in pointed:
+        t = dot(w, g)
+        section.append(tuple(x / t for x in g))
+    basis = orthogonal_complement([w], 3)
+    coords = [(dot(basis[0], q), dot(basis[1], q)) for q in section]
+    hull = Polytope.construct(coords, 2)
+    lookup = {c: pointed[i] for i, c in enumerate(coords)}
+    return [lookup[hull.vertices[j]] for j in hull.boundary_cycle]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-5, 5)] * 3), min_size=3, max_size=6))
+def test_extreme_cycle_matches_the_rational_section(gens):
+    # a pointed full rank cone: its rays, deduplicated, are its pointed
+    # part, and the integer section basis gives the rational one's cycle
+    assume(any(any(g) for g in gens))
+    p = patch(gens, 3)
+    assume(p.kind == "polygon")
+    rays = _dedupe_rays(gens)
+    bounding = _tangent_normals(rays, 3)[0]
+    cycle = _extreme_cycle_3d(rays, bounding)
+    assert cycle == ref_extreme_cycle_3d(rays, bounding)
+    assert len(cycle) == len(p.data)
 
 
 def flat_tri_quad(v0, v1, v2, g, n):
